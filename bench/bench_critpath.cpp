@@ -90,7 +90,7 @@ HookCost hook_cost_once(int events) {
   mpi::Engine engine(critpath_config(8));
   engine.telemetry().set_enabled(true);
   auto prof = critpath::Profiler::attach(engine);
-  prof->begin_run();
+  prof->on_run_begin();
 
   mpi::PktInfo pkt;
   pkt.src_world = 1;
@@ -120,7 +120,7 @@ HookCost hook_cost_once(int events) {
     t += 2e-6;
   }
   out.recv_ns = wall_since(t0) / events * 1e9;
-  prof->end_run();
+  prof->on_run_end();
   return out;
 }
 
@@ -196,8 +196,8 @@ struct ExtractSample {
 };
 
 /// Run the ring once; the profiler self-times its finalize (it runs
-/// eagerly inside the engine's run-end hook, after the rank threads
-/// joined), so read extract_host_seconds() rather than re-timing the
+/// eagerly at the engine's run end, after the rank threads joined), so
+/// read extract_host_seconds() rather than re-timing the
 /// already-idempotent report() call.
 ExtractSample extract_once(int nranks, int iters) {
   mpi::Engine engine(critpath_config(nranks));

@@ -12,41 +12,30 @@
 #      threads hammer the lock-free send path while the control plane
 #      churns RecordingPlans)
 #
-# --recovery-only is the focused fault-recovery lane: the recovery suite and
-# the crash-under-churn stress suite (ULFM shrink/ack/agree, session rebind,
-# degradation governor) under BOTH sanitizer presets, plus the
-# faulty_reorder crash-shrink-recover example and bench_recovery's
-# built-in acceptance check on the default build.
-#
-# --stream-only is the focused streaming-plane lane: the obsplane suite
-# (ingest rings, sketches, correlation, exporter teardown) under BOTH
-# sanitizer presets, then on the default build the stream_monitor
-# fault-injected e2e example, a monview --live render of its stream, and
-# bench_stream's hook-overhead acceptance check fed into the trend gate.
-#
-# --critpath-only is the focused critical-path profiler lane: the critpath
-# suite (blame identity, clock bit-identity, governor refusal, rings,
-# reorder feed, CSV round trip) under BOTH sanitizer presets, then on the
-# default build the stencil_reorder late-sender e2e, a profview
-# --critical-path render of its blame CSV, and bench_critpath's
-# hook-budget + blame-identity acceptance checks fed into the trend gate.
-#
-# --fabric-only is the focused network-fabric lane: the fabric suite
-# (MPIM_TOPO spec parsing, hop-distance metric properties, route coverage,
-# tree bit-identity to the depth-indexed cost lookup, max-min-fair flow
-# sharing, per-link-class mismatch decomposition, hierarchical TreeMatch)
-# under BOTH sanitizer presets, then on the default build the fabric_tour
-# e2e example, a monview --timeline render of its per-link-class frames
-# CSV, and bench_fabric's cross-fabric reorder acceptance fed into the
-# trend gate (reorders_per_sec is a hot-path inverse metric).
-#
-# --scale-only is the focused scheduler-backend lane: the sched suite
-# (thread-vs-fiber clock bit-identity, MPIM_SCHED parsing, fiber structural
-# deadlock detection, np=512 crash/shrink/rebind, np=1024 fiber worlds)
-# under BOTH sanitizer presets (asan exercises the fiber stack-switch
-# annotations, tsan the thread-mode halves of the parity sweep), then on
-# the default build bench_scale's built-in >= 8x world-size acceptance
-# check in quick mode.
+# The --<lane>-only flags run one focused lane instead (focused_lane below):
+# the lane's suite under BOTH sanitizer presets, then its end-to-end example
+# and bench acceptance check on the default build.
+#   --recovery-only  ULFM shrink/ack/agree, session rebind, degradation
+#                    governor + the crash-under-churn stress suite;
+#                    faulty_reorder crash-shrink-recover, bench_recovery
+#   --stream-only    streaming plane (ingest rings, sketches, correlation,
+#                    exporter teardown); stream_monitor fault-injected run,
+#                    monview --live render, bench_stream + trend gate
+#   --critpath-only  critical-path profiler (blame identity, clock
+#                    bit-identity, governor refusal, rings, reorder feed,
+#                    CSV round trip, observer attach order); stencil_reorder
+#                    late-sender run, profview --critical-path render,
+#                    bench_critpath + trend gate
+#   --fabric-only    network fabrics (MPIM_TOPO parsing, route and
+#                    hop-distance properties, tree bit-identity, max-min fair
+#                    flows, per-link-class mismatch, hierarchical TreeMatch);
+#                    fabric_tour, monview --timeline render, bench_fabric +
+#                    trend gate
+#   --scale-only     scheduler backends (thread-vs-fiber clock bit-identity,
+#                    MPIM_SCHED parsing, fiber deadlock detection, np=512-1024
+#                    fiber worlds; asan exercises the fiber stack-switch
+#                    annotations, tsan the thread-mode halves of the parity
+#                    sweep); bench_scale's >= 8x world-size acceptance
 #
 # Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]
 set -euo pipefail
@@ -56,26 +45,88 @@ jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 run_default=1
 run_asan=1
 run_tsan=1
-run_recovery=0
-run_stream=0
-run_critpath=0
-run_fabric=0
-run_scale=0
+lane=""
 case "${1:-}" in
   --default-only) run_asan=0; run_tsan=0 ;;
   --asan-only) run_default=0; run_tsan=0 ;;
   --tsan-only) run_default=0; run_asan=0 ;;
-  --recovery-only) run_default=0; run_asan=0; run_tsan=0; run_recovery=1 ;;
-  --stream-only) run_default=0; run_asan=0; run_tsan=0; run_stream=1 ;;
-  --critpath-only) run_default=0; run_asan=0; run_tsan=0; run_critpath=1 ;;
-  --fabric-only) run_default=0; run_asan=0; run_tsan=0; run_fabric=1 ;;
-  --scale-only) run_default=0; run_asan=0; run_tsan=0; run_scale=1 ;;
+  --recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only)
+    run_default=0; run_asan=0; run_tsan=0; lane="$1" ;;
   "") ;;
   *)
     echo "usage: $0 [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]" >&2
     exit 2
     ;;
 esac
+
+trend_gate() {
+  if command -v python3 >/dev/null 2>&1; then
+    python3 scripts/bench_trend.py
+  else
+    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
+  fi
+}
+
+# focused_lane FLAG NAME ASAN_TESTS TSAN_TESTS TARGETS E2E_FN
+#   Runs only when FLAG was given. ASAN_TESTS / TSAN_TESTS are ctest
+#   selectors ("-L label" or "-R regex") for the sanitizer trees, TARGETS the
+#   default-preset targets E2E_FN (run from the repo root) needs. --test-dir
+#   instead of the ctest presets: the preset label filters (sanitize /
+#   sanitize-thread) would AND with the selector and hide the suite.
+focused_lane() {
+  local flag=$1 name=$2 asan_tests=$3 tsan_tests=$4 targets=$5 e2e=$6
+  [ "$lane" = "$flag" ] || return 0
+  local preset tests selector
+  for preset in asan tsan; do
+    tests=$asan_tests
+    [ "$preset" = tsan ] && tests=$tsan_tests
+    read -r -a selector <<<"$tests"
+    echo "== $name lane: $preset preset ($tests) =="
+    cmake --preset "$preset"
+    cmake --build --preset "$preset" -j "$jobs"
+    ctest --test-dir "build-$preset" --output-on-failure -j "$jobs" \
+      "${selector[@]}"
+  done
+  echo "== $name lane: e2e + bench acceptance =="
+  read -r -a selector <<<"$targets"
+  cmake --preset default
+  cmake --build --preset default -j "$jobs" --target "${selector[@]}"
+  mkdir -p results
+  "$e2e"
+}
+
+recovery_e2e() {
+  ./build/examples/faulty_reorder >/dev/null
+  ./build/bench/bench_recovery --quick --csv results
+}
+
+stream_e2e() {
+  ./build/examples/stream_monitor >/dev/null
+  ./build/src/tools/monview --live results/stream_monitor.jsonl --once \
+    >/dev/null
+  ./build/bench/bench_stream --quick --csv results
+  trend_gate
+}
+
+critpath_e2e() {
+  ./build/examples/stencil_reorder >/dev/null
+  ./build/src/tools/profview --critical-path results/stencil_critpath.csv \
+    >/dev/null
+  ./build/bench/bench_critpath --quick --csv results
+  trend_gate
+}
+
+fabric_e2e() {
+  ./build/examples/fabric_tour >/dev/null
+  ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
+  ./build/bench/bench_fabric --quick --csv results
+  trend_gate
+}
+
+scale_e2e() {
+  ./build/bench/bench_scale --quick --csv results
+  trend_gate
+}
 
 if [ "$run_default" = 1 ]; then
   echo "== tier-1: default preset =="
@@ -96,11 +147,7 @@ if [ "$run_default" = 1 ]; then
   ./build/bench/bench_recovery --quick --csv results
   ./build/bench/bench_stream --quick --csv results
   ./build/bench/bench_critpath --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
+  trend_gate
 fi
 
 if [ "$run_asan" = 1 ]; then
@@ -117,140 +164,17 @@ if [ "$run_tsan" = 1 ]; then
   ctest --preset tsan --output-on-failure -j "$jobs"
 fi
 
-if [ "$run_recovery" = 1 ]; then
-  # --test-dir instead of the ctest presets: the preset label filters
-  # (sanitize / sanitize-thread) would AND with -L and hide the suite.
-  echo "== recovery lane: asan preset (labels: fault|recovery|sanitize-thread) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" \
-    -L 'fault|recovery|sanitize-thread'
-
-  echo "== recovery lane: tsan preset (labels: fault|recovery|sanitize-thread) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -L 'fault|recovery|sanitize-thread'
-
-  echo "== recovery lane: crash-shrink-recover e2e + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target faulty_reorder bench_recovery
-  ./build/examples/faulty_reorder >/dev/null
-  mkdir -p results
-  ./build/bench/bench_recovery --quick --csv results
-fi
-
-if [ "$run_stream" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L obsplane and hide the suite.
-  echo "== stream lane: asan preset (label: obsplane) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L obsplane
-
-  echo "== stream lane: tsan preset (label: obsplane) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L obsplane
-
-  echo "== stream lane: fault-injected e2e + live view + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target stream_monitor monview bench_stream
-  mkdir -p results
-  ./build/examples/stream_monitor >/dev/null
-  ./build/src/tools/monview --live results/stream_monitor.jsonl --once \
-    >/dev/null
-  ./build/bench/bench_stream --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
-fi
-
-if [ "$run_critpath" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L critpath and hide the suite.
-  echo "== critpath lane: asan preset (label: critpath) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L critpath
-
-  echo "== critpath lane: tsan preset (label: critpath) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L critpath
-
-  echo "== critpath lane: late-sender e2e + blame render + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target stencil_reorder profview bench_critpath
-  mkdir -p results
-  ./build/examples/stencil_reorder >/dev/null
-  ./build/src/tools/profview --critical-path results/stencil_critpath.csv \
-    >/dev/null
-  ./build/bench/bench_critpath --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
-fi
-
-if [ "$run_fabric" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane: the ctest preset
-  # label filters would AND with -L fabric and hide the suite.
-  echo "== fabric lane: asan preset (label: fabric) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L fabric
-
-  echo "== fabric lane: tsan preset (label: fabric) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -L fabric
-
-  echo "== fabric lane: fabric_tour e2e + timeline render + bench acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" \
-    --target fabric_tour monview bench_fabric
-  mkdir -p results
-  ./build/examples/fabric_tour >/dev/null
-  ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
-  ./build/bench/bench_fabric --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
-fi
-
-if [ "$run_scale" = 1 ]; then
-  # --test-dir for the same reason as the recovery lane. Under the tsan
-  # preset the sched suite's label is sanitize-thread (see
-  # tests/CMakeLists.txt), so select it by test-name prefix instead.
-  echo "== scale lane: asan preset (label: sched) =="
-  cmake --preset asan
-  cmake --build --preset asan -j "$jobs"
-  ctest --test-dir build-asan --output-on-failure -j "$jobs" -L sched
-
-  echo "== scale lane: tsan preset (tests: Sched*) =="
-  cmake --preset tsan
-  cmake --build --preset tsan -j "$jobs"
-  ctest --test-dir build-tsan --output-on-failure -j "$jobs" -R '^Sched'
-
-  echo "== scale lane: bench_scale acceptance =="
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target bench_scale
-  mkdir -p results
-  ./build/bench/bench_scale --quick --csv results
-  if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
-  else
-    echo "bench_trend: python3 not found, skipping trajectory gate" >&2
-  fi
-fi
+# The sched suite's label is sanitize-thread under tsan (see
+# tests/CMakeLists.txt), so the scale lane selects it by name there.
+focused_lane --recovery-only recovery "-L fault|recovery|sanitize-thread" \
+  "-L fault|recovery|sanitize-thread" "faulty_reorder bench_recovery" \
+  recovery_e2e
+focused_lane --stream-only stream "-L obsplane" "-L obsplane" \
+  "stream_monitor monview bench_stream" stream_e2e
+focused_lane --critpath-only critpath "-L critpath" "-L critpath" \
+  "stencil_reorder profview bench_critpath" critpath_e2e
+focused_lane --fabric-only fabric "-L fabric" "-L fabric" \
+  "fabric_tour monview bench_fabric" fabric_e2e
+focused_lane --scale-only scale "-L sched" "-R ^Sched" bench_scale scale_e2e
 
 echo "check.sh: all green"

@@ -96,28 +96,17 @@ Profiler::Profiler(mpi::Engine& engine, Config cfg)
 }
 
 std::shared_ptr<Profiler> Profiler::attach(mpi::Engine& engine, Config cfg) {
+  if (Profiler* old = attached(engine)) engine.detach(*old);
   auto prof = std::shared_ptr<Profiler>(new Profiler(engine, std::move(cfg)));
-  Profiler* p = prof.get();
-  mpi::CritHooks hooks;
-  hooks.on_send = [p](int rank, const mpi::PktInfo& pkt, double t0,
-                      double tx_start, double arrival, double t1) {
-    p->on_send(rank, pkt, t0, tx_start, arrival, t1);
-  };
-  hooks.on_recv = [p](int rank, const mpi::PktInfo& pkt, double pre,
-                      double arrival, double t1) {
-    p->on_recv(rank, pkt, pre, arrival, t1);
-  };
-  engine.set_crit_hooks(std::move(hooks));
-  engine.set_crit_run_hooks([p] { p->begin_run(); }, [p] { p->end_run(); });
-  engine.set_crit_plane(prof);  // ownership: survives across run() calls
+  engine.attach(prof, mpi::EngineObserver::kSend | mpi::EngineObserver::kRecv);
   return prof;
 }
 
 Profiler* Profiler::attached(mpi::Engine& engine) {
-  return static_cast<Profiler*>(engine.crit_plane());
+  return engine.find_observer<Profiler>();
 }
 
-void Profiler::begin_run() {
+void Profiler::on_run_begin() {
   // Main thread, after per-run engine resets, before rank threads exist:
   // everything written here happens-before every capture hook.
   std::size_t cap = cfg_.ring_capacity;
@@ -175,11 +164,9 @@ void Profiler::begin_run() {
   engine_.telemetry().gauge_set(id_blame_only_, 0, blame_only_ ? 1 : 0);
 }
 
-void Profiler::end_run() {
+void Profiler::on_run_end() {
   // All rank threads joined: safe to aggregate across lanes. Drain the
-  // batched telemetry mirror first so hub counters are exact, then
-  // aggregate eagerly so the streaming plane's finalize (the engine
-  // run-end hook, which fires after this one) can fold the findings in.
+  // batched telemetry mirror first so hub counters are exact.
   for (std::size_t r = 0; r < lanes_.size(); ++r)
     flush_lane_telemetry(static_cast<int>(r), lanes_[r]);
   report();

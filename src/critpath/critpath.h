@@ -153,12 +153,11 @@ struct BlameReport {
   LinkBlame critical_link;
 };
 
-class Profiler {
+class Profiler final : public mpi::EngineObserver {
  public:
-  /// Installs the capture hooks and run lifecycle on `engine` and parks
-  /// ownership in the engine's crit-plane slot (survives across runs, like
-  /// the streaming plane). Virtual clocks are bit-identical with and
-  /// without the profiler attached.
+  /// Attaches an engine-owned profiler observing sends and receive
+  /// completions (it survives across runs and replaces a previously
+  /// attached one). Virtual clocks are bit-identical with and without it.
   static std::shared_ptr<Profiler> attach(mpi::Engine& engine,
                                           Config cfg = {});
   /// The profiler attached to `engine`, or nullptr.
@@ -205,13 +204,14 @@ class Profiler {
   /// critical path -- this tracks that it stays cheap anyway.
   double extract_host_seconds() const { return extract_host_s_; }
 
-  // Engine lifecycle (public so std::function hooks can reach them).
-  void begin_run();
-  void end_run();
+  // --- EngineObserver ------------------------------------------------------
+  void on_run_begin() override;
+  /// Drains the batched telemetry mirror and extracts the report.
+  void on_run_end() override;
   void on_send(int rank, const mpi::PktInfo& pkt, double t0, double tx_start,
-               double arrival, double t1);
+               double arrival, double t1) override;
   void on_recv(int rank, const mpi::PktInfo& pkt, double pre, double arrival,
-               double t1);
+               double t1) override;
 
  private:
   struct PhaseCell {

@@ -1,9 +1,10 @@
 // Collective algorithms, decomposed into point-to-point messages.
 //
-// This decomposition is the heart of the reproduction: the monitoring hook
-// sits below these algorithms, so a session observes the real tree/ring
-// pattern of every collective -- the capability the paper singles out as
-// unique to the Open MPI pml_monitoring component.
+// This decomposition is the heart of the reproduction: the send record
+// (EngineObserver::on_send_record) sits below these algorithms, so a
+// session observes the real tree/ring pattern of every collective -- the
+// capability the paper singles out as unique to the Open MPI
+// pml_monitoring component.
 //
 // All functions work in *group-rank* space of the given communicator and
 // take the CommKind under which their traffic is tagged: user collectives

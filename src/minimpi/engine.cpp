@@ -137,9 +137,41 @@ Engine::Engine(EngineConfig cfg)
 
 Engine::~Engine() = default;
 
-void Engine::set_send_hook(SendHook hook) {
-  send_hook_ = std::move(hook);
-  send_hook_armed_.store(send_hook_ != nullptr, std::memory_order_release);
+void Engine::attach(EngineObserver& obs, unsigned events) {
+  std::lock_guard lock(observers_mx_);
+  observers_.push_back({&obs, nullptr});
+  obs.armed_.store(events, std::memory_order_relaxed);
+  rearm_locked();
+}
+
+void Engine::attach(std::shared_ptr<EngineObserver> obs, unsigned events) {
+  attach(*obs, events);
+  std::lock_guard lock(observers_mx_);
+  observers_.back().owned = std::move(obs);
+}
+
+void Engine::detach(EngineObserver& obs) {
+  std::shared_ptr<EngineObserver> owned;  // destroyed after the unlock
+  std::lock_guard lock(observers_mx_);
+  auto it = std::find_if(observers_.begin(), observers_.end(),
+                         [&](const Attached& a) { return a.obs == &obs; });
+  if (it == observers_.end()) return;
+  owned = std::move(it->owned);
+  observers_.erase(it);
+  rearm_locked();
+}
+
+void Engine::arm(EngineObserver& obs, unsigned events) {
+  std::lock_guard lock(observers_mx_);
+  obs.armed_.store(events, std::memory_order_relaxed);
+  rearm_locked();
+}
+
+void Engine::rearm_locked() {
+  unsigned all = 0;
+  for (const Attached& a : observers_)
+    all |= a.obs->armed_.load(std::memory_order_relaxed);
+  armed_.store(all, std::memory_order_relaxed);
 }
 
 Comm Engine::intern_comm(const std::string& key,
@@ -436,10 +468,6 @@ SchedMode Engine::resolve_sched_mode() const {
 void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   const int n = world_size();
   run_sched_mode_ = resolve_sched_mode();
-  // No rank contexts exist yet: a grace period for any RCU state the tool
-  // layer retired during the previous run.
-  if (quiescent_hook_) quiescent_hook_();
-  if (run_begin_hook_) run_begin_hook_();
   abort_.store(false);
   blocked_.store(0);
   deliveries_.store(0);
@@ -482,10 +510,18 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   link_busy_.assign(static_cast<std::size_t>(fabric().num_links()), 0.0);
   run_ctx_.assign(static_cast<std::size_t>(n), nullptr);
   alive_.store(n);
+  epoch_period_s_ = 0.0;
+  for (const Attached& a : observers_) {
+    const double width = a.obs->epoch_s();
+    if ((a.obs->armed_.load(std::memory_order_relaxed) &
+         EngineObserver::kEpoch) != 0 &&
+        width > 0.0 && (epoch_period_s_ == 0.0 || width < epoch_period_s_))
+      epoch_period_s_ = width;
+  }
   // After the per-run resets (the critpath governor reservation interns a
   // tool object, which tool_objects_.clear() above would otherwise wipe)
   // and before any rank context exists.
-  if (crit_run_begin_hook_) crit_run_begin_hook_();
+  for (const Attached& a : observers_) a.obs->on_run_begin();
 
   if (run_sched_mode_ == SchedMode::fibers)
     run_fibers(rank_main);
@@ -496,11 +532,8 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
   for (double c : final_clocks_) max_virtual_time_ = std::max(max_virtual_time_, c);
 
   // Before the rethrow: a failed run still gets its exporters finalized, so
-  // everything flushed up to the failure survives in the output. The
-  // critpath end hook runs first so the streaming plane's finalize can fold
-  // finished blame results into its findings.
-  if (crit_run_end_hook_) crit_run_end_hook_();
-  if (run_end_hook_) run_end_hook_();
+  // everything flushed up to the failure survives in the output.
+  for (const Attached& a : observers_) a.obs->on_run_end();
 
   if (first_error_) std::rethrow_exception(first_error_);
 }
@@ -510,8 +543,7 @@ void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
   ctx.noise_rng_.reseed(cfg_.noise_seed * 0x9e3779b97f4a7c15ULL +
                         static_cast<std::uint64_t>(r) * 0x100000001b3ULL +
                         run_count_);
-  if (epoch_hook_ && epoch_period_s_ > 0.0)
-    ctx.next_epoch_s_ = epoch_period_s_;
+  if (epoch_period_s_ > 0.0) ctx.next_epoch_s_ = epoch_period_s_;
   run_ctx_[static_cast<std::size_t>(r)] = &ctx;
   g_running_ctx = &ctx;
   try {
@@ -533,8 +565,10 @@ void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
   // Final epoch flush on the rank's own context, for every exit path --
   // including a fault-plan crash, so the streaming plane keeps a
   // crashed rank's last partial epoch (exporter teardown ordering).
-  if (epoch_hook_ && epoch_period_s_ > 0.0)
-    epoch_hook_(r, ctx.now(), /*final_flush=*/true);
+  if (epoch_period_s_ > 0.0)
+    notify(EngineObserver::kEpoch, [&](EngineObserver& o) {
+      o.on_epoch(r, ctx.now(), /*final_flush=*/true);
+    });
   if (cfg_.nic_contention) {
     std::lock_guard lock(sched_.mx);
     sched_update_locked(r, Sched::St::done, ctx.now());
@@ -611,10 +645,22 @@ void Ctx::epoch_cross() {
     next_epoch_s_ = std::numeric_limits<double>::infinity();
     return;
   }
-  // Fire before re-arming: the hook sees the clock that crossed, and the
+  // Notify before re-arming: observers see the clock that crossed, and the
   // next boundary is the start of the epoch after the one the clock is in.
-  engine_->epoch_hook_(world_rank_, clock_, /*final_flush=*/false);
+  engine_->notify(EngineObserver::kEpoch, [&](EngineObserver& o) {
+    o.on_epoch(world_rank_, clock_, /*final_flush=*/false);
+  });
   next_epoch_s_ = (std::floor(clock_ / period) + 1.0) * period;
+}
+
+void Ctx::record_send(const PktInfo& info) {
+  int recorded = 0;
+  engine_->notify(EngineObserver::kSendRecord, [&](EngineObserver& o) {
+    recorded += o.on_send_record(info, world_rank_);
+  });
+  if (recorded != 0)
+    clock_ +=
+        static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
 }
 
 void Ctx::compute_flops(double flops) {
@@ -747,7 +793,7 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
     }
   }
 
-  // Consult the fault plan before the monitoring hook so the packet record
+  // Consult the fault plan before the send record so the packet record
   // carries the attempt count the wire actually saw. The virtual-time
   // charges are applied further down, where they always were; only the
   // degradation-window check sees a clock that excludes monitoring
@@ -764,11 +810,8 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   // host-side bookkeeping, so clocks stay bit-identical either way, and
   // sequence numbers stay stable across profiler on/off runs.
   info.send_seq = ++send_seq_;
-  if (kind != CommKind::tool &&
-      engine_->send_hook_armed_.load(std::memory_order_acquire)) {
-    const int recorded = engine_->send_hook_(info, world_rank_);
-    clock_ += static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
-  }
+  const bool observed = kind != CommKind::tool;
+  if (observed) record_send(info);
 
   telemetry::Hub& hub = engine_->hub_;
   if (hub.enabled()) {
@@ -827,11 +870,11 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
                               bytes);
     const double lost_tx_start = clock_;
     clock_ += tx + cost.send_overhead();
-    if (kind != CommKind::tool &&
-        engine_->crit_armed_.load(std::memory_order_acquire) &&
-        engine_->crit_hooks_.on_send)
-      engine_->crit_hooks_.on_send(world_rank_, info, info.send_time_s,
-                                   lost_tx_start, /*arrival=*/-1.0, clock_);
+    if (observed)
+      engine_->notify(EngineObserver::kSend, [&](EngineObserver& o) {
+        o.on_send(world_rank_, info, info.send_time_s, lost_tx_start,
+                  /*arrival=*/-1.0, clock_);
+      });
     epoch_check();
     return;
   }
@@ -859,11 +902,11 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
 
   engine_->deliver(std::move(msg));
   clock_ = tx_start + tx + cost.send_overhead();
-  if (kind != CommKind::tool &&
-      engine_->crit_armed_.load(std::memory_order_acquire) &&
-      engine_->crit_hooks_.on_send)
-    engine_->crit_hooks_.on_send(world_rank_, info, info.send_time_s, tx_start,
-                                 arrival, clock_);
+  if (observed)
+    engine_->notify(EngineObserver::kSend, [&](EngineObserver& o) {
+      o.on_send(world_rank_, info, info.send_time_s, tx_start, arrival,
+                clock_);
+    });
   epoch_check();
 }
 
@@ -874,13 +917,8 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
         "RMA endpoint not in the window communicator");
   fault_check();
 
-  PktInfo info{from_world, to_world, bytes, CommKind::osc, 0,
-               comm.context_id(), clock_};
-  if (engine_->send_hook_armed_.load(std::memory_order_acquire)) {
-    const int recorded = engine_->send_hook_(info, world_rank_);
-    clock_ +=
-        static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
-  }
+  record_send(PktInfo{from_world, to_world, bytes, CommKind::osc, 0,
+                      comm.context_id(), clock_});
   if (engine_->hub_.enabled()) {
     const telemetry::StdIds& ids = engine_->hub_.ids();
     engine_->hub_.registry().add(ids.engine_messages, from_world);
@@ -977,7 +1015,7 @@ bool pkt_matches(const PktInfo& info, int src_world, int context_id, int tag,
 
 bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
                              CommKind kind, void* buf, std::size_t capacity,
-                             Status* status, bool /*consume_clock*/) {
+                             Status* status) {
   // Caller holds the rank mutex.
   auto& inbox = engine_->rank_state(world_rank_).inbox;
   for (auto it = inbox.begin(); it != inbox.end(); ++it) {
@@ -990,14 +1028,12 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
                   std::min(capacity, it->info.bytes));
     const double completion =
         std::max(clock_, it->arrival_s) + engine_->cfg_.recv_overhead_s;
-    // Critpath observation before the clock assignment so the hook sees
-    // the pre-completion clock (the wait baseline). Runs under the rank
-    // mutex: the hook must be lock-free and never charge virtual time.
-    if (it->info.kind != CommKind::tool &&
-        engine_->crit_armed_.load(std::memory_order_acquire) &&
-        engine_->crit_hooks_.on_recv)
-      engine_->crit_hooks_.on_recv(world_rank_, it->info, clock_,
-                                   it->arrival_s, completion);
+    // Observed before the clock assignment so observers see the
+    // pre-completion clock (the wait baseline).
+    if (it->info.kind != CommKind::tool)
+      engine_->notify(EngineObserver::kRecv, [&](EngineObserver& o) {
+        o.on_recv(world_rank_, it->info, clock_, it->arrival_s, completion);
+      });
     clock_ = completion;
     if (status != nullptr)
       *status = Status{it->info.src_world, it->info.tag, it->info.bytes};
@@ -1124,8 +1160,7 @@ Status Ctx::recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
   auto& st = engine_->rank_state(world_rank_);
   Status status;
   std::unique_lock lock(st.mutex);
-  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, &status,
-                         true)) {
+  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, &status)) {
     lock.unlock();
     fault_check();
     epoch_check();
@@ -1141,7 +1176,7 @@ Status Ctx::recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
   bool done = false;
   wait_on_inbox(lock, [&] {
     done = match_and_complete(src_world, comm, tag, kind, buf, capacity,
-                              &status, true);
+                              &status);
     if (!done && src_world != kAnySource && engine_->rank_dead(src_world))
       raise_peer_dead(src_world, comm, tag);
     if (!done && kind != CommKind::tool && engine_->comm_revoked(comm))
@@ -1165,8 +1200,7 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
   std::unique_lock lock(st.mutex);
-  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status,
-                         true))
+  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status))
     return RecvWait::ok;
   const Engine::PendingOp op{Engine::PendingOp::What::recv, src_world, tag,
                              kind, comm.context_id(), clock_};
@@ -1178,8 +1212,7 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
                         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                             std::chrono::duration<double>(wall_timeout_s));
   while (true) {
-    if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status,
-                           true))
+    if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status))
       return RecvWait::ok;
     if (src_world != kAnySource && engine_->rank_dead(src_world)) {
       // The peer can never contribute: complete at its crash time so the
@@ -1213,8 +1246,7 @@ bool Ctx::try_recv_bytes(int src_world, const Comm& comm, int tag,
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
   std::unique_lock lock(st.mutex);
-  return match_and_complete(src_world, comm, tag, kind, buf, capacity, status,
-                            true);
+  return match_and_complete(src_world, comm, tag, kind, buf, capacity, status);
 }
 
 bool Ctx::iprobe_bytes(int src_world, const Comm& comm, int tag, CommKind kind,

@@ -13,12 +13,12 @@
 // Timings are therefore deterministic functions of the program and the
 // cost model, independent of host scheduling (the host has a single core).
 //
-// Every packet that leaves a rank flows through one send hook carrying
-// (src, dst, bytes, kind, tag, context) -- the moral equivalent of Open
-// MPI's pml_monitoring component interposition point. Tool-kind traffic
-// (the monitoring library's own gathers) bypasses the hook, and optionally
-// simulated NIC hardware counters record every transfer that crosses a
-// node boundary.
+// Every packet that leaves a rank is offered to the attached
+// EngineObservers' send record carrying (src, dst, bytes, kind, tag,
+// context) -- the moral equivalent of Open MPI's pml_monitoring component
+// interposition point. Tool-kind traffic (the monitoring library's own
+// gathers) bypasses the observers, and optionally simulated NIC hardware
+// counters record every transfer that crosses a node boundary.
 #pragma once
 
 #include <atomic>
@@ -69,39 +69,87 @@ struct PktInfo {
   std::uint64_t send_seq = 0;
 };
 
-/// Happens-before observation hooks for the critical-path profiler
-/// (src/critpath). Both run on the acting rank's own thread, must never
-/// charge virtual time, and must not take locks that clock-advancing paths
-/// also take: on_recv fires while the receiving rank's inbox mutex is held.
-/// Times are virtual seconds.
-struct CritHooks {
-  /// After a send charged its costs. `tx_start` is when the wire transfer
-  /// began (>= t0 under NIC contention), `arrival` when the packet reaches
-  /// the receiver (< 0 for a transmission the fault plan lost), `t1` the
-  /// sender's clock after the send completed locally.
-  std::function<void(int rank, const PktInfo& pkt, double t0, double tx_start,
-                     double arrival, double t1)>
-      on_send;
-  /// At receive completion. `pre` is the receiver's clock when it matched,
-  /// `arrival` the packet arrival time, `t1` the completion clock
-  /// (max(pre, arrival) + recv_overhead).
-  std::function<void(int rank, const PktInfo& pkt, double pre, double arrival,
-                     double t1)>
-      on_recv;
-};
+/// The engine-tool boundary. Every tool that watches the engine -- mpit's
+/// recording runtime, the critical-path profiler, the streaming plane --
+/// derives from this class and registers with Engine::attach; each virtual
+/// is one event and the defaults ignore it. The contract (DESIGN.md §3
+/// tabulates it):
+///   - The packet events (send record, send, recv) and epoch crossings reach
+///     only the observers that armed them (Engine::attach / Engine::arm);
+///     with nothing armed an event costs the engine one relaxed load (the
+///     epoch grid: one double compare). Run begin and run end reach every
+///     attached observer.
+///   - Observers fire in attach order, and that is all the engine promises:
+///     a tool that needs another tool's results pulls them from it through
+///     the registry (Engine::find_observer).
+///   - Tool-kind traffic (CommKind::tool) never reaches the packet events.
+///   - "Rank's thread" means the rank's OS thread, or under SchedMode::fibers
+///     the one thread running the rank's fiber. Times are virtual seconds.
+///   - Only on_send_record may move virtual time, through its return value.
+///     Every other event must leave the clocks bit-identical.
+class EngineObserver {
+ public:
+  /// Armable events (bits for Engine::attach / Engine::arm).
+  enum : unsigned {
+    kSendRecord = 1u << 0,
+    kSend = 1u << 1,
+    kRecv = 1u << 2,
+    kEpoch = 1u << 3,
+  };
 
-/// Installed by the tool layer (mpit). Returns the number of monitoring
-/// records made so the engine can charge instrumentation overhead.
-///
-/// Concurrency contract: the hook runs on rank threads, concurrently and
-/// without any engine-side lock. `caller_world` is the rank whose thread is
-/// executing the call; it equals `pkt.src_world` for ordinary sends, but an
-/// RMA transfer reports its traffic attributed to `pkt.src_world` from
-/// whichever rank thread issued it, so the hook may read and update one
-/// rank's monitoring state from another rank's thread. Implementations must
-/// therefore be thread-safe without serializing the per-packet path (see
-/// mpit::Runtime::on_send for the lock-free RecordingPlan this enables).
-using SendHook = std::function<int(const PktInfo&, int caller_world)>;
+  EngineObserver() = default;
+  EngineObserver(const EngineObserver&) = delete;
+  EngineObserver& operator=(const EngineObserver&) = delete;
+  virtual ~EngineObserver() = default;
+
+  /// Before a send is costed: the pml_monitoring interposition point.
+  /// Returns the monitoring records made; the engine charges the calling
+  /// rank records x EngineConfig::monitor_event_cost_s. Runs on the
+  /// `caller_world` rank's thread with no engine lock held, concurrently
+  /// across ranks. `caller_world` equals `pkt.src_world` except for RMA,
+  /// whose traffic is attributed to the transmitting side from the origin's
+  /// thread -- so an observer may update one rank's state from another
+  /// rank's thread, and must be thread-safe without serializing the
+  /// per-packet path (see mpit::Runtime's lock-free RecordingPlan).
+  virtual int on_send_record(const PktInfo& /*pkt*/, int /*caller_world*/) {
+    return 0;
+  }
+  /// After a send charged its costs, on the sender's thread, no engine lock
+  /// held. `t0` is the sender's clock at injection, `tx_start` when the wire
+  /// transfer began (>= t0 under NIC contention), `arrival` when the packet
+  /// reaches the receiver (< 0 for a transmission the fault plan lost), `t1`
+  /// the sender's clock after the send completed locally.
+  virtual void on_send(int /*rank*/, const PktInfo& /*pkt*/, double /*t0*/,
+                       double /*tx_start*/, double /*arrival*/,
+                       double /*t1*/) {}
+  /// At receive completion, on the receiver's thread WITH the receiver's
+  /// inbox mutex held: never take a lock a clock-advancing path also takes.
+  /// `pre` is the receiver's clock when it matched, `arrival` the packet
+  /// arrival time, `t1` the completion clock (max(pre, arrival) +
+  /// recv_overhead).
+  virtual void on_recv(int /*rank*/, const PktInfo& /*pkt*/, double /*pre*/,
+                       double /*arrival*/, double /*t1*/) {}
+  /// On the rank's thread, no engine lock held, whenever its clock crosses
+  /// a boundary of the epoch grid, and once more at rank exit with
+  /// final_flush = true (crash teardown included, so a crashed rank's last
+  /// partial epoch is still flushed).
+  virtual void on_epoch(int /*rank*/, double /*now_s*/,
+                        bool /*final_flush*/) {}
+  /// Epoch grid width this observer wants when armed for kEpoch (> 0). The
+  /// engine reads it at run begin and uses the narrowest armed width.
+  virtual double epoch_s() const { return 0.0; }
+  /// On the thread calling Engine::run, after the per-run resets and before
+  /// any rank context exists: a quiescent point, no packet event in flight.
+  virtual void on_run_begin() {}
+  /// On the thread calling Engine::run, after every rank context finished
+  /// and BEFORE a recorded rank failure is rethrown, so exporters keep
+  /// everything flushed up to the failure.
+  virtual void on_run_end() {}
+
+ private:
+  friend class Engine;
+  std::atomic<unsigned> armed_{0};  ///< Event bits, written by Engine::arm
+};
 
 /// Per-communicator error-handling mode, the MPI_ERRORS_ARE_FATAL /
 /// MPI_ERRORS_RETURN analog. Under `fatal` (the default) an operation that
@@ -240,97 +288,32 @@ class Engine {
   telemetry::Hub& telemetry() { return hub_; }
   const telemetry::Hub& telemetry() const { return hub_; }
 
-  /// Must be installed before run(); called on sender threads (see the
-  /// SendHook concurrency contract above). Installing a hook arms it.
-  void set_send_hook(SendHook hook);
+  // --- observer registry (see EngineObserver) -------------------------------
+  // Attach and detach only between runs: rank threads walk the registry
+  // without a lock. Arming may happen at any time, from any thread.
 
-  /// Cheap per-packet gate in front of the hook: when disarmed, the send
-  /// path skips the std::function dispatch entirely, so a tool runtime
-  /// with nothing to record costs one relaxed atomic load per packet. The
-  /// tool layer toggles this as recording plans appear and disappear;
-  /// stale reads are benign (the hook itself returns 0 when it has no
-  /// work), and a thread always observes its own arm/disarm in program
-  /// order, which is what virtual-clock determinism needs.
-  void set_send_hook_armed(bool armed) {
-    send_hook_armed_.store(armed, std::memory_order_release);
+  /// Registers a caller-owned observer with `events` (EngineObserver event
+  /// bits) armed. Detach it before destroying it.
+  void attach(EngineObserver& obs, unsigned events);
+  /// Registers an engine-owned observer: it stays alive until detach or
+  /// engine destruction, across run() calls.
+  void attach(std::shared_ptr<EngineObserver> obs, unsigned events);
+  void detach(EngineObserver& obs);
+  /// Replaces `obs`'s armed event set. Rank threads observe their own
+  /// arm/disarm in program order, which is what clock determinism needs;
+  /// other threads may act on a stale set for a while, so an observer must
+  /// tolerate events it has just disarmed.
+  void arm(EngineObserver& obs, unsigned events);
+  /// True when any attached observer armed one of `events`.
+  bool armed(unsigned events) const {
+    return (armed_.load(std::memory_order_relaxed) & events) != 0;
   }
-
-  /// Invoked whenever the engine is provably quiescent -- at the start of
-  /// run(), before any rank thread exists. The tool layer uses this as the
-  /// RCU grace-period boundary to reclaim retired recording plans.
-  void set_quiescent_hook(std::function<void()> hook) {
-    quiescent_hook_ = std::move(hook);
-  }
-
-  /// Opaque slot for the tool layer (mpit::Runtime) so user code can reach
-  /// the tool stack from inside rank threads without global state.
-  void set_tool_runtime(void* runtime) { tool_runtime_ = runtime; }
-  void* tool_runtime() const { return tool_runtime_; }
-
-  /// Called on a rank's own thread whenever its virtual clock crosses an
-  /// epoch boundary (period_s-wide grid shared by all ranks), and once more
-  /// at thread exit with final_flush = true (including crash teardown, so a
-  /// crashed rank's last partial epoch is still flushed). The hook must
-  /// never charge virtual time: with or without it, clocks are bit
-  /// identical. Install before run(); disarmed, the per-operation cost is
-  /// one double compare.
-  using EpochHook = std::function<void(int rank, double now_s, bool final_flush)>;
-  void set_epoch_hook(EpochHook hook, double period_s) {
-    epoch_hook_ = std::move(hook);
-    epoch_period_s_ = epoch_hook_ && period_s > 0.0 ? period_s : 0.0;
-  }
-  double epoch_period_s() const { return epoch_period_s_; }
-
-  /// Called at the start of run(), after the quiescent hook, before rank
-  /// threads exist (the streaming plane re-arms per-run state here).
-  void set_run_begin_hook(std::function<void()> hook) {
-    run_begin_hook_ = std::move(hook);
-  }
-  /// Called at the end of run() after every rank thread is joined and
-  /// BEFORE a recorded rank failure is rethrown -- exporters that hook
-  /// here keep everything flushed up to the crash even on failed runs.
-  void set_run_end_hook(std::function<void()> hook) {
-    run_end_hook_ = std::move(hook);
-  }
-
-  /// Slot for the streaming aggregation plane (src/obsplane). Unlike
-  /// tool objects this survives across run() calls; the engine only holds
-  /// the ownership, obsplane::Plane::attach manages it.
-  void set_obs_plane(std::shared_ptr<void> plane) {
-    obs_plane_ = std::move(plane);
-  }
-  void* obs_plane() const { return obs_plane_.get(); }
-
-  /// Happens-before observers for the critical-path profiler. Installing
-  /// non-empty hooks arms a relaxed atomic gate in front of the send and
-  /// receive completion paths; disarmed, each costs one atomic load.
-  /// Install before run(); the hooks themselves never charge virtual time.
-  void set_crit_hooks(CritHooks hooks) {
-    crit_hooks_ = std::move(hooks);
-    crit_armed_.store(
-        static_cast<bool>(crit_hooks_.on_send) ||
-            static_cast<bool>(crit_hooks_.on_recv),
-        std::memory_order_release);
-  }
-
-  /// Ownership slot for the critical-path profiler, the crit analog of
-  /// set_obs_plane: survives run() calls, managed by
-  /// critpath::Profiler::attach.
-  void set_crit_plane(std::shared_ptr<void> plane) {
-    crit_plane_ = std::move(plane);
-  }
-  void* crit_plane() const { return crit_plane_.get(); }
-
-  /// Per-run lifecycle for the critical-path profiler, separate from the
-  /// single-slot run begin/end hooks the streaming plane owns. The begin
-  /// hook fires after per-run state resets (tool objects cleared) and
-  /// before rank threads exist; the end hook fires after every rank thread
-  /// is joined and BEFORE the streaming plane's run-end hook, so the plane
-  /// can fold finished critpath results into its findings.
-  void set_crit_run_hooks(std::function<void()> begin,
-                          std::function<void()> end) {
-    crit_run_begin_hook_ = std::move(begin);
-    crit_run_end_hook_ = std::move(end);
+  /// The first attached observer of dynamic type T, or nullptr.
+  template <typename T>
+  T* find_observer() const {
+    for (const Attached& a : observers_)
+      if (auto* t = dynamic_cast<T*>(a.obs)) return t;
+    return nullptr;
   }
 
   /// Runs `rank_main` once per rank -- on one OS thread per rank, or as
@@ -395,6 +378,23 @@ class Engine {
 
  private:
   friend class Ctx;
+
+  struct Attached {
+    EngineObserver* obs;
+    std::shared_ptr<EngineObserver> owned;  ///< null when caller-owned
+  };
+
+  /// Calls fn(observer) for every observer armed for `event`, in attach
+  /// order. Disarmed engine-wide, this is one relaxed load.
+  template <typename Fn>
+  void notify(unsigned event, Fn&& fn) {
+    if (!armed(event)) return;
+    for (const Attached& a : observers_)
+      if ((a.obs->armed_.load(std::memory_order_relaxed) & event) != 0)
+        fn(*a.obs);
+  }
+  /// Requires observers_mx_ held: re-derives armed_ from the registry.
+  void rearm_locked();
 
   struct InFlight {
     PktInfo info;
@@ -482,20 +482,10 @@ class Engine {
 
   EngineConfig cfg_;
   telemetry::Hub hub_;
-  SendHook send_hook_;
-  std::atomic<bool> send_hook_armed_{false};
-  std::function<void()> quiescent_hook_;
-  EpochHook epoch_hook_;
-  double epoch_period_s_ = 0.0;  ///< 0 disables the epoch grid
-  std::function<void()> run_begin_hook_;
-  std::function<void()> run_end_hook_;
-  std::shared_ptr<void> obs_plane_;
-  CritHooks crit_hooks_;
-  std::atomic<bool> crit_armed_{false};
-  std::shared_ptr<void> crit_plane_;
-  std::function<void()> crit_run_begin_hook_;
-  std::function<void()> crit_run_end_hook_;
-  void* tool_runtime_ = nullptr;
+  std::vector<Attached> observers_;  ///< attach order
+  std::mutex observers_mx_;          ///< serializes registry writes and arm()
+  std::atomic<unsigned> armed_{0};   ///< union of every observer's armed set
+  double epoch_period_s_ = 0.0;      ///< resolved per run; 0 = no epoch grid
   net::NicCounters nic_;
   Comm world_comm_;
   std::vector<std::unique_ptr<RankState>> ranks_;
@@ -600,7 +590,7 @@ class Ctx {
                     Status* status);
 
   /// One-sided transfer: charges the calling rank the modeled transfer
-  /// time, reports the traffic to the monitoring hook attributed to
+  /// time, offers the traffic to the send-record observers attributed to
   /// `from_world` (for a get, the target transmits), and feeds the NIC
   /// counters. No mailbox delivery: RMA moves data via shared memory.
   void rma_transfer(int from_world, int to_world, const Comm& comm,
@@ -648,15 +638,19 @@ class Ctx {
   /// stalls and terminates the rank (RankCrashExit) past its crash time.
   void fault_check();
 
-  /// Epoch-hook gate: one double compare when the clock has not crossed
-  /// the next epoch boundary (or no hook is installed:
+  /// Epoch gate: one double compare when the clock has not crossed the
+  /// next epoch boundary (or no observer armed kEpoch:
   /// next_epoch_s_ = +inf). Called at clock-advancing sites; never charges
   /// virtual time itself.
   void epoch_check() {
     if (clock_ >= next_epoch_s_) epoch_cross();
   }
-  /// Slow path of epoch_check: fires the hook and re-arms the boundary.
+  /// Slow path of epoch_check: notifies the observers and re-arms the
+  /// boundary.
   void epoch_cross();
+  /// Offers `info` to the send-record observers and charges the records
+  /// they made as monitoring overhead.
+  void record_send(const PktInfo& info);
   /// Raises the failure for an operation whose peer rank is dead: fatal
   /// errmode tears the run down, ret mode throws RankFailedError. `op`
   /// names the operation for the message ("recv", "send", ...).
@@ -674,13 +668,13 @@ class Ctx {
 
   bool match_and_complete(int src_world, const Comm& comm, int tag,
                           CommKind kind, void* buf, std::size_t capacity,
-                          Status* status, bool consume_clock);
+                          Status* status);
 
   Engine* engine_;
   int world_rank_;
   double clock_ = 0.0;
-  /// Next epoch boundary the clock has not crossed yet; +inf when no epoch
-  /// hook is installed (set up by Engine::run per rank thread).
+  /// Next epoch boundary the clock has not crossed yet; +inf when no
+  /// observer armed kEpoch (set up by Engine::run per rank thread).
   double next_epoch_s_ = std::numeric_limits<double>::infinity();
   Rng noise_rng_{0};
   /// Monotone per-sender packet counter backing PktInfo::send_seq. Host

@@ -23,7 +23,7 @@ class MpitError : public Error {
 };
 
 /// What backs a pvar. `peer_monitoring` pvars are the original six
-/// per-peer message count/size arrays accumulated by the send hook;
+/// per-peer message count/size arrays accumulated by the send record;
 /// `telemetry` pvars are rank-local scalars read through from the engine's
 /// telemetry registry (src/telemetry/) -- same portable MPI_T front, a
 /// different backend.

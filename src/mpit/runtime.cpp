@@ -47,26 +47,19 @@ Runtime::Runtime(mpi::Engine& engine) : engine_(engine) {
     ranks_.push_back(std::make_unique<RankState>());
     ranks_.back()->rank = r;
   }
-  engine_.set_send_hook([this](const mpi::PktInfo& pkt, int caller_world) {
-    return on_send(pkt, caller_world);
-  });
-  engine_.set_quiescent_hook([this] { reclaim_retired(); });
-  engine_.set_tool_runtime(this);
-  update_armed();  // nothing to record yet: disarm the per-packet gate
+  engine_.attach(*this, 0);  // nothing to record yet: the gate stays disarmed
   // Environment-driven streaming plane: a no-op unless MPIM_STREAM_FILE
   // is set, so tool attach cannot perturb existing runs.
   obsplane::Plane::attach_from_env(engine_);
 }
 
 Runtime::~Runtime() {
-  engine_.set_send_hook(nullptr);
-  engine_.set_quiescent_hook(nullptr);
-  engine_.set_tool_runtime(nullptr);
+  engine_.detach(*this);
   reclaim_retired();
 }
 
 Runtime& Runtime::of(mpi::Engine& engine) {
-  auto* rt = static_cast<Runtime*>(engine.tool_runtime());
+  auto* rt = engine.find_observer<Runtime>();
   if (rt == nullptr)
     throw MpitError("no mpit::Runtime attached to this engine");
   return *rt;
@@ -76,7 +69,7 @@ Runtime::RankState& Runtime::my_rank_state() {
   return *ranks_[static_cast<std::size_t>(mpi::Ctx::current().world_rank())];
 }
 
-int Runtime::on_send(const mpi::PktInfo& pkt, int caller_world) {
+int Runtime::on_send_record(const mpi::PktInfo& pkt, int caller_world) {
   if (!listeners_.empty())
     for (const EventListener& listener : listeners_) listener(pkt);
   if (pkt.kind == mpi::CommKind::tool) return 0;
@@ -158,9 +151,9 @@ void Runtime::update_armed() {
   // Serialized so the last transition always wins: each caller updates the
   // plan count (or listener list) first, then recomputes under the lock.
   std::lock_guard lock(armed_mutex_);
-  engine_.set_send_hook_armed(
-      !listeners_.empty() ||
-      nonempty_plans_.load(std::memory_order_relaxed) > 0);
+  const bool record = !listeners_.empty() ||
+                      nonempty_plans_.load(std::memory_order_relaxed) > 0;
+  engine_.arm(*this, record ? mpi::EngineObserver::kSendRecord : 0u);
 }
 
 void Runtime::reclaim_retired() {

@@ -1,7 +1,7 @@
 // MPI_T-like tool runtime: pvar sessions and handles.
 //
-// One Runtime attaches to one Engine. It installs the engine's send hook
-// (the pml_monitoring interposition point) and owns, per rank, the pvar
+// One Runtime attaches to one Engine as its send-record observer (the
+// pml_monitoring interposition point) and owns, per rank, the pvar
 // sessions and the handles bound to communicators. A started handle
 // accumulates, per peer of its communicator, the count or cumulated size of
 // every message of its traffic class whose *sender* is the owning rank --
@@ -13,19 +13,20 @@
 // control-plane operations compile, per rank, an immutable RecordingPlan --
 // flat per-traffic-class entry arrays of {dense world->group table, slot
 // pointers, record weight} plus the attached packet observers -- and publish
-// it RCU-style with a release store into an atomic pointer. on_send does one
-// acquire load, returns on an empty (null) plan, and otherwise walks only
-// the entries of the packet's traffic class: one indexed table load, two
-// slot increments, no locks, no hash lookups, no virtual calls. Handles that
-// bind the same (communicator, class) pair share one accumulator block, so a
-// packet costs the same whether one or sixteen overlapping sessions watch
-// it; each handle keeps its private view via a bias vector updated at
-// start/stop/reset (value = bias + shared accumulator while started).
+// it RCU-style with a release store into an atomic pointer. on_send_record
+// does one acquire load, returns on an empty (null) plan, and otherwise
+// walks only the entries of the packet's traffic class: one indexed table
+// load, two slot increments, no locks, no hash lookups, no virtual calls.
+// Handles that bind the same (communicator, class) pair share one
+// accumulator block, so a packet costs the same whether one or sixteen
+// overlapping sessions watch it; each handle keeps its private view via a
+// bias vector updated at start/stop/reset (value = bias + shared
+// accumulator while started).
 // Accumulator slots are split into a plain array written only by the owning
 // rank's thread and an atomic array for RMA traffic attributed from peer
-// threads (the SendHook contract in minimpi/engine.h). Writers rebuild and
-// swap under the per-rank control mutex and retire the old plan to a
-// graveyard reclaimed at engine-quiescent points (Engine::run start, Runtime
+// threads (the on_send_record contract in minimpi/engine.h). Writers rebuild
+// and swap under the per-rank control mutex and retire the old plan to a
+// graveyard reclaimed at engine-quiescent points (run begin, Runtime
 // destruction), the grace period that keeps readers safe without per-packet
 // fences.
 #pragma once
@@ -43,11 +44,11 @@
 
 namespace mpim::mpit {
 
-class Runtime {
+class Runtime final : public mpi::EngineObserver {
  public:
-  /// Installs the send hook; must be constructed before Engine::run.
+  /// Attaches to `engine`; must be constructed before Engine::run.
   explicit Runtime(mpi::Engine& engine);
-  ~Runtime();
+  ~Runtime() override;
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -98,7 +99,7 @@ class Runtime {
   /// the sending thread for every monitored packet of the calling rank
   /// while `session` lives, serialized under the observer's own mutex (not
   /// the control mutex). Unlike the pvar handles, an observation is NOT
-  /// counted in on_send's record count, so it never charges the monitoring
+  /// counted in the send record's count, so it never charges the monitoring
   /// overhead cost model -- virtual clocks stay bit-identical with or
   /// without an observer. Pass nullptr to detach; a peer thread mid-call
   /// through a retired plan may deliver one final observation after the
@@ -218,16 +219,16 @@ class Runtime {
     std::vector<std::unique_ptr<const RecordingPlan>> retired;
   };
 
-  /// Engine send hook; returns the number of records made (overhead model).
-  /// `caller_world` is the executing thread's rank (== pkt.src_world except
-  /// for RMA attribution; see the SendHook contract).
-  int on_send(const mpi::PktInfo& pkt, int caller_world);
+  /// Returns the number of records made (overhead model).
+  int on_send_record(const mpi::PktInfo& pkt, int caller_world) override;
+  /// Engine quiescence: the grace period that reclaims retired plans.
+  void on_run_begin() override { reclaim_retired(); }
 
   /// Recompiles and publishes rs's plan. Caller holds rs.mutex.
   void rebuild_plan(RankState& rs);
-  /// Re-derives the engine's hook-armed flag from the nonempty-plan count
-  /// and the listener list (serialized so the final state always reflects
-  /// the latest transitions).
+  /// Re-arms the send record from the nonempty-plan count and the listener
+  /// list (serialized so the final state always reflects the latest
+  /// transitions).
   void update_armed();
   /// Frees every retired plan; only called when no rank threads run.
   void reclaim_retired();

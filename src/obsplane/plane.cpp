@@ -124,18 +124,13 @@ void Plane::write_run_start_locked() {
 }
 
 std::shared_ptr<Plane> Plane::attach(mpi::Engine& engine, PlaneConfig cfg) {
-  if (engine.obs_plane()) return nullptr;
+  if (attached(engine)) return nullptr;
   auto plane = std::make_shared<Plane>(engine, std::move(cfg));
   Plane* p = plane.get();
-  engine.set_obs_plane(plane);
   engine.telemetry().set_enabled(true);
   engine.telemetry().set_span_sink(
       [p](int rank, const telemetry::SpanRec& rec) { p->on_span(rank, rec); });
-  engine.set_epoch_hook(
-      [p](int rank, double now_s, bool fin) { p->on_epoch(rank, now_s, fin); },
-      p->cfg_.epoch_s);
-  engine.set_run_begin_hook([p] { p->begin_run(); });
-  engine.set_run_end_hook([p] { p->finalize(); });
+  engine.attach(plane, mpi::EngineObserver::kEpoch);
   return plane;
 }
 
@@ -148,8 +143,7 @@ std::shared_ptr<Plane> Plane::attach_from_env(mpi::Engine& engine) {
                        "character); streaming stays off");
     return nullptr;
   }
-  if (!path.ok()) return nullptr;
-  if (engine.obs_plane()) return nullptr;
+  if (!path.ok() || attached(engine)) return nullptr;
   PlaneConfig cfg;
   cfg.stream_path = path.value;
   const auto eps = support::env_positive_double("MPIM_STREAM_EPOCH_S");
@@ -174,7 +168,7 @@ std::shared_ptr<Plane> Plane::attach_from_env(mpi::Engine& engine) {
 }
 
 Plane* Plane::attached(mpi::Engine& engine) {
-  return static_cast<Plane*>(engine.obs_plane());
+  return engine.find_observer<Plane>();
 }
 
 // ---------------------------------------------------------------- producers
@@ -550,7 +544,7 @@ void Plane::update_mem_gauge_locked() {
                                 static_cast<std::int64_t>(mem));
 }
 
-void Plane::begin_run() {
+void Plane::on_run_begin() {
   std::lock_guard<std::mutex> lk(drain_mx_);
   if (!finalize_done_) return;  // first run, or finalize never happened
   // Re-arm for another run on the same engine: virtual clocks restart at 0,
@@ -579,8 +573,8 @@ void Plane::finalize() {
   std::lock_guard<std::mutex> lk(drain_mx_);
   if (finalize_done_) return;
   finalize_done_ = true;
-  // Rank threads are joined by the time the run-end hook fires, so every
-  // producer had its final flush; treat them all as final and drain fully.
+  // Rank threads are joined by the time the run ends, so every producer
+  // had its final flush; treat them all as final and drain fully.
   for (auto& p : producers_)
     p->final_flag.store(true, std::memory_order_release);
   drain_locked();
@@ -594,8 +588,9 @@ void Plane::finalize() {
   }
 
   findings_ = correlate(build_correlate_input_locked());
-  // Fold in the critical-path profiler's blame verdicts (the crit run-end
-  // hook fires before this one, so the report is already finalized).
+  // Fold in the critical-path profiler's blame verdicts. report() is lazy
+  // and idempotent per run, so it is ready whichever observer's run end
+  // fires first.
   if (critpath::Profiler* prof = critpath::Profiler::attached(engine_)) {
     const critpath::BlameReport& rep = prof->report();
     if (rep.valid && rep.dominant_rank >= 0 && rep.total_wait_ns > 0) {

@@ -4,7 +4,7 @@
 //
 // Rank threads stream into the plane incrementally while the app runs:
 //   * every virtual-time epoch boundary a rank crosses, the engine's epoch
-//     hook flushes that rank's metric deltas into its own SPSC staging ring
+//     event flushes that rank's metric deltas into its own SPSC staging ring
 //     (the set of rings forms a lock-free MPSC layer: one producer per rank,
 //     one draining consumer),
 //   * closed snapshot frames and selected telemetry spans are forwarded from
@@ -19,7 +19,7 @@
 // as a shed rung, halving bucket resolution instead of dropping data.
 //
 // Nothing in here ever charges virtual time: clocks are bit-identical with
-// the plane attached or not (the epoch hook itself is one double compare
+// the plane attached or not (the epoch gate itself is one double compare
 // per engine call when disarmed). All plane work is host-side.
 //
 // Continuous export: when a stream path is configured, every completed epoch
@@ -93,16 +93,17 @@ struct PlaneConfig {
   std::string prom_path;
 };
 
-class Plane {
+class Plane final : public mpi::EngineObserver {
  public:
   Plane(mpi::Engine& engine, PlaneConfig cfg);
-  ~Plane();
+  ~Plane() override;
 
   Plane(const Plane&) = delete;
   Plane& operator=(const Plane&) = delete;
 
-  /// Creates a plane, parks it in the engine's obs-plane slot and installs
-  /// the epoch / run-end / span-sink hooks. Call before Engine::run.
+  /// Creates a plane, attaches it to the engine as an engine-owned epoch
+  /// observer and installs the telemetry span sink. Returns nullptr when a
+  /// plane is already attached. Call before Engine::run.
   static std::shared_ptr<Plane> attach(mpi::Engine& engine, PlaneConfig cfg);
   /// attach() driven by MPIM_STREAM_FILE / MPIM_STREAM_EPOCH_S /
   /// MPIM_PROM_FILE; returns nullptr (and attaches nothing) when
@@ -112,10 +113,10 @@ class Plane {
   static Plane* attached(mpi::Engine& engine);
 
   // --- producer side (rank threads; rank == calling thread's rank) --------
-  /// Epoch-hook target: flush rank's metric deltas staged since the last
-  /// flush, stamp the completed epoch, then try to drain. `final` marks the
-  /// rank's last flush of the run (normal exit or crash teardown).
-  void on_epoch(int rank, double now_s, bool final_flush);
+  /// Flushes rank's metric deltas staged since the last flush, stamps the
+  /// completed epoch, then tries to drain. `final_flush` marks the rank's
+  /// last flush of the run (normal exit or crash teardown).
+  void on_epoch(int rank, double now_s, bool final_flush) override;
   /// Snapshot-frame forwarding (mpimon session frame callback). May run on
   /// a foreign thread for RMA traffic, so frames stage through a small
   /// mutexed side queue rather than the rank's SPSC ring.
@@ -127,13 +128,16 @@ class Plane {
   /// Non-blocking drain; no-op when another thread is already draining.
   void try_drain();
   /// Blocking drain + final epoch emission + correlation + run_end record.
-  /// Idempotent; installed as the engine's run-end hook so it runs even
-  /// when run() is about to rethrow a rank failure.
+  /// Idempotent; runs at the engine's run end even when run() is about to
+  /// rethrow a rank failure. Folds in an attached critpath::Profiler's
+  /// blame verdicts, pulling its lazy report, so the observers' attach
+  /// order does not matter.
   void finalize();
-  /// Run-begin hook target: after a finalize, re-arms per-run state so the
-  /// same plane can observe another run() of its engine (clocks restart at
-  /// 0; registry counters stay cumulative).
-  void begin_run();
+  void on_run_end() override { finalize(); }
+  /// After a finalize, re-arms per-run state so the same plane can observe
+  /// another run() of its engine (clocks restart at 0; registry counters
+  /// stay cumulative).
+  void on_run_begin() override;
 
   /// Governor shed rung: double the store's epoch merge factor (halves
   /// bucket resolution, re-keys existing buckets in place).
@@ -153,7 +157,7 @@ class Plane {
   bool finalized() const { return finalized_.load(std::memory_order_acquire); }
 
   const PlaneConfig& config() const { return cfg_; }
-  double epoch_s() const { return cfg_.epoch_s; }
+  double epoch_s() const override { return cfg_.epoch_s; }
 
   /// Per-(rank, slot-name) series snapshot: (merged epoch, delta) buckets.
   std::vector<std::pair<long, std::uint64_t>> series_buckets(

@@ -1,9 +1,9 @@
 // Fixed-capacity per-rank ring buffer for trace records.
 //
 // Bounded memory is the point: a long run overwrites its oldest records
-// instead of growing without bound (the failure mode of the post-mortem
-// tracer this replaces), and the number of overwritten records is exposed
-// as a drop counter so consumers know the trace is a suffix of the run.
+// instead of growing without bound (the failure mode of a post-mortem
+// tracer), and the number of overwritten records is exposed as a drop
+// counter so consumers know the trace is a suffix of the run.
 //
 // Concurrency contract: push() is only called by the owning rank's thread.
 // Readers (snapshot, counters) are exact once the rank threads have been

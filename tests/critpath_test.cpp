@@ -3,7 +3,8 @@
 // clock bit-identity with the profiler on/off (including under crash +
 // shrink + rebind), the governor's blame-only refusal rung, bounded-ring
 // eviction, the MPI_M_critpath_* / Fortran surface, the reorder mismatch
-// feed, and the CSV -> profview round trip.
+// feed, the CSV -> profview round trip, and attach-order independence next
+// to the streaming plane.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/halo.h"
 #include "critpath/critpath.h"
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
@@ -25,6 +27,7 @@
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "mpit/runtime.h"
+#include "obsplane/plane.h"
 #include "reorder/reorder.h"
 #include "telemetry/hub.h"
 #include "tools/report.h"
@@ -520,6 +523,90 @@ TEST(CritpathTools, CsvRoundTripRendersBlameTableAndLanes) {
   EXPECT_NE(out.find("critical path ("), std::string::npos);
   EXPECT_NE(out.find("rank 2\t|"), std::string::npos);  // a lane rendered
   std::remove(path.c_str());
+}
+
+// --- observer attach order ---------------------------------------------------
+
+std::vector<std::string> read_lines(const std::string& path) {
+  std::ifstream f(path);
+  std::vector<std::string> out;
+  for (std::string line; std::getline(f, line);) out.push_back(line);
+  return out;
+}
+
+/// Everything the critpath + obsplane stencil scenario produces.
+struct ObservedStencil {
+  std::vector<double> clocks;
+  std::vector<std::string> findings;
+  std::vector<std::string> stream;
+  std::vector<std::string> blame_csv;
+};
+
+enum class PlaneAttach { before_profiler, after_profiler, from_env };
+
+ObservedStencil run_observed_stencil(PlaneAttach how, const std::string& tag) {
+  const std::string stream = temp_path("critpath_order_" + tag + ".jsonl");
+  const std::string csv = temp_path("critpath_order_" + tag + ".csv");
+  // Fibers: one OS thread drains the plane, so the stream's line order is
+  // deterministic and comparable across runs.
+  auto cfg = small_cfg(8);
+  cfg.sched = mpi::SchedMode::fibers;
+  Engine eng(cfg);
+  obsplane::PlaneConfig pcfg;
+  pcfg.stream_path = stream;
+  if (how == PlaneAttach::from_env)
+    ::setenv("MPIM_STREAM_FILE", stream.c_str(), 1);
+  mpit::Runtime tool(eng);  // attaches the MPIM_STREAM_FILE plane
+  ::unsetenv("MPIM_STREAM_FILE");
+  if (how == PlaneAttach::before_profiler) obsplane::Plane::attach(eng, pcfg);
+  auto prof = mon::attach_critpath(eng);
+  if (how == PlaneAttach::after_profiler) obsplane::Plane::attach(eng, pcfg);
+  obsplane::Plane* plane = obsplane::Plane::attached(eng);
+  EXPECT_NE(plane, nullptr);
+
+  eng.run([](Ctx& ctx) {
+    apps::HaloConfig halo{/*local_n=*/16, /*iters=*/16, /*seed=*/3};
+    halo.slow_rank = 5;
+    halo.slow_extra_s = 3e-4;
+    apps::run_halo(ctx.world(), halo);
+  });
+
+  ObservedStencil out;
+  out.clocks = eng.final_clocks();
+  if (plane != nullptr)
+    for (const obsplane::Finding& f : plane->findings())
+      out.findings.push_back(f.kind + "|" + f.subject + "|" + f.text);
+  out.stream = read_lines(stream);
+  EXPECT_TRUE(prof->write_csv(csv));
+  out.blame_csv = read_lines(csv);
+  std::remove(stream.c_str());
+  std::remove(csv.c_str());
+  return out;
+}
+
+TEST(CritpathObserverOrder, PlaneBeforeAfterOrFromEnvGivesIdenticalOutputs) {
+  const ObservedStencil before =
+      run_observed_stencil(PlaneAttach::before_profiler, "before");
+  const ObservedStencil after =
+      run_observed_stencil(PlaneAttach::after_profiler, "after");
+  const ObservedStencil env =
+      run_observed_stencil(PlaneAttach::from_env, "env");
+
+  // The plane folded the profiler's verdicts in even when its run end
+  // fired first.
+  bool blamed = false;
+  for (const std::string& f : before.findings)
+    if (f.rfind("wait_state_dominant|", 0) == 0) blamed = true;
+  EXPECT_TRUE(blamed);
+  ASSERT_FALSE(before.stream.empty());
+  ASSERT_FALSE(before.blame_csv.empty());
+
+  for (const ObservedStencil* other : {&after, &env}) {
+    EXPECT_EQ(before.clocks, other->clocks);
+    EXPECT_EQ(before.findings, other->findings);
+    EXPECT_EQ(before.stream, other->stream);
+    EXPECT_EQ(before.blame_csv, other->blame_csv);
+  }
 }
 
 TEST(CritpathTools, RendererRejectsMissingOrForeignFilesWithClearErrors) {

@@ -288,18 +288,21 @@ TEST(Engine, NicCountsOnlyInterNodeTraffic) {
   EXPECT_EQ(eng.nic().total_bytes(1), 0u);
 }
 
-TEST(Engine, SendHookSeesTrafficAndChargesOverhead) {
+TEST(Engine, SendRecordSeesTrafficAndChargesOverhead) {
+  struct Recorder : EngineObserver {
+    std::atomic<int> hooked{0};
+    int on_send_record(const PktInfo& pkt, int caller_world) override {
+      hooked.fetch_add(1);
+      EXPECT_EQ(caller_world, pkt.src_world);  // ordinary send: own thread
+      EXPECT_EQ(pkt.kind, CommKind::p2p);
+      EXPECT_EQ(pkt.bytes, 4u);
+      return 2;  // pretend two records were made
+    }
+  } rec;
   auto cfg = tiny_cfg(2);
   cfg.monitor_event_cost_s = 1e-3;  // exaggerated, easy to observe
   Engine eng(cfg);
-  std::atomic<int> hooked{0};
-  eng.set_send_hook([&](const PktInfo& pkt, int caller_world) {
-    hooked.fetch_add(1);
-    EXPECT_EQ(caller_world, pkt.src_world);  // ordinary send: own thread
-    EXPECT_EQ(pkt.kind, CommKind::p2p);
-    EXPECT_EQ(pkt.bytes, 4u);
-    return 2;  // pretend two records were made
-  });
+  eng.attach(rec, EngineObserver::kSendRecord);
   eng.run([](Ctx& ctx) {
     const Comm world = ctx.world();
     if (ctx.world_rank() == 0) {
@@ -312,7 +315,7 @@ TEST(Engine, SendHookSeesTrafficAndChargesOverhead) {
       recv(&v, 1, Type::Int, 0, 0, world);
     }
   });
-  EXPECT_EQ(hooked.load(), 1);
+  EXPECT_EQ(rec.hooked.load(), 1);
 }
 
 TEST(Engine, TimingOnlyMessagesSkipPayload) {

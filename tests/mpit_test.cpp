@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <vector>
+
+#include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "mpimon/sim.h"
 #include "mpit/pvar.h"
@@ -12,7 +17,7 @@ using mpi::Comm;
 using mpi::Ctx;
 using mpi::Type;
 
-Sim make_sim(int nranks = 4) {
+mpi::EngineConfig make_cfg(int nranks) {
   topo::Topology t({2, 1, 2}, {"node", "socket", "core"});
   std::vector<net::LinkParams> params = {
       {1e-5, 1e8}, {1e-6, 1e9}, {1e-7, 1e10}, {0.0, 1e12}};
@@ -20,8 +25,10 @@ Sim make_sim(int nranks = 4) {
   mpi::EngineConfig cfg{.cost_model = cost,
                         .placement = topo::round_robin_placement(nranks, t)};
   cfg.watchdog_wall_timeout_s = 3.0;
-  return Sim(std::move(cfg));
+  return cfg;
 }
+
+Sim make_sim(int nranks = 4) { return Sim(make_cfg(nranks)); }
 
 TEST(Pvar, RegistryExposesMonitoringVariables) {
   EXPECT_EQ(pvar_get_num(), 56);
@@ -326,6 +333,69 @@ TEST(Runtime, ToolTrafficIsInvisible) {
     EXPECT_EQ(counts[0] + counts[1] + counts[2] + counts[3], 0u);
     rt.session_free(sid);
   });
+}
+
+TEST(Runtime, DestructionDisarmsTheSendRecordAndLeavesLaterRunsClean) {
+  const auto ring = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int n = mpi::comm_size(world);
+    const int me = mpi::comm_rank(world);
+    int v = me;
+    for (int i = 0; i < 4; ++i)
+      mpi::sendrecv(&v, 1, Type::Int, (me + 1) % n, 0, &v, 1,
+                    (me + n - 1) % n, 0, world);
+  };
+  mpi::Engine bare(make_cfg(4));
+  bare.run(ring);
+
+  mpi::Engine eng(make_cfg(4));
+  std::atomic<int> seen{0};
+  {
+    Runtime rt(eng);
+    rt.add_event_listener([&](const mpi::PktInfo&) { seen.fetch_add(1); });
+    EXPECT_TRUE(eng.armed(mpi::EngineObserver::kSendRecord));
+    eng.run([&](Ctx& ctx) {
+      // A started handle charges monitoring overhead: this run's clocks
+      // must differ from the bare run's.
+      const int sid = rt.session_create();
+      rt.handle_start(sid, rt.handle_alloc(sid, 0, ctx.world()));
+      ring(ctx);
+      rt.session_free(sid);
+    });
+    EXPECT_GT(seen.load(), 0);
+    EXPECT_NE(eng.final_clocks(), bare.final_clocks());
+  }
+  EXPECT_FALSE(eng.armed(mpi::EngineObserver::kSendRecord));
+  EXPECT_THROW(Runtime::of(eng), MpitError);
+
+  const int before = seen.load();
+  eng.run(ring);
+  EXPECT_EQ(seen.load(), before);
+  EXPECT_EQ(eng.final_clocks(), bare.final_clocks());
+}
+
+TEST(RuntimeListener, SeesTheFaultPlanRetransmitAttempts) {
+  auto plan = std::make_shared<fault::FaultPlan>(11);
+  fault::LinkFault drop;
+  drop.src = 0;
+  drop.dst = 1;
+  drop.drop_prob = 0.999999;  // deterministically lost
+  drop.max_retransmits = 2;
+  drop.retransmit_backoff_s = 1e-6;
+  plan->add(drop);
+  auto cfg = make_cfg(2);
+  cfg.fault_plan = plan;
+  Sim sim(std::move(cfg));
+  std::vector<int> attempts;  // only rank 0 sends: one writer thread
+  sim.tool().add_event_listener(
+      [&](const mpi::PktInfo& pkt) { attempts.push_back(pkt.attempts); });
+  sim.run([](Ctx& ctx) {
+    // Fire-and-forget: the message is lost after 3 attempts; no recv.
+    if (ctx.world_rank() == 0)
+      mpi::send(nullptr, 512, Type::Byte, 1, 0, ctx.world());
+  });
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_EQ(attempts[0], 3);  // 1 first try + 2 retransmits
 }
 
 }  // namespace

@@ -94,21 +94,24 @@ TEST(Osc, OutOfWindowAccessThrows) {
 }
 
 TEST(Osc, TrafficReportedAsOscKindWithGetAttributedToTarget) {
-  auto cfg = cfg4();
-  Engine eng(cfg);
-  std::atomic<int> puts{0}, gets_from_target{0};
-  eng.set_send_hook([&](const PktInfo& pkt, int caller_world) {
-    if (pkt.kind != CommKind::osc) return 0;
-    // A get's traffic is attributed to the target rank but reported from
-    // the origin's thread: caller may differ from src (SendHook contract).
-    if (pkt.src_world == 2 && pkt.dst_world == 3) {
-      EXPECT_EQ(caller_world, 3);
+  struct Recorder : EngineObserver {
+    std::atomic<int> puts{0}, gets_from_target{0};
+    int on_send_record(const PktInfo& pkt, int caller_world) override {
+      if (pkt.kind != CommKind::osc) return 0;
+      // A get's traffic is attributed to the target rank but reported from
+      // the origin's thread: caller may differ from src (on_send_record
+      // contract).
+      if (pkt.src_world == 2 && pkt.dst_world == 3) {
+        EXPECT_EQ(caller_world, 3);
+      }
+      if (pkt.dst_world == 0) puts.fetch_add(1);          // put 1 -> 0
+      if (pkt.src_world == 2 && pkt.dst_world == 3)
+        gets_from_target.fetch_add(1);                    // get by 3 from 2
+      return 1;
     }
-    if (pkt.dst_world == 0) puts.fetch_add(1);          // put 1 -> 0
-    if (pkt.src_world == 2 && pkt.dst_world == 3)
-      gets_from_target.fetch_add(1);                    // get by 3 from 2
-    return 1;
-  });
+  } rec;
+  Engine eng(cfg4());
+  eng.attach(rec, EngineObserver::kSendRecord);
   eng.run([](Ctx& ctx) {
     const Comm world = ctx.world();
     const int r = comm_rank(world);
@@ -126,8 +129,8 @@ TEST(Osc, TrafficReportedAsOscKindWithGetAttributedToTarget) {
     }
     win.fence();
   });
-  EXPECT_EQ(puts.load(), 1);
-  EXPECT_EQ(gets_from_target.load(), 1);
+  EXPECT_EQ(rec.puts.load(), 1);
+  EXPECT_EQ(rec.gets_from_target.load(), 1);
 }
 
 TEST(Osc, SeparateWindowsCoexist) {

@@ -3,17 +3,13 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 
-#include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "mpimon/sim.h"
-#include "tools/apiprof.h"
 #include "tools/report.h"
-#include "tools/tracer.h"
 #include "tools/prof_reader.h"
 
 namespace mpim::tools {
@@ -30,224 +26,6 @@ Sim make_sim(int nranks = 4) {
       .placement = topo::round_robin_placement(nranks, cost.topology())};
   cfg.watchdog_wall_timeout_s = 5.0;
   return Sim(std::move(cfg));
-}
-
-// --- apiprof --------------------------------------------------------------------
-
-TEST(ApiProf, CountsCallsBytesAndTime) {
-  Sim sim = make_sim(2);
-  sim.run([](Ctx& ctx) {
-    const Comm world = ctx.world();
-    Profiler prof(world);
-    if (ctx.world_rank() == 0) {
-      std::vector<int> v(100);
-      prof.send(v.data(), v.size(), Type::Int, 1, 0, world);
-      prof.send(v.data(), 50, Type::Int, 1, 0, world);
-      EXPECT_EQ(prof.stats(ApiOp::send).calls, 2u);
-      EXPECT_EQ(prof.stats(ApiOp::send).bytes, 600u);
-      EXPECT_GT(prof.stats(ApiOp::send).time_s, 0.0);
-      EXPECT_EQ(prof.p2p_bytes_by_peer()[1], 600u);
-      EXPECT_EQ(prof.total_calls(), 2u);
-    } else {
-      std::vector<int> v(100);
-      prof.recv(v.data(), v.size(), Type::Int, 0, 0, world);
-      prof.recv(v.data(), v.size(), Type::Int, 0, 0, world);
-      EXPECT_EQ(prof.stats(ApiOp::recv).calls, 2u);
-    }
-  });
-}
-
-TEST(ApiProf, CollectivesAreOpaqueAtApiLevel) {
-  // The contrast with the introspection library: for the same bcast, the
-  // API profiler sees one call and no per-peer attribution while the
-  // session sees the binomial tree.
-  Sim sim = make_sim(4);
-  sim.run([](Ctx& ctx) {
-    const Comm world = ctx.world();
-    mon::Environment env;
-    mon::Session session(world);
-    Profiler prof(world);
-
-    std::vector<int> v(1000);
-    prof.bcast(v.data(), v.size(), Type::Int, 0, world);
-    session.suspend();
-
-    EXPECT_EQ(prof.stats(ApiOp::bcast).calls, 1u);
-    std::uint64_t api_peer_bytes = 0;
-    for (auto b : prof.p2p_bytes_by_peer()) api_peer_bytes += b;
-    EXPECT_EQ(api_peer_bytes, 0u);  // nothing attributable to peers
-
-    const auto coll = session.gather_counts(MPI_M_COLL_ONLY);
-    EXPECT_EQ(coll.sum(), 3u);  // n-1 tree messages visible below
-  });
-}
-
-TEST(ApiProf, ReportListsUsedOperationsOnly) {
-  Sim sim = make_sim(2);
-  std::string report;
-  sim.run([&](Ctx& ctx) {
-    const Comm world = ctx.world();
-    Profiler prof(world);
-    prof.barrier(world);
-    double a = 1, b = 0;
-    prof.allreduce(&a, &b, 1, Type::Double, mpi::Op::Sum, world);
-    if (ctx.world_rank() == 0) {
-      std::ostringstream os;
-      prof.write_report(os, 0);
-      report = os.str();
-    }
-  });
-  EXPECT_NE(report.find("MPI_Barrier"), std::string::npos);
-  EXPECT_NE(report.find("MPI_Allreduce"), std::string::npos);
-  EXPECT_EQ(report.find("MPI_Send"), std::string::npos);  // unused
-}
-
-// --- tracer ----------------------------------------------------------------------
-
-TEST(Tracer, RecordsTimestampedEventsInOrder) {
-  Sim sim = make_sim(2);
-  Tracer tracer(sim.tool());
-  sim.run([](Ctx& ctx) {
-    const Comm world = ctx.world();
-    if (ctx.world_rank() == 0) {
-      mpi::compute(0.5);
-      mpi::send(nullptr, 100, Type::Byte, 1, 5, world);
-      mpi::compute(0.25);
-      mpi::send(nullptr, 200, Type::Byte, 1, 6, world);
-    } else {
-      mpi::recv(nullptr, 200, Type::Byte, 0, 5, world);
-      mpi::recv(nullptr, 200, Type::Byte, 0, 6, world);
-    }
-  });
-  const auto events = tracer.merged_events();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_NEAR(events[0].time_s, 0.5, 1e-9);
-  EXPECT_GT(events[1].time_s, 0.74);
-  EXPECT_EQ(events[0].bytes, 100u);
-  EXPECT_EQ(events[1].tag, 6);
-  EXPECT_EQ(events[0].src, 0);
-  EXPECT_EQ(events[0].dst, 1);
-}
-
-TEST(Tracer, StatsAndKindBreakdown) {
-  Sim sim = make_sim(4);
-  Tracer tracer(sim.tool());
-  sim.run([](Ctx& ctx) {
-    const Comm world = ctx.world();
-    mpi::barrier(world);  // coll events
-    const int r = mpi::comm_rank(world);
-    mpi::send(nullptr, 1000, Type::Byte, (r + 1) % 4, 0, world);  // p2p
-    mpi::recv(nullptr, 1000, Type::Byte, (r + 3) % 4, 0, world);
-  });
-  const auto s = tracer.stats();
-  EXPECT_EQ(s.by_kind_events[0], 4u);          // 4 ring sends
-  EXPECT_EQ(s.by_kind_events[1], 8u);          // dissemination barrier
-  EXPECT_EQ(s.total_bytes, 4000u);             // barrier messages are empty
-  EXPECT_EQ(s.events, 12u);
-  EXPECT_GE(s.last_time_s, s.first_time_s);
-}
-
-TEST(Tracer, DisableAndClear) {
-  Sim sim = make_sim(2);
-  Tracer tracer(sim.tool());
-  tracer.set_enabled(false);
-  sim.run([](Ctx& ctx) {
-    if (ctx.world_rank() == 0)
-      mpi::send(nullptr, 8, Type::Byte, 1, 0, ctx.world());
-    else
-      mpi::recv(nullptr, 8, Type::Byte, 0, 0, ctx.world());
-  });
-  EXPECT_EQ(tracer.event_count(), 0u);
-  tracer.set_enabled(true);
-  sim.run([](Ctx& ctx) {
-    if (ctx.world_rank() == 0)
-      mpi::send(nullptr, 8, Type::Byte, 1, 0, ctx.world());
-    else
-      mpi::recv(nullptr, 8, Type::Byte, 0, 0, ctx.world());
-  });
-  EXPECT_EQ(tracer.event_count(), 1u);
-  tracer.clear();
-  EXPECT_EQ(tracer.event_count(), 0u);
-}
-
-TEST(Tracer, RecordsFaultRetransmitAttempts) {
-  auto plan = std::make_shared<fault::FaultPlan>(11);
-  fault::LinkFault drop;
-  drop.src = 0;
-  drop.dst = 1;
-  drop.drop_prob = 0.999999;  // deterministically lost
-  drop.max_retransmits = 2;
-  drop.retransmit_backoff_s = 1e-6;
-  plan->add(drop);
-  auto cost = net::CostModel::plafrim_like(2, 1, 2);
-  mpi::EngineConfig cfg{
-      .cost_model = cost,
-      .placement = topo::round_robin_placement(2, cost.topology())};
-  cfg.fault_plan = plan;
-  Sim sim(std::move(cfg));
-  Tracer tracer(sim.tool());
-  sim.run([](Ctx& ctx) {
-    // Fire-and-forget: the message is lost after 3 attempts; no recv.
-    if (ctx.world_rank() == 0)
-      mpi::send(nullptr, 512, Type::Byte, 1, 0, ctx.world());
-  });
-  const auto events = tracer.merged_events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].attempts, 3);  // 1 first try + 2 retransmits
-  EXPECT_EQ(tracer.stats().retransmit_attempts, 2u);
-}
-
-TEST(Tracer, BoundedRingWrapsAndCountsDrops) {
-  Sim sim = make_sim(2);
-  Tracer tracer(sim.tool(), /*capacity_per_rank=*/4);
-  sim.run([](Ctx& ctx) {
-    const Comm world = ctx.world();
-    for (int i = 0; i < 10; ++i) {
-      if (ctx.world_rank() == 0)
-        mpi::send(nullptr, 8, Type::Byte, 1, i, world);
-      else
-        mpi::recv(nullptr, 8, Type::Byte, 0, i, world);
-    }
-  });
-  EXPECT_EQ(tracer.event_count(), 4u);   // only rank 0 sends; ring holds 4
-  EXPECT_EQ(tracer.events_dropped(), 6u);
-  const auto events = tracer.merged_events();
-  ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().tag, 6);  // oldest retained = suffix of the run
-  EXPECT_EQ(events.back().tag, 9);
-  tracer.clear();
-  EXPECT_EQ(tracer.events_dropped(), 0u);
-}
-
-TEST(Tracer, WritesParseableTraceFile) {
-  namespace fs = std::filesystem;
-  const std::string path = (fs::temp_directory_path() / "mp.trace").string();
-  Sim sim = make_sim(2);
-  Tracer tracer(sim.tool());
-  sim.run([](Ctx& ctx) {
-    if (ctx.world_rank() == 0)
-      mpi::send(nullptr, 64, Type::Byte, 1, 3, ctx.world());
-    else
-      mpi::recv(nullptr, 64, Type::Byte, 0, 3, ctx.world());
-  });
-  tracer.write_trace(path);
-  std::ifstream is(path);
-  ASSERT_TRUE(is.good());
-  std::string header, line;
-  std::getline(is, header);
-  std::getline(is, line);
-  double t;
-  int src, dst, tag;
-  std::uint64_t bytes;
-  std::string kind;
-  std::istringstream ls(line);
-  ASSERT_TRUE(static_cast<bool>(ls >> t >> src >> dst >> bytes >> kind >> tag));
-  EXPECT_EQ(src, 0);
-  EXPECT_EQ(dst, 1);
-  EXPECT_EQ(bytes, 64u);
-  EXPECT_EQ(kind, "p2p");
-  EXPECT_EQ(tag, 3);
-  std::remove(path.c_str());
 }
 
 // --- prof_reader ------------------------------------------------------------------
