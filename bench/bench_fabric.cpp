@@ -224,7 +224,7 @@ int main(int argc, char** argv) {
       std::vector<int> map;
       for (int rep = 0; rep < 3; ++rep) {
         const auto t0 = std::chrono::steady_clock::now();
-        map = tm::treematch_leaves(g, *fab);
+        map = tm::treematch_leaves(g, fab->hierarchy());
         const auto t1 = std::chrono::steady_clock::now();
         secs = std::min(secs,
                         std::chrono::duration<double>(t1 - t0).count());

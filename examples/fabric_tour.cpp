@@ -1,9 +1,8 @@
-// Tour of the fabric-aware network stack: select a fat-tree via the
-// EngineConfig::fabric spec string (the MPIM_TOPO grammar), run a bursty
-// ring workload under windowed snapshots from a deliberately scattered
-// placement, and dump the per-window matrices -- annotated with the
-// per-link-class mismatch decomposition -- to results/fabric_frames.csv
-// for `monview --timeline`.
+// Tour of the fabric-aware network stack: build a fat-tree from a spec
+// string (the MPIM_TOPO grammar), run a bursty ring workload under windowed
+// snapshots from a deliberately scattered placement, and dump the
+// per-window matrices -- annotated with the per-link-class mismatch
+// decomposition -- to results/fabric_frames.csv for `monview --timeline`.
 #include <cstdio>
 #include <vector>
 
@@ -35,8 +34,7 @@ int main() {
   using namespace mpim;
 
   // A 2-ary 2-level fat-tree at 2:1 oversubscription: 4 nodes, a single
-  // trunk per direction per switch. The engine resolves the spec exactly
-  // like MPIM_TOPO and replaces cost model and placement to fit.
+  // trunk per direction per switch, sized like MPIM_TOPO would size it.
   // 64 ranks over the 96 PUs: the shuffled placement spans three of the
   // four nodes and both pods, so ring traffic exercises every link class.
   const int nranks = 64;
@@ -45,7 +43,6 @@ int main() {
   mpi::EngineConfig cfg{
       .cost_model = net::CostModel::for_fabric(fabric),
       .placement = topo::random_placement(nranks, fabric->hierarchy(), 41)};
-  cfg.fabric = "fattree:2,2,2";  // resolved like MPIM_TOPO; same-spec no-op
   cfg.nic_contention = true;
   Sim sim(std::move(cfg));
 

@@ -5,19 +5,20 @@
 #      a stencil_reorder smoke run, and the bench trajectory gate
 #      (bench_introspect --quick + scripts/bench_trend.py vs the committed
 #      results/BENCH_*.json baselines)
-#   2. asan preset:    configure, build, ctest filtered to label "sanitize"
-#      (the introspect suite carries both labels, so it runs under asan too)
+#   2. asan preset:    configure, build, ctest filtered to label "sanitize",
+#      which every test carries in that tree (tests/CMakeLists.txt)
 #   3. tsan preset:    configure, build, ctest filtered to label
-#      "sanitize-thread" (the concurrent-recording stress suite: rank
-#      threads hammer the lock-free send path while the control plane
-#      churns RecordingPlans)
+#      "sanitize-thread": the record_stress (rank threads hammer the
+#      lock-free send path while the control plane churns RecordingPlans),
+#      recovery and sched suites
 #
-# The --<lane>-only flags run one focused lane instead (focused_lane below):
-# the lane's suite under BOTH sanitizer presets, then its end-to-end example
-# and bench acceptance check on the default build.
+# The --<lane>-only flags run one focused lane instead (the `lanes` table
+# below): the tests labeled with the lane's suite label under BOTH sanitizer
+# presets, then its end-to-end example and bench acceptance check on the
+# default build.
 #   --recovery-only  ULFM shrink/ack/agree, session rebind, degradation
-#                    governor + the crash-under-churn stress suite;
-#                    faulty_reorder crash-shrink-recover, bench_recovery
+#                    governor; faulty_reorder crash-shrink-recover,
+#                    bench_recovery
 #   --stream-only    streaming plane (ingest rings, sketches, correlation,
 #                    exporter teardown); stream_monitor fault-injected run,
 #                    monview --live render, bench_stream + trend gate
@@ -37,9 +38,20 @@
 #                    annotations, tsan the thread-mode halves of the parity
 #                    sweep); bench_scale's >= 8x world-size acceptance
 #
-# Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]
+# Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|<lane flag>]
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# One row per focused lane: flag, ctest label selected in both sanitizer
+# trees, the comma-separated default-preset targets its e2e function needs,
+# and that function (run from the repo root).
+lanes=(
+  "--recovery-only recovery faulty_reorder,bench_recovery recovery_e2e"
+  "--stream-only obsplane stream_monitor,monview,bench_stream stream_e2e"
+  "--critpath-only critpath stencil_reorder,profview,bench_critpath critpath_e2e"
+  "--fabric-only fabric fabric_tour,monview,bench_fabric fabric_e2e"
+  "--scale-only sched bench_scale scale_e2e"
+)
 
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 run_default=1
@@ -50,13 +62,18 @@ case "${1:-}" in
   --default-only) run_asan=0; run_tsan=0 ;;
   --asan-only) run_default=0; run_tsan=0 ;;
   --tsan-only) run_default=0; run_asan=0 ;;
-  --recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only)
-    run_default=0; run_asan=0; run_tsan=0; lane="$1" ;;
   "") ;;
   *)
-    echo "usage: $0 [--default-only|--asan-only|--tsan-only|--recovery-only|--stream-only|--critpath-only|--fabric-only|--scale-only]" >&2
-    exit 2
-    ;;
+    for row in "${lanes[@]}"; do
+      [ "${row%% *}" = "$1" ] && lane=$row
+    done
+    if [ -z "$lane" ]; then
+      flags=(--default-only --asan-only --tsan-only)
+      for row in "${lanes[@]}"; do flags+=("${row%% *}"); done
+      echo "usage: $0 [$(IFS='|'; echo "${flags[*]}")]" >&2
+      exit 2
+    fi
+    run_default=0; run_asan=0; run_tsan=0 ;;
 esac
 
 trend_gate() {
@@ -65,34 +82,6 @@ trend_gate() {
   else
     echo "bench_trend: python3 not found, skipping trajectory gate" >&2
   fi
-}
-
-# focused_lane FLAG NAME ASAN_TESTS TSAN_TESTS TARGETS E2E_FN
-#   Runs only when FLAG was given. ASAN_TESTS / TSAN_TESTS are ctest
-#   selectors ("-L label" or "-R regex") for the sanitizer trees, TARGETS the
-#   default-preset targets E2E_FN (run from the repo root) needs. --test-dir
-#   instead of the ctest presets: the preset label filters (sanitize /
-#   sanitize-thread) would AND with the selector and hide the suite.
-focused_lane() {
-  local flag=$1 name=$2 asan_tests=$3 tsan_tests=$4 targets=$5 e2e=$6
-  [ "$lane" = "$flag" ] || return 0
-  local preset tests selector
-  for preset in asan tsan; do
-    tests=$asan_tests
-    [ "$preset" = tsan ] && tests=$tsan_tests
-    read -r -a selector <<<"$tests"
-    echo "== $name lane: $preset preset ($tests) =="
-    cmake --preset "$preset"
-    cmake --build --preset "$preset" -j "$jobs"
-    ctest --test-dir "build-$preset" --output-on-failure -j "$jobs" \
-      "${selector[@]}"
-  done
-  echo "== $name lane: e2e + bench acceptance =="
-  read -r -a selector <<<"$targets"
-  cmake --preset default
-  cmake --build --preset default -j "$jobs" --target "${selector[@]}"
-  mkdir -p results
-  "$e2e"
 }
 
 recovery_e2e() {
@@ -164,17 +153,23 @@ if [ "$run_tsan" = 1 ]; then
   ctest --preset tsan --output-on-failure -j "$jobs"
 fi
 
-# The sched suite's label is sanitize-thread under tsan (see
-# tests/CMakeLists.txt), so the scale lane selects it by name there.
-focused_lane --recovery-only recovery "-L fault|recovery|sanitize-thread" \
-  "-L fault|recovery|sanitize-thread" "faulty_reorder bench_recovery" \
-  recovery_e2e
-focused_lane --stream-only stream "-L obsplane" "-L obsplane" \
-  "stream_monitor monview bench_stream" stream_e2e
-focused_lane --critpath-only critpath "-L critpath" "-L critpath" \
-  "stencil_reorder profview bench_critpath" critpath_e2e
-focused_lane --fabric-only fabric "-L fabric" "-L fabric" \
-  "fabric_tour monview bench_fabric" fabric_e2e
-focused_lane --scale-only scale "-L sched" "-R ^Sched" bench_scale scale_e2e
+# --test-dir instead of the ctest presets: the preset label filters
+# (sanitize / sanitize-thread) would AND with the lane label.
+if [ -n "$lane" ]; then
+  read -r flag label targets e2e <<<"$lane"
+  for preset in asan tsan; do
+    echo "== $flag lane: $preset preset (-L $label) =="
+    cmake --preset "$preset"
+    cmake --build --preset "$preset" -j "$jobs"
+    ctest --test-dir "build-$preset" --output-on-failure -j "$jobs" \
+      -L "^$label\$"
+  done
+  echo "== $flag lane: e2e + bench acceptance =="
+  cmake --preset default
+  IFS=, read -r -a target_list <<<"$targets"
+  cmake --build --preset default -j "$jobs" --target "${target_list[@]}"
+  mkdir -p results
+  "$e2e"
+fi
 
 echo "check.sh: all green"

@@ -135,7 +135,7 @@ void Profiler::on_run_begin() {
     ln.head = 0;
     ln.pushed = 0;
     ln.dropped = 0;
-    ln.armed = cfg_.start_armed;
+    ln.armed = true;  // MPI_M_critpath_stop/start toggle it per rank
     ln.events = 0;
     ln.comm_ns = 0;
     ln.wait_ns = 0;
@@ -205,14 +205,12 @@ Event* Profiler::next_slot(Lane& ln) {
 
 void Profiler::charge_phase(Lane& ln, double when_s, WaitClass cls,
                             std::uint64_t ns) {
-  int phase = cfg_.phase_s > 0.0
-                  ? static_cast<int>(std::floor(when_s / cfg_.phase_s))
-                  : 0;
+  int phase = static_cast<int>(std::floor(when_s / kPhaseS));
   if (phase < 0) phase = 0;
   PhaseCell* cellp = ln.cache_phase_cell;
   if (phase != ln.cache_phase || cellp == nullptr) {
     int key = phase;
-    if (ln.phases.size() >= cfg_.max_phases && ln.phases.count(key) == 0)
+    if (ln.phases.size() >= kMaxPhases && ln.phases.count(key) == 0)
       key = ln.phases.rbegin()->first;  // bounded: fold into the last cell
     cellp = &ln.phases[key];
     ln.cache_phase = phase;
@@ -533,7 +531,7 @@ void Profiler::extract_path(std::vector<std::vector<Event>>& ordered) {
   bool next_tombstone = false;
   std::vector<PathSegment> path;
 
-  while (path.size() < cfg_.max_path_segments) {
+  while (path.size() < kMaxPathSegments) {
     const std::vector<Event>& evs = ordered[static_cast<std::size_t>(cur)];
     // Walk this rank's program order backward to the first gating receive.
     std::ptrdiff_t gate = -1;
@@ -595,7 +593,7 @@ bool Profiler::write_csv(const std::string& path) {
                static_cast<unsigned long long>(rep.total_comm_ns),
                static_cast<unsigned long long>(rep.total_wait_ns),
                rep.dominant_rank, wait_class_name(rep.dominant_class),
-               rep.blame_only ? 1 : 0, cfg_.phase_s);
+               rep.blame_only ? 1 : 0, kPhaseS);
   for (const RankBlame& rb : rep.ranks) {
     std::fprintf(
         f, "rank,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%d,%llu,%d\n",

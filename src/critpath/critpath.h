@@ -64,18 +64,17 @@ inline constexpr int kClassWaitCollective = 2;
 inline constexpr int kClassRootImbalance = 3;
 inline constexpr int kNumClasses = 4;
 
+/// Phase grid (virtual seconds) for the per-phase blame table; matches the
+/// introspection snapshot window default.
+inline constexpr double kPhaseS = 1e-3;
+/// Bounded per-lane phase table; later phases fold into the last cell.
+inline constexpr std::size_t kMaxPhases = 512;
+/// Backward-walk safety cap.
+inline constexpr std::size_t kMaxPathSegments = 4096;
+
 struct Config {
   /// Events kept per rank before the oldest is evicted (pre-governor).
   std::size_t ring_capacity = 8192;
-  /// Phase grid (virtual seconds) for the per-phase blame table; matches
-  /// the introspection snapshot window default.
-  double phase_s = 1e-3;
-  /// Ranks start armed; MPI_M_critpath_stop/start toggles per rank.
-  bool start_armed = true;
-  /// Backward-walk safety cap.
-  std::size_t max_path_segments = 4096;
-  /// Bounded per-lane phase table; later phases fold into the last cell.
-  std::size_t max_phases = 512;
   /// Memory grant, consulted at run begin with (want_frames, frame_bytes);
   /// returns granted frames (0 = refusal -> blame-only mode). Unset means
   /// ungoverned. mon::attach_critpath wires the degradation governor here.
@@ -134,7 +133,7 @@ struct PathSegment {
 
 struct PhaseBlame {
   int rank = -1;
-  int phase = 0;  ///< floor(t / phase_s)
+  int phase = 0;  ///< floor(t / kPhaseS)
   std::uint64_t wait_ns = 0;
   WaitClass dominant_class = WaitClass::none;
 };

@@ -89,9 +89,7 @@ class FaultPlan {
   void add(const LinkFault& fault);
   void add(const RankFault& fault);
 
-  bool has_link_faults() const { return !link_faults_.empty(); }
   const std::vector<LinkFault>& link_faults() const { return link_faults_; }
-  bool has_rank_faults() const { return !rank_faults_.empty(); }
 
   // --- engine-facing interface ---------------------------------------------
 

@@ -79,20 +79,6 @@ double neighbor_affinity_fraction(const CommMatrix& bytes,
   return total == 0.0 ? 0.0 : neighbor / total;
 }
 
-double mismatch_byte_hops(const CommMatrix& bytes, const topo::Topology& topo,
-                          const topo::Placement& placement) {
-  const std::size_t n = bytes.rows();
-  check(placement.size() >= n, "placement smaller than matrix order");
-  double cost = 0.0;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < bytes.cols(); ++j)
-      if (i != j && bytes(i, j) != 0)
-        cost += static_cast<double>(bytes(i, j)) *
-                static_cast<double>(
-                    topo.hop_distance(placement[i], placement[j]));
-  return cost;
-}
-
 double mismatch_byte_hops(const CommMatrix& bytes, const topo::Fabric& fabric,
                           const topo::Placement& placement) {
   const std::size_t n = bytes.rows();
@@ -141,8 +127,7 @@ std::vector<double> mismatch_by_link_class(const CommMatrix& bytes,
   return per_class;
 }
 
-double treematch_gain(const CommMatrix& bytes, const topo::Topology& topo,
-                      const topo::Placement& placement,
+double treematch_gain(const CommMatrix& bytes, const topo::Placement& placement,
                       const net::CostModel& cost) {
   const std::size_t n = bytes.rows();
   if (n == 0 || bytes.sum() == 0) return 0.0;
@@ -152,7 +137,7 @@ double treematch_gain(const CommMatrix& bytes, const topo::Topology& topo,
   // (matrix row) to one of the slots the job already occupies; the
   // proposed placement executes role r on the leaf of its slot.
   const std::vector<int> role_to_slot =
-      tm::treematch_slots(bytes, topo, placement);
+      tm::treematch_slots(bytes, cost.topology(), placement);
   topo::Placement proposed(n);
   for (std::size_t role = 0; role < n; ++role)
     proposed[role] =
@@ -164,7 +149,6 @@ double treematch_gain(const CommMatrix& bytes, const topo::Topology& topo,
 namespace {
 
 std::vector<WindowMetrics> analyze_impl(const std::vector<FrameMatrix>& frames,
-                                        const topo::Topology* topo,
                                         const topo::Fabric* fabric,
                                         const topo::Placement* placement) {
   std::vector<WindowMetrics> out;
@@ -184,15 +168,12 @@ std::vector<WindowMetrics> analyze_impl(const std::vector<FrameMatrix>& frames,
       m.boundary = m.cos_dist > WindowSampler::kCosineBoundary ||
                    m.l1_dist > WindowSampler::kL1Boundary;
     }
-    if (fabric != nullptr && placement != nullptr) {
+    if (fabric != nullptr) {
       m.neighbor_frac =
           neighbor_affinity_fraction(f.bytes, fabric->hierarchy(), *placement);
       m.class_hops = mismatch_by_link_class(f.bytes, *fabric, *placement);
       m.mismatch_hops = 0.0;
       for (double h : m.class_hops) m.mismatch_hops += h;
-    } else if (topo != nullptr && placement != nullptr) {
-      m.neighbor_frac = neighbor_affinity_fraction(f.bytes, *topo, *placement);
-      m.mismatch_hops = mismatch_byte_hops(f.bytes, *topo, *placement);
     } else {
       // Offline: pass annotated per-class columns through to the caller.
       m.class_hops = f.class_hops;
@@ -225,19 +206,13 @@ FrameTotals frame_totals(const Frame& frame) {
 
 std::vector<WindowMetrics> analyze_windows(
     const std::vector<FrameMatrix>& frames) {
-  return analyze_impl(frames, nullptr, nullptr, nullptr);
-}
-
-std::vector<WindowMetrics> analyze_windows(
-    const std::vector<FrameMatrix>& frames, const topo::Topology& topo,
-    const topo::Placement& placement) {
-  return analyze_impl(frames, &topo, nullptr, &placement);
+  return analyze_impl(frames, nullptr, nullptr);
 }
 
 std::vector<WindowMetrics> analyze_windows(
     const std::vector<FrameMatrix>& frames, const topo::Fabric& fabric,
     const topo::Placement& placement) {
-  return analyze_impl(frames, nullptr, &fabric, &placement);
+  return analyze_impl(frames, &fabric, &placement);
 }
 
 void annotate_link_class_hops(std::vector<FrameMatrix>& frames,

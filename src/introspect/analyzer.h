@@ -43,15 +43,11 @@ double neighbor_affinity_fraction(const CommMatrix& bytes,
                                   const topo::Topology& topo,
                                   const topo::Placement& placement);
 
-/// Topology mismatch cost: sum over pairs of bytes(i,j) * tree hop
-/// distance between the leaves of i and j.
-double mismatch_byte_hops(const CommMatrix& bytes, const topo::Topology& topo,
-                          const topo::Placement& placement);
-
-/// Fabric form: bytes are weighed by the fabric hop distance (network
-/// route length plus the PU<->NIC approach legs), so on fat-tree and
-/// dragonfly the metric sees how deep each pair's route actually goes.
-/// On a tree fabric this equals the Topology overload exactly.
+/// Topology mismatch cost: sum over pairs of bytes(i,j) * fabric hop
+/// distance between the leaves of i and j (network route length plus the
+/// PU<->NIC approach legs), so on fat-tree and dragonfly the metric sees how
+/// deep each pair's route actually goes. On a tree fabric the fabric hop
+/// distance is the hierarchy's tree hop distance.
 double mismatch_byte_hops(const CommMatrix& bytes, const topo::Fabric& fabric,
                           const topo::Placement& placement);
 
@@ -67,9 +63,9 @@ std::vector<double> mismatch_by_link_class(const CommMatrix& bytes,
 
 /// Estimated fractional cost reduction TreeMatch would deliver on this
 /// matrix from the current placement, in [0, 1] (0: already optimal or no
-/// traffic). Runs the real TreeMatch kernel plus the modeled pattern cost.
-double treematch_gain(const CommMatrix& bytes, const topo::Topology& topo,
-                      const topo::Placement& placement,
+/// traffic). Runs the real TreeMatch kernel against cost.topology() plus
+/// the modeled pattern cost.
+double treematch_gain(const CommMatrix& bytes, const topo::Placement& placement,
                       const net::CostModel& cost);
 
 // --- single-frame totals -----------------------------------------------------
@@ -108,9 +104,9 @@ void annotate_link_class_hops(std::vector<FrameMatrix>& frames,
                               const topo::Fabric& fabric,
                               const topo::Placement& placement);
 
-/// Per-window metrics of a gathered sequence. Topology-dependent fields
-/// are only filled by the overload taking a topology (offline tools run
-/// without one and leave them at -1).
+/// Per-window metrics of a gathered sequence. Fabric-dependent fields are
+/// only filled by the overload taking a fabric (offline tools run without
+/// one and leave them at -1).
 struct WindowMetrics {
   long window = 0;
   double t0_s = 0.0;
@@ -135,13 +131,9 @@ struct WindowMetrics {
 std::vector<WindowMetrics> analyze_windows(
     const std::vector<FrameMatrix>& frames);
 
-/// Same, plus the topology-dependent per-window metrics.
-std::vector<WindowMetrics> analyze_windows(
-    const std::vector<FrameMatrix>& frames, const topo::Topology& topo,
-    const topo::Placement& placement);
-
-/// Fabric form: mismatch_hops uses fabric hop distances and class_hops is
-/// filled with the per-link-class decomposition.
+/// Same, plus the fabric-dependent per-window metrics: neighbor_frac over
+/// the fabric hierarchy, mismatch_hops in fabric hops and class_hops with
+/// its per-link-class decomposition.
 std::vector<WindowMetrics> analyze_windows(
     const std::vector<FrameMatrix>& frames, const topo::Fabric& fabric,
     const topo::Placement& placement);

@@ -22,6 +22,11 @@ namespace {
 // in fiber mode one OS thread runs every rank and the fiber dispatcher
 // repoints this at every context switch (Engine::run_fibers' on_resume).
 thread_local Ctx* g_running_ctx = nullptr;
+
+/// Usable stack bytes per rank fiber (rounded up to whole pages, with a
+/// guard page below). mmap keeps untouched pages off the RSS, so 4096 ranks
+/// cost ~1 GiB of address space, not memory.
+constexpr std::size_t kFiberStackBytes = 256 * 1024;
 }  // namespace
 
 const char* sched_mode_name(SchedMode mode) {
@@ -44,36 +49,21 @@ detail::CommImpl::CommImpl(int ctx_id, std::vector<int> members,
 
 namespace {
 
-/// Applies the fabric selection (EngineConfig::fabric, overridable by the
-/// strict-parsed MPIM_TOPO environment variable) before the engine wires
-/// itself to the cost model. Garbage is rejected with a logged warning and
-/// the configured model stands (the tree default); a valid spec replaces
-/// the cost model with CostModel::for_fabric sized to hold the placement,
-/// keeping the placement when it still fits and falling back to
-/// round-robin otherwise.
+/// Applies the strict-parsed MPIM_TOPO fabric selection before the engine
+/// wires itself to the cost model. Garbage is rejected with a logged warning
+/// and the configured model stands; a valid spec replaces the cost model
+/// with CostModel::for_fabric sized to hold the placement, keeping the
+/// placement when it still fits and falling back to round-robin otherwise.
 EngineConfig resolve_fabric_config(EngineConfig cfg) {
   constexpr const char* kGrammar =
       "(want tree|fattree:<k,l,osub>|dragonfly:<a,g,h>[,valiant])";
-  std::optional<topo::FabricSpec> spec;
   const auto env = support::env_nonempty_string("MPIM_TOPO");
-  if (env.ok()) {
-    spec = topo::parse_fabric_spec(env.value);
-    if (!spec)
-      telemetry::log(telemetry::LogLevel::warn, -1, "engine",
-                     "ignoring invalid MPIM_TOPO=\"" + env.raw + "\" " +
-                         kGrammar + "; using the configured fabric");
-  } else if (env.invalid()) {
+  std::optional<topo::FabricSpec> spec;
+  if (env.ok()) spec = topo::parse_fabric_spec(env.value);
+  if (!spec && (env.ok() || env.invalid()))
     telemetry::log(telemetry::LogLevel::warn, -1, "engine",
                    "ignoring invalid MPIM_TOPO=\"" + env.raw + "\" " +
                        kGrammar + "; using the configured fabric");
-  }
-  if (!spec && !cfg.fabric.empty()) {
-    spec = topo::parse_fabric_spec(cfg.fabric);
-    if (!spec)
-      telemetry::log(telemetry::LogLevel::warn, -1, "engine",
-                     "ignoring invalid EngineConfig::fabric=\"" + cfg.fabric +
-                         "\" " + kGrammar + "; using the configured model");
-  }
   if (!spec) return cfg;
   // "tree" keeps whatever tree model the caller configured (including its
   // custom parameters): the spec names the kind, not a replacement model.
@@ -540,8 +530,7 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
 
 void Engine::rank_body(int r, const std::function<void(Ctx&)>& rank_main) {
   Ctx ctx(this, r);
-  ctx.noise_rng_.reseed(cfg_.noise_seed * 0x9e3779b97f4a7c15ULL +
-                        static_cast<std::uint64_t>(r) * 0x100000001b3ULL +
+  ctx.noise_rng_.reseed(static_cast<std::uint64_t>(r) * 0x100000001b3ULL +
                         run_count_);
   if (epoch_period_s_ > 0.0) ctx.next_epoch_s_ = epoch_period_s_;
   run_ctx_[static_cast<std::size_t>(r)] = &ctx;
@@ -602,7 +591,7 @@ void Engine::run_fibers(const std::function<void(Ctx&)>& rank_main) {
   // per-rank hook consumer (telemetry shards, obsplane rings, critpath
   // lanes) see the rank that is actually executing.
   fiber_ = std::make_unique<FiberSched>(
-      world_size(), cfg_.fiber_stack_bytes,
+      world_size(), kFiberStackBytes,
       [this](int r) { g_running_ctx = r >= 0 ? run_ctx_[static_cast<std::size_t>(r)] : nullptr; });
   fiber_->run(
       [this, &rank_main](int r) { rank_body(r, rank_main); },
@@ -659,8 +648,7 @@ void Ctx::record_send(const PktInfo& info) {
     recorded += o.on_send_record(info, world_rank_);
   });
   if (recorded != 0)
-    clock_ +=
-        static_cast<double>(recorded) * engine_->cfg_.monitor_event_cost_s;
+    clock_ += static_cast<double>(recorded) * kMonitorEventCostS;
 }
 
 void Ctx::compute_flops(double flops) {
@@ -865,7 +853,7 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   if (lost) {
     // Every retransmission was dropped: the final attempt leaves the NIC
     // but never arrives anywhere.
-    if (engine_->cfg_.enable_nic_counters && crosses)
+    if (crosses)
       engine_->nic_.record_tx(engine_->fabric().node_of(leaf_src), clock_,
                               bytes);
     const double lost_tx_start = clock_;
@@ -895,10 +883,9 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
     std::memcpy(msg.payload.get(), buf, bytes);
   }
 
-  if (engine_->cfg_.enable_nic_counters && crosses) {
+  if (crosses)
     engine_->nic_.record_tx(engine_->fabric().node_of(leaf_src), tx_start,
                             bytes);
-  }
 
   engine_->deliver(std::move(msg));
   clock_ = tx_start + tx + cost.send_overhead();
@@ -938,10 +925,9 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
   } else {
     clock_ += tx + alpha;
   }
-  if (engine_->cfg_.enable_nic_counters && crosses) {
+  if (crosses)
     engine_->nic_.record_tx(engine_->fabric().node_of(leaf_from), tx_start,
                             bytes);
-  }
   epoch_check();
 }
 
@@ -1026,8 +1012,7 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
     if (buf != nullptr && it->payload != nullptr)
       std::memcpy(buf, it->payload.get(),
                   std::min(capacity, it->info.bytes));
-    const double completion =
-        std::max(clock_, it->arrival_s) + engine_->cfg_.recv_overhead_s;
+    const double completion = std::max(clock_, it->arrival_s) + kRecvOverheadS;
     // Observed before the clock assignment so observers see the
     // pre-completion clock (the wait baseline).
     if (it->info.kind != CommKind::tool)

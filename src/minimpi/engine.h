@@ -17,8 +17,8 @@
 // EngineObservers' send record carrying (src, dst, bytes, kind, tag,
 // context) -- the moral equivalent of Open MPI's pml_monitoring component
 // interposition point. Tool-kind traffic (the monitoring library's own
-// gathers) bypasses the observers, and optionally simulated NIC hardware
-// counters record every transfer that crosses a node boundary.
+// gathers) bypasses the observers, and simulated NIC hardware counters
+// record every transfer that crosses a node boundary.
 #pragma once
 
 #include <atomic>
@@ -104,13 +104,13 @@ class EngineObserver {
 
   /// Before a send is costed: the pml_monitoring interposition point.
   /// Returns the monitoring records made; the engine charges the calling
-  /// rank records x EngineConfig::monitor_event_cost_s. Runs on the
-  /// `caller_world` rank's thread with no engine lock held, concurrently
-  /// across ranks. `caller_world` equals `pkt.src_world` except for RMA,
-  /// whose traffic is attributed to the transmitting side from the origin's
-  /// thread -- so an observer may update one rank's state from another
-  /// rank's thread, and must be thread-safe without serializing the
-  /// per-packet path (see mpit::Runtime's lock-free RecordingPlan).
+  /// rank records x kMonitorEventCostS. Runs on the `caller_world` rank's
+  /// thread with no engine lock held, concurrently across ranks.
+  /// `caller_world` equals `pkt.src_world` except for RMA, whose traffic is
+  /// attributed to the transmitting side from the origin's thread -- so an
+  /// observer may update one rank's state from another rank's thread, and
+  /// must be thread-safe without serializing the per-packet path (see
+  /// mpit::Runtime's lock-free RecordingPlan).
   virtual int on_send_record(const PktInfo& /*pkt*/, int /*caller_world*/) {
     return 0;
   }
@@ -126,7 +126,7 @@ class EngineObserver {
   /// inbox mutex held: never take a lock a clock-advancing path also takes.
   /// `pre` is the receiver's clock when it matched, `arrival` the packet
   /// arrival time, `t1` the completion clock (max(pre, arrival) +
-  /// recv_overhead).
+  /// kRecvOverheadS).
   virtual void on_recv(int /*rank*/, const PktInfo& /*pkt*/, double /*pre*/,
                        double /*arrival*/, double /*t1*/) {}
   /// On the rank's thread, no engine lock held, whenever its clock crosses
@@ -175,10 +175,10 @@ enum class AllreduceAlgo { recursive_doubling, reduce_bcast };
 enum class AllgatherAlgo { ring, bruck };
 enum class GatherAlgo { binomial, linear };
 enum class BarrierAlgo { dissemination, tree };
-enum class AlltoallAlgo { pairwise };
 
 /// Per-collective algorithm selection. Defaults match the paper's Fig. 5
-/// captions: binomial-tree broadcast, binary-tree reduce.
+/// captions: binomial-tree broadcast, binary-tree reduce. Alltoall has one
+/// algorithm (pairwise exchange) and no selector.
 struct CollAlgos {
   BcastAlgo bcast = BcastAlgo::binomial;
   ReduceAlgo reduce = ReduceAlgo::binary_tree;
@@ -186,40 +186,33 @@ struct CollAlgos {
   AllgatherAlgo allgather = AllgatherAlgo::ring;
   GatherAlgo gather = GatherAlgo::binomial;
   BarrierAlgo barrier = BarrierAlgo::dissemination;
-  AlltoallAlgo alltoall = AlltoallAlgo::pairwise;
 };
 
+/// Receiver-side per-message software overhead (virtual seconds).
+inline constexpr double kRecvOverheadS = 2.0e-7;
+/// Virtual cost charged to the sender per monitoring record made while at
+/// least one session is active; reproduces the paper's Fig. 4 "monitoring
+/// on vs off" contrast (< 5 us in the worst case there).
+inline constexpr double kMonitorEventCostS = 4.0e-8;
+
+/// Engine configuration. The fabric is chosen by cost_model (or the
+/// strict-parsed MPIM_TOPO environment variable, see topo::parse_fabric_spec:
+/// a valid spec replaces the cost model with CostModel::for_fabric sized to
+/// hold the placement, keeping the placement when it still fits and falling
+/// back to round-robin otherwise; garbage is rejected with a logged warning).
 struct EngineConfig {
   net::CostModel cost_model;
   /// world rank -> processing unit; size defines the world size.
   topo::Placement placement;
-  /// Optional fabric selection ("tree" | "fattree:<k,l,osub>" |
-  /// "dragonfly:<a,g,h>[,valiant]", see topo::parse_fabric_spec). When set
-  /// -- or when the strict-parsed MPIM_TOPO environment variable overrides
-  /// it -- the engine replaces cost_model with
-  /// CostModel::for_fabric(make_fabric(spec)) sized to hold the placement,
-  /// keeping the configured placement when it still fits the new fabric's
-  /// leaves and falling back to round-robin otherwise. Empty (the default)
-  /// keeps cost_model exactly as configured; garbage is rejected with a
-  /// logged warning and the configured model stands, so a bad MPIM_TOPO
-  /// degrades to the tree default instead of crashing the run.
-  std::string fabric;
   CollAlgos coll{};
-  /// Receiver-side per-message software overhead (seconds).
-  double recv_overhead_s = 2.0e-7;
-  /// Virtual cost charged to the sender per monitoring record made while
-  /// at least one session is active; reproduces the paper's Fig. 4
-  /// "monitoring on vs off" contrast (< 5 us in the worst case there).
-  double monitor_event_cost_s = 4.0e-8;
   /// Virtual seconds per floating-point operation (Ctx::compute_flops).
   double flop_time_s = 5.0e-10;  // ~2 GFlop/s per core
   /// Optional OS-noise model: every send additionally costs a uniform
   /// 0..os_noise_s drawn from a per-rank deterministic stream seeded with
-  /// (noise_seed, rank, run number). Default off: fully deterministic
-  /// clocks. The Fig. 4 overhead experiment turns it on so its Welch
-  /// confidence intervals have real spread to work against.
+  /// (rank, run number). Default off: fully deterministic clocks. The
+  /// Fig. 4 overhead experiment turns it on so its Welch confidence
+  /// intervals have real spread to work against.
   double os_noise_s = 0.0;
-  unsigned long noise_seed = 0;
   /// NIC contention model. When enabled, every inter-node message reserves
   /// busy time on the sending node's tx port and the receiving node's rx
   /// port (at the inter-node link bandwidth), so concurrent flows through
@@ -236,7 +229,6 @@ struct EngineConfig {
   /// one flow sustains ~6 GB/s end to end). Port busy periods are
   /// bytes / (beta * this); 1.0 means the port is no faster than a flow.
   double nic_port_beta_scale = 1.0;
-  bool enable_nic_counters = true;
   /// Wall-clock watchdog: if every live rank stays blocked this long with
   /// no delivery progress, declare a deadlock in the simulated program.
   /// The effective timeout is scaled with the world size (big worlds make
@@ -250,10 +242,6 @@ struct EngineConfig {
   /// workload-by-workload basis; every suite workload is already
   /// bit-identical across the two (tests/sched_test.cpp).
   SchedMode sched = SchedMode::threads;
-  /// Usable stack bytes per rank fiber (fiber mode only; rounded up to
-  /// whole pages, with a guard page below). mmap keeps untouched pages
-  /// off the RSS, so 4096 ranks cost ~1 GiB of address space, not memory.
-  std::size_t fiber_stack_bytes = 256 * 1024;
   /// Optional deterministic fault plan (src/fault/fault_plan.h). When set,
   /// the engine consults it on every send and at every operation boundary:
   /// link jitter/drops/degradation shape message timing, rank crashes

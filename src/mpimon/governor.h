@@ -16,7 +16,7 @@
 // exported as pvars.
 //
 // `MPIM_OVERHEAD_PCT` bounds the *modeled* monitoring overhead (recorded
-// events x monitor_event_cost_s, as a percentage of the session's virtual
+// events x mpi::kMonitorEventCostS, as a percentage of the session's virtual
 // span). Violations raise an alarm and trigger the level-1 shed. The
 // governor never un-charges virtual cost already modeled: all shedding is
 // host-side, so an app's virtual clock is bit-identical with and without a

@@ -340,8 +340,7 @@ int MPI_M_suspend(MPI_M_msid msid) {
           for (unsigned long v : row) events += v;
           gov.report_overhead(
               tele_rank(),
-              static_cast<double>(events) *
-                  Ctx::current().engine().config().monitor_event_cost_s,
+              static_cast<double>(events) * mpim::mpi::kMonitorEventCostS,
               Ctx::current().now() - s.span_start_s);
         }
         s.span_start_s = -1.0;
@@ -878,21 +877,20 @@ void refresh_derived_metrics(const MonSession& s,
         result.data() + 2 + w * (1 + 2 * n * n) + 1 + n * n;
     for (std::size_t i = 0; i < n * n; ++i) cum.flat()[i] += bytes[i];
   }
-  Ctx& ctx = Ctx::current();
-  const auto& topo = ctx.engine().topology();
-  const auto& world_placement = ctx.engine().config().placement;
+  const mpim::mpi::Engine& engine = Ctx::current().engine();
+  const auto& world_placement = engine.config().placement;
   mpim::topo::Placement placement(n);
   for (std::size_t j = 0; j < n; ++j)
     placement[j] = world_placement[static_cast<std::size_t>(
         s.comm.world_rank_of(static_cast<int>(j)))];
 
   const double imbalance = mpim::introspect::load_imbalance(cum);
-  const double neighbor =
-      mpim::introspect::neighbor_affinity_fraction(cum, topo, placement);
+  const double neighbor = mpim::introspect::neighbor_affinity_fraction(
+      cum, engine.topology(), placement);
   const double mismatch =
-      mpim::introspect::mismatch_byte_hops(cum, topo, placement);
-  const double gain = mpim::introspect::treematch_gain(
-      cum, topo, placement, ctx.engine().cost_model());
+      mpim::introspect::mismatch_byte_hops(cum, engine.fabric(), placement);
+  const double gain = mpim::introspect::treematch_gain(cum, placement,
+                                                       engine.cost_model());
   const int rank = tele_rank();
   const auto& ids = hub.ids();
   hub.gauge_set(ids.introspect_imbalance_milli, rank,

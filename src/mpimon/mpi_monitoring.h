@@ -231,7 +231,7 @@ int MPI_M_flush(MPI_M_msid msid, const char* filename, int flags);
 // bit-identical with the profiler armed or not.
 
 /// Arms wait-state and event capture for the calling rank's lane (lanes
-/// start armed by default; see critpath::Config::start_armed).
+/// start armed at every run begin).
 int MPI_M_critpath_start();
 /// Disarms the calling rank's lane; accumulated data stays readable.
 int MPI_M_critpath_stop();

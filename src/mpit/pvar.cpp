@@ -96,7 +96,7 @@ constexpr std::array<PvarInfo, 56> kPvars{{
      "fraction of bytes between deepest-level neighbors x1000",
      kTele, false, PvarClass::telemetry},
     {"mpim_introspect_mismatch_byte_hops",
-     "topology mismatch cost: bytes x tree hop distance",
+     "topology mismatch cost: bytes x fabric hop distance",
      kTele, true, PvarClass::telemetry},
     {"mpim_introspect_treematch_gain_milli",
      "estimated TreeMatch cost reduction x1000",

@@ -84,7 +84,6 @@ class CostModel {
 
   const topo::Topology& topology() const { return fabric_->hierarchy(); }
   const topo::Fabric& fabric() const { return *fabric_; }
-  std::shared_ptr<const topo::Fabric> fabric_ptr() const { return fabric_; }
 
   /// Total transfer time for `bytes` between leaves a and b (seconds):
   /// latency + serialization.

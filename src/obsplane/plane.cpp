@@ -66,6 +66,8 @@ const char* derived_event_name(int slot) {
 }
 
 constexpr std::size_t kMaxEventLane = 8192;
+/// Bounded per-series bucket windows (merged epochs) kept in the store.
+constexpr std::size_t kStoreWindows = 256;
 
 }  // namespace
 
@@ -78,7 +80,6 @@ Plane::Plane(mpi::Engine& engine, PlaneConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)), nranks_(engine.world_size()) {
   if (cfg_.epoch_s <= 0.0) cfg_.epoch_s = 1.0e-3;
   if (cfg_.ring_capacity < 2) cfg_.ring_capacity = 2;
-  if (cfg_.windows < 4) cfg_.windows = 4;
 
   const auto& ids = engine_.telemetry().ids();
   slot_ids_ = {ids.engine_messages,  ids.engine_bytes,
@@ -355,7 +356,7 @@ void Plane::apply_locked(const StreamEvent& ev) {
         s.buckets.back().second += ev.a;
       } else {
         s.buckets.emplace_back(me, ev.a);
-        while (s.buckets.size() > cfg_.windows) s.buckets.pop_front();
+        while (s.buckets.size() > kStoreWindows) s.buckets.pop_front();
       }
       s.hist.observe(ev.a);
       s.sketch.observe(ev.a);

@@ -85,8 +85,6 @@ struct PlaneConfig {
   /// Per-producer staging ring capacity (events). Overflow drops the
   /// newest event and counts it; nothing blocks.
   std::size_t ring_capacity = 4096;
-  /// Bounded per-series bucket windows (merged epochs) kept in the store.
-  std::size_t windows = 256;
   /// JSONL stream file ("" = no continuous export).
   std::string stream_path;
   /// Prometheus-style text exposition written at finalize ("" = off).

@@ -1,27 +1,15 @@
 #include "telemetry/export.h"
 
 #include <fstream>
-#include <map>
 #include <ostream>
 
 #include "support/error.h"
+#include "support/table.h"
 #include "telemetry/log.h"
 
 namespace mpim::telemetry {
 
 namespace {
-
-const char* kind_name(MetricKind k) {
-  switch (k) {
-    case MetricKind::counter:
-      return "counter";
-    case MetricKind::gauge:
-      return "gauge";
-    case MetricKind::histogram:
-      return "histogram";
-  }
-  return "?";
-}
 
 std::ofstream open_or_fail(const std::string& path) {
   std::ofstream f(path);
@@ -123,46 +111,6 @@ void write_spans_csv(const Hub& hub, std::ostream& os) {
 void write_spans_csv_file(const Hub& hub, const std::string& path) {
   std::ofstream f = open_or_fail(path);
   write_spans_csv(hub, f);
-}
-
-Table summary_table(const Hub& hub) {
-  Table t({"metric", "kind", "total", "max rank", "max value"});
-  const Registry& reg = hub.registry();
-  for (int id = 0; id < reg.metric_count(); ++id) {
-    const MetricDesc& d = reg.desc(id);
-    std::uint64_t max_v = 0;
-    int max_r = 0;
-    for (int r = 0; r < reg.nranks(); ++r) {
-      const std::uint64_t v = reg.scalar_value(id, r);
-      if (v > max_v) {
-        max_v = v;
-        max_r = r;
-      }
-    }
-    t.add(d.name, kind_name(d.kind), reg.scalar_total(id), max_r, max_v);
-  }
-  return t;
-}
-
-Table span_summary_table(const Hub& hub) {
-  struct Roll {
-    std::uint64_t count = 0;
-    double total_s = 0.0;
-  };
-  std::map<std::string, Roll> rolls;
-  for (int r = 0; r < hub.nranks(); ++r) {
-    for (const SpanRec& s : hub.spans(r)) {
-      Roll& roll = rolls[s.name];
-      ++roll.count;
-      roll.total_s += s.t1_s - s.t0_s;
-    }
-  }
-  Table t({"span", "count", "total", "mean"});
-  for (const auto& [name, roll] : rolls) {
-    t.add(name, roll.count, format_seconds(roll.total_s),
-          format_seconds(roll.count > 0 ? roll.total_s / roll.count : 0.0));
-  }
-  return t;
 }
 
 }  // namespace mpim::telemetry

@@ -1,12 +1,11 @@
 // Exporters for a Hub's telemetry: Chrome trace-event JSON (loadable in
-// chrome://tracing / Perfetto), per-rank CSV files, and a human summary
-// table. All readers; call them after (or between) runs.
+// chrome://tracing / Perfetto) and per-rank CSV files. All readers; call
+// them after (or between) runs.
 #pragma once
 
 #include <iosfwd>
 #include <string>
 
-#include "support/table.h"
 #include "telemetry/hub.h"
 
 namespace mpim::telemetry {
@@ -26,12 +25,5 @@ void write_metrics_csv_file(const Hub& hub, const std::string& path);
 /// Per-rank span CSV with columns rank,name,cat,depth,t0_s,t1_s,a,b.
 void write_spans_csv(const Hub& hub, std::ostream& os);
 void write_spans_csv_file(const Hub& hub, const std::string& path);
-
-/// Human summary: one row per metric (total + busiest rank), suitable for
-/// Table::print.
-Table summary_table(const Hub& hub);
-
-/// Span rollup: per span name, count / total / mean duration.
-Table span_summary_table(const Hub& hub);
 
 }  // namespace mpim::telemetry

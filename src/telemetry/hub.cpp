@@ -119,7 +119,7 @@ Hub::Hub(int nranks, std::size_t span_capacity)
       "fraction of bytes between deepest-level neighbors x1000");
   ids_.introspect_mismatch_hops = reg.define_gauge(
       "mpim_introspect_mismatch_byte_hops",
-      "topology mismatch cost: bytes x tree hop distance");
+      "topology mismatch cost: bytes x fabric hop distance");
   ids_.introspect_gain_milli = reg.define_gauge(
       "mpim_introspect_treematch_gain_milli",
       "estimated TreeMatch cost reduction x1000");

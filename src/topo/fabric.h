@@ -58,8 +58,8 @@ struct FabricSpec {
   std::string describe() const;
 };
 
-/// Strict whole-string parse of a fabric selection (the MPIM_TOPO /
-/// EngineConfig::fabric grammar). Rejects unknown kinds, missing or extra
+/// Strict whole-string parse of a fabric selection (the MPIM_TOPO
+/// grammar). Rejects unknown kinds, missing or extra
 /// parameters, non-numeric / out-of-range values and dragonfly shapes
 /// whose global links cannot reach every group (g - 1 > a * h). Returns
 /// nullopt on garbage; callers log a warning and fall back to tree.

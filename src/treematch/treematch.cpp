@@ -358,17 +358,6 @@ std::vector<int> treematch_slots(const CommMatrix& bytes,
   return treematch_slots(AffinityGraph::from_dense(bytes), topo, slot_leaves);
 }
 
-std::vector<int> treematch_leaves(const AffinityGraph& affinity,
-                                  const topo::Fabric& fabric) {
-  return treematch_leaves(affinity, fabric.hierarchy());
-}
-
-std::vector<int> treematch_slots(const AffinityGraph& affinity,
-                                 const topo::Fabric& fabric,
-                                 const std::vector<int>& slot_leaves) {
-  return treematch_slots(affinity, fabric.hierarchy(), slot_leaves);
-}
-
 double mapping_cost(const CommMatrix& bytes,
                     const std::vector<int>& process_to_leaf,
                     const net::CostModel& cost) {

@@ -24,6 +24,11 @@
 
 namespace mpim::tm {
 
+// Every form partitions against a locality hierarchy level by level. For a
+// routed fabric pass Fabric::hierarchy(): its switch tiers and dragonfly
+// groups are levels too, so heavy pairs land under shallow network routes,
+// not just on the same node.
+
 /// process -> leaf (processing unit) over the whole machine. Requires
 /// n <= topo.num_leaves().
 std::vector<int> treematch_leaves(const AffinityGraph& affinity,
@@ -41,15 +46,6 @@ std::vector<int> treematch_leaves(const CommMatrix& bytes,
                                   const topo::Topology& topo);
 std::vector<int> treematch_slots(const CommMatrix& bytes,
                                  const topo::Topology& topo,
-                                 const std::vector<int>& slot_leaves);
-
-/// Fabric forms: partition against the fabric's locality hierarchy level
-/// by level (switch tiers / dragonfly groups included), so heavy pairs
-/// land under shallow network routes, not just on the same node.
-std::vector<int> treematch_leaves(const AffinityGraph& affinity,
-                                  const topo::Fabric& fabric);
-std::vector<int> treematch_slots(const AffinityGraph& affinity,
-                                 const topo::Fabric& fabric,
                                  const std::vector<int>& slot_leaves);
 
 /// Modeled total cost of running pattern `bytes` when process i sits on

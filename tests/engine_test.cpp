@@ -299,17 +299,15 @@ TEST(Engine, SendRecordSeesTrafficAndChargesOverhead) {
       return 2;  // pretend two records were made
     }
   } rec;
-  auto cfg = tiny_cfg(2);
-  cfg.monitor_event_cost_s = 1e-3;  // exaggerated, easy to observe
-  Engine eng(cfg);
+  Engine eng(tiny_cfg(2));
   eng.attach(rec, EngineObserver::kSendRecord);
   eng.run([](Ctx& ctx) {
     const Comm world = ctx.world();
     if (ctx.world_rank() == 0) {
       int v = 0;
       send(&v, 1, Type::Int, 1, 0, world);
-      // 2 records x 1e-3 + serialization 4/1e10 + send overhead 1e-7.
-      EXPECT_NEAR(ctx.now(), 2e-3 + 4.0 / 1e10 + 1e-7, 1e-12);
+      // 2 records + serialization 4/1e10 + send overhead 1e-7.
+      EXPECT_DOUBLE_EQ(ctx.now(), 2 * kMonitorEventCostS + 4.0 / 1e10 + 1e-7);
     } else {
       int v = 0;
       recv(&v, 1, Type::Int, 0, 0, world);

@@ -1,10 +1,11 @@
-// Fabric-layer suite: strict MPIM_TOPO/EngineConfig::fabric spec parsing,
-// structural route/hop-distance properties of all three fabric kinds,
-// balanced-tree bit-identity of the fabric-backed cost model, per-link
-// contention bounds, the per-link-class mismatch decomposition, and
-// hierarchical TreeMatch over fabric hierarchies.
+// Fabric-layer suite: strict MPIM_TOPO spec parsing, structural
+// route/hop-distance properties of all three fabric kinds, balanced-tree
+// bit-identity of the fabric-backed cost model, per-link contention bounds,
+// the per-link-class mismatch decomposition (and the snapshot gauge built
+// on it), and hierarchical TreeMatch over fabric hierarchies.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <fstream>
 #include <set>
@@ -12,9 +13,13 @@
 #include <vector>
 
 #include "introspect/analyzer.h"
+#include "mpimon/mpi_monitoring.h"
+#include "mpimon/session.hpp"
+#include "mpimon/sim.h"
 #include "netmodel/cost_model.h"
 #include "reorder/reorder.h"
 #include "support/matrix.h"
+#include "telemetry/hub.h"
 #include "topo/fabric.h"
 #include "topo/topology.h"
 #include "treematch/affinity.h"
@@ -329,12 +334,16 @@ TEST(FabricMismatch, ClassBreakdownSumsToFabricByteHops) {
               static_cast<std::size_t>(fab->num_link_classes()));
     double sum = 0.0;
     for (double v : per_class) sum += v;
-    EXPECT_DOUBLE_EQ(sum,
-                     introspect::mismatch_byte_hops(bytes, *fab, place));
-    if (fab->kind() == FabricKind::tree)
-      EXPECT_EQ(introspect::mismatch_byte_hops(bytes, *fab, place),
-                introspect::mismatch_byte_hops(bytes, fab->hierarchy(),
-                                               place));
+    const double byte_hops = introspect::mismatch_byte_hops(bytes, *fab, place);
+    EXPECT_DOUBLE_EQ(sum, byte_hops);
+    if (fab->kind() != FabricKind::tree) continue;
+    // On a tree the fabric hops are the hierarchy's tree hops.
+    double tree_hops = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        tree_hops += static_cast<double>(bytes(i, j)) *
+                     fab->hierarchy().hop_distance(place[i], place[j]);
+    EXPECT_EQ(byte_hops, tree_hops);
   }
 }
 
@@ -371,6 +380,50 @@ TEST(FabricMismatch, ClassColumnsSurviveTheFramesCsvRoundTrip) {
   EXPECT_EQ(metrics[0].class_hops, frames[0].class_hops);
 }
 
+TEST(FabricMismatch, SnapshotGaugeCountsFabricByteHops) {
+  // Half-shift traffic on a dragonfly, where tree hops and route hops
+  // differ: the gauge get_frames refreshes must weigh the gathered bytes by
+  // fabric hops, like the per-class columns monview --timeline adds up.
+  auto fab = std::make_shared<DragonflyFabric>(2, 3, 2, false, 1, 2);
+  const int n = fab->num_leaves();
+  topo::Placement place(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) place[static_cast<std::size_t>(i)] = i;
+  Sim sim(mpi::EngineConfig{.cost_model = net::CostModel::for_fabric(fab),
+                            .placement = place});
+  sim.engine().telemetry().set_enabled(true);
+  constexpr int kMaxFrames = 16;
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  CommMatrix summed = CommMatrix::square(static_cast<std::size_t>(n));
+  sim.run([&](mpi::Ctx& ctx) {
+    const mpi::Comm world = ctx.world();
+    const int me = mpi::comm_rank(world);
+    mon::Environment env;
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_snapshot_start(id, 1e-3, kMaxFrames, MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    std::vector<char> buf(1000, 'x');
+    mpi::sendrecv(buf.data(), buf.size(), mpi::Type::Char, (me + n / 2) % n, 0,
+                  buf.data(), buf.size(), (me + n / 2) % n, 0, world);
+    mpi::compute(2e-3);  // close the window before suspend
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    int frames = 0;
+    std::vector<unsigned long> bytes(kMaxFrames * cells);
+    ASSERT_EQ(MPI_M_get_frames(id, kMaxFrames, &frames, nullptr, nullptr,
+                               MPI_M_DATA_IGNORE, bytes.data(),
+                               MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    if (me == 0)
+      for (std::size_t i = 0; i < static_cast<std::size_t>(frames) * cells; ++i)
+        summed.flat()[i % cells] += bytes[i];
+    ASSERT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+  });
+  ASSERT_GT(summed.sum(), 0u);
+  const telemetry::Hub& hub = sim.engine().telemetry();
+  EXPECT_EQ(hub.registry().gauge_value(hub.ids().introspect_mismatch_hops, 0),
+            std::llround(introspect::mismatch_byte_hops(summed, *fab, place)));
+}
+
 TEST(FabricMismatch, FabricAnalyzeWindowsFillsClassHops) {
   auto fab = std::make_shared<FatTreeFabric>(2, 2, 1, 1, 2);
   const std::size_t n = static_cast<std::size_t>(fab->num_leaves());
@@ -405,7 +458,7 @@ TEST(FabricTreeMatch, KeepsHeavyPairsUnderShallowRoutes) {
   // Light noise that would mislead a locality-blind packing.
   for (int i = 0; i < n; ++i) g.add_edge(i, (i + 5) % n, 1.0);
   g.finalize();
-  const std::vector<int> leaves = tm::treematch_leaves(g, *fab);
+  const std::vector<int> leaves = tm::treematch_leaves(g, fab->hierarchy());
   for (int i = 0; i + 1 < n; i += 2) {
     const int la = leaves[static_cast<std::size_t>(i)];
     const int lb = leaves[static_cast<std::size_t>(i + 1)];

@@ -197,19 +197,20 @@ TEST(Analyzer, HopDistanceCountsTreeEdges) {
 
 TEST(Analyzer, AffinityAndMismatchFollowThePlacement) {
   topo::Topology t({2, 1, 2}, {"node", "socket", "core"});
+  const topo::TreeFabric fab(t);
   CommMatrix bytes = CommMatrix::square(4);
   bytes(0, 1) = 100;  // neighbors under identity placement (hop 2)
   bytes(0, 2) = 50;   // across nodes (hop 6)
   topo::Placement ident = {0, 1, 2, 3};
   EXPECT_NEAR(introspect::neighbor_affinity_fraction(bytes, t, ident),
               100.0 / 150.0, 1e-12);
-  EXPECT_DOUBLE_EQ(introspect::mismatch_byte_hops(bytes, t, ident),
+  EXPECT_DOUBLE_EQ(introspect::mismatch_byte_hops(bytes, fab, ident),
                    100.0 * 2 + 50.0 * 6);
   // Swap ranks 1 and 2 on the machine: the heavy pair now spans nodes.
   topo::Placement swapped = {0, 2, 1, 3};
   EXPECT_NEAR(introspect::neighbor_affinity_fraction(bytes, t, swapped),
               50.0 / 150.0, 1e-12);
-  EXPECT_DOUBLE_EQ(introspect::mismatch_byte_hops(bytes, t, swapped),
+  EXPECT_DOUBLE_EQ(introspect::mismatch_byte_hops(bytes, fab, swapped),
                    100.0 * 6 + 50.0 * 2);
 }
 
@@ -223,14 +224,12 @@ TEST(Analyzer, TreematchGainPositiveForScatteredPairs) {
   bytes(0, 1) = bytes(1, 0) = 1000000;
   bytes(2, 3) = bytes(3, 2) = 1000000;
   topo::Placement scattered = {0, 2, 1, 3};
-  const double gain =
-      introspect::treematch_gain(bytes, t, scattered, cost);
+  const double gain = introspect::treematch_gain(bytes, scattered, cost);
   EXPECT_GT(gain, 0.0);
   EXPECT_LE(gain, 1.0);
   // A zero matrix has nothing to gain.
   EXPECT_DOUBLE_EQ(
-      introspect::treematch_gain(CommMatrix::square(4), t, scattered, cost),
-      0.0);
+      introspect::treematch_gain(CommMatrix::square(4), scattered, cost), 0.0);
 }
 
 TEST(Analyzer, WindowMetricsFlagTheSameBoundariesAsTheSampler) {

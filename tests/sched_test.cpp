@@ -3,9 +3,10 @@
 // scheduled ucontext fibers of one thread (EngineConfig::sched /
 // MPIM_SCHED). The sweep covers plain p2p + collectives, NIC contention,
 // fault plans, crash + shrink + rebind recovery, and the critical-path
-// profiler's labels; fiber-only cases check the structural deadlock
-// detector, timed receives, rerun determinism, and a np=512 recovery world
-// no thread backend could drive on this host.
+// profiler's labels; two golden-clock cases pin the tree fabric and every
+// collective family plus a monitored session; fiber-only cases check the
+// structural deadlock detector, timed receives, rerun determinism, and a
+// np=512 recovery world no thread backend could drive on this host.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -309,6 +310,73 @@ TEST(SchedParity, TreeFabricReproducesPreFabricClocks) {
       eng.run(workload);
       EXPECT_EQ(eng.final_clocks(), contention ? want_contended : want_plain)
           << "contention=" << contention << " mode=" << sched_mode_name(mode);
+    }
+  }
+}
+
+TEST(SchedParity, CollectivesAndMonitoredSessionKeepGoldenClocks) {
+  // Golden clocks (hexfloat-exact) of every collective family on 10 ranks
+  // by-node over plafrim_like(3) with NIC contention: ring and Bruck
+  // allgather, then one monitored session whose charged records and OS
+  // noise move the clocks. Both backends must reproduce them bit for bit.
+  const std::vector<double> want_ring = {
+      0x1.8e2cd96ae882cp-14, 0x1.89fb1b82bb076p-14, 0x1.925e975315fe2p-14,
+      0x1.933556e7ebe3ap-14, 0x1.92c9f71d80f0ep-14, 0x1.8e98393553758p-14,
+      0x1.8e4c5880bccap-14,  0x1.89fb1b82bb076p-14, 0x1.8dc179a07d9p-14,
+      0x1.8e98393553758p-14};
+  const std::vector<double> want_bruck = {
+      0x1.759b5340ec0f7p-14, 0x1.71699558be941p-14, 0x1.79cd1129198adp-14,
+      0x1.7aa3d0bdef705p-14, 0x1.7a3870f3847d9p-14, 0x1.7606b30b57023p-14,
+      0x1.75bad256c056bp-14, 0x1.71699558be941p-14, 0x1.752ff376811cbp-14,
+      0x1.7606b30b57023p-14};
+  const std::vector<double> want_monitored = {
+      0x1.b520a8040de78p-14, 0x1.b18baca4b912dp-14, 0x1.b94ce1e786208p-14,
+      0x1.ba984c1b16be4p-14, 0x1.b9d83de437172p-14, 0x1.b5fb2e687e502p-14,
+      0x1.b53b20319ea9p-14,  0x1.b0dddf5059e5p-14,  0x1.b518a935c137fp-14,
+      0x1.b628ca575180fp-14};
+  const auto workload = [](Ctx& ctx, bool monitored) {
+    const Comm world = ctx.world();
+    const int n = comm_size(world);
+    const int me = comm_rank(world);
+    MPI_M_msid id = -1;
+    if (monitored) {
+      ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+      ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    }
+    compute(1e-5 * (me % 3 + 1));
+    std::vector<long> mine(64, me), out(64 * static_cast<std::size_t>(n));
+    reduce(mine.data(), out.data(), 64, Type::Long, Op::Sum, n - 1, world);
+    gather(mine.data(), 64, Type::Long, out.data(), 1, world);
+    scatter(out.data(), 64, Type::Long, mine.data(), 1, world);
+    allgather(mine.data(), 64, Type::Long, out.data(), world);
+    alltoall(out.data(), 64 / n, Type::Long, mine.data(), world);
+    scan(mine.data(), out.data(), 64, Type::Long, Op::Sum, world);
+    exscan(mine.data(), out.data(), 64, Type::Long, Op::Max, world);
+    allreduce(mine.data(), out.data(), 64, Type::Long, Op::Sum, world);
+    bcast(out.data(), 64, Type::Long, 2, world);
+    barrier(world);
+    if (monitored) {
+      ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+      ASSERT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+      ASSERT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+    }
+  };
+  for (const SchedMode mode : {SchedMode::threads, SchedMode::fibers}) {
+    for (const auto* want : {&want_ring, &want_bruck, &want_monitored}) {
+      const bool monitored = want == &want_monitored;
+      auto cost = net::CostModel::plafrim_like(/*nodes=*/3);
+      EngineConfig cfg{.cost_model = cost,
+                       .placement = topo::bynode_placement(10, cost.topology())};
+      cfg.nic_contention = true;
+      cfg.nic_port_beta_scale = 2.0;
+      cfg.sched = mode;
+      if (want == &want_bruck) cfg.coll.allgather = AllgatherAlgo::bruck;
+      if (monitored) cfg.os_noise_s = 2e-7;
+      Engine eng(cfg);
+      mpit::Runtime tool(eng);
+      eng.run([&](Ctx& ctx) { workload(ctx, monitored); });
+      EXPECT_EQ(eng.final_clocks(), *want)
+          << "monitored=" << monitored << " mode=" << sched_mode_name(mode);
     }
   }
 }
