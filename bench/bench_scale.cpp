@@ -1,8 +1,11 @@
 // World-size scaling of the two engine backends (EngineConfig::sched):
 // one OS thread per rank vs cooperatively scheduled ucontext fibers of a
-// single thread.
+// single thread, plus a third lane running fibers with the figure benches'
+// NIC contention settings (nic_contention on, port scale 2.0;
+// bench_common.h plafrim_config), where every inter-node send passes the
+// engine's min-clock gate.
 //
-// Table (scale_sweep): per (backend, np) -- wall time of a fixed
+// Table (scale_sweep): per (lane, np) -- wall time of a fixed
 // ring-sendrecv + allreduce workload, peak-RSS growth per rank across the
 // run (getrusage ru_maxrss delta; cumulative-peak semantics, so the
 // ascending np order keeps each row meaningful), and sendrecv events per
@@ -24,10 +27,12 @@
 // the measured costs, not the lane bounds, decide the ratio.
 //
 // Acceptance: the largest practical fiber world must be >= 8x the largest
-// practical thread world. Emits results/BENCH_scale.json via the
-// bench_common mirror so scripts/bench_trend.py tracks the trajectory
-// (informational metrics; the hot-path gates live in
-// bench_record/bench_micro).
+// practical thread world (both contention off; full run only), and the
+// contended fiber lane must be practical at its largest size (np=65536,
+// np=1024 in quick mode): the paper's figures all run with contention on.
+// Emits results/BENCH_scale.json via the bench_common mirror so
+// scripts/bench_trend.py tracks the trajectory (informational metrics; the
+// hot-path gates live in bench_record/bench_micro).
 #include <sys/resource.h>
 
 #include <chrono>
@@ -72,7 +77,7 @@ struct RunCost {
   bool completed = false;
 };
 
-RunCost measure(mpi::SchedMode mode, int nranks, int iters,
+RunCost measure(mpi::SchedMode mode, bool contended, int nranks, int iters,
                 std::size_t bytes) {
   auto cost = net::CostModel::plafrim_like(bench::nodes_for_ranks(nranks));
   auto placement = topo::round_robin_placement(nranks, cost.topology());
@@ -80,9 +85,10 @@ RunCost measure(mpi::SchedMode mode, int nranks, int iters,
                         .placement = std::move(placement)};
   cfg.watchdog_wall_timeout_s = 120.0;
   cfg.sched = mode;
-  // Contention off: this sweep measures the execution backends, not the
-  // NIC model (whose min-clock gate serializes sends in both modes).
-  cfg.nic_contention = false;
+  // Contention off measures the execution backends alone; on, it adds the
+  // NIC model, whose min-clock gate serializes sends in both modes.
+  cfg.nic_contention = contended;
+  cfg.nic_port_beta_scale = 2.0;  // read only with contention on
   RunCost out;
   const long rss0 = peak_rss_kib();
   const auto t0 = std::chrono::steady_clock::now();
@@ -100,19 +106,21 @@ RunCost measure(mpi::SchedMode mode, int nranks, int iters,
 /// event (see the file comment for the derivation).
 constexpr double kMaxUsPerEvent = 50.0;
 
-/// Walks one backend's lane in ascending np order, recording a row per
-/// size, until a size is impractical (budget blown or per-event cost over
+/// Walks one lane in ascending np order, recording a row per size, until a
+/// size is impractical (budget blown or per-event cost over
 /// kMaxUsPerEvent). Returns the largest practical np.
-int run_lane(Table& t, mpi::SchedMode mode, const std::vector<int>& nps,
-             int iters, std::size_t bytes, double budget_s) {
-  const char* name = mpi::sched_mode_name(mode);
+int run_lane(Table& t, mpi::SchedMode mode, bool contended,
+             const std::vector<int>& nps, int iters, std::size_t bytes,
+             double budget_s) {
+  const std::string name =
+      std::string(mpi::sched_mode_name(mode)) + (contended ? "_contended" : "");
   int max_np = 0;
   for (int np : nps) {
-    const RunCost c = measure(mode, np, iters, bytes);
+    const RunCost c = measure(mode, contended, np, iters, bytes);
     const double nevents = 2.0 * static_cast<double>(np) * iters;
     const double events_per_s = nevents / c.wall_s;
     const double us_per_event = c.wall_s * 1e6 / nevents;
-    t.add(std::string(name) + "_np" + std::to_string(np),
+    t.add(name + "_np" + std::to_string(np),
           format_sig(c.wall_s * 1e3, 4),
           format_sig(static_cast<double>(c.rss_delta_kib) / np, 4),
           format_sig(events_per_s, 4));
@@ -153,6 +161,9 @@ int main(int argc, char** argv) {
   const std::vector<int> fiber_nps =
       opt.quick ? std::vector<int>{64, 256, 1024}
                 : std::vector<int>{64, 256, 1024, 4096, 16384, 65536};
+  const std::vector<int> contended_nps =
+      opt.quick ? std::vector<int>{64, 256, 1024}
+                : std::vector<int>{1024, 4096, 16384, 65536};
 
   bench::banner("engine backend scaling: ring sendrecv x" +
                 std::to_string(iters) + ", " + std::to_string(bytes) +
@@ -162,18 +173,24 @@ int main(int argc, char** argv) {
            "sendrecv_events_per_s"});
 
   const int max_thread_np =
-      run_lane(t, mpi::SchedMode::threads, thread_nps, iters, bytes, budget_s);
+      run_lane(t, mpi::SchedMode::threads, /*contended=*/false, thread_nps,
+               iters, bytes, budget_s);
   if (!opt.quick && max_thread_np == thread_nps.back())
     std::cout << "threads: lane capped at np=" << max_thread_np
               << " (np=8192 wedges on the host task limit; see comment)\n";
   const int max_fiber_np =
-      run_lane(t, mpi::SchedMode::fibers, fiber_nps, iters, bytes, budget_s);
+      run_lane(t, mpi::SchedMode::fibers, /*contended=*/false, fiber_nps,
+               iters, bytes, budget_s);
+  const int max_contended_np =
+      run_lane(t, mpi::SchedMode::fibers, /*contended=*/true, contended_nps,
+               iters, bytes, budget_s);
   t.print(std::cout);
   bench::maybe_csv(opt, t, "scale_sweep");
 
   Table m({"metric", "value"});
   m.add("max_practical_thread_np", max_thread_np);
   m.add("max_practical_fiber_np", max_fiber_np);
+  m.add("max_practical_contended_fiber_np", max_contended_np);
   m.add("fiber_over_thread_ratio",
         format_sig(max_thread_np > 0 ? static_cast<double>(max_fiber_np) /
                                            max_thread_np
@@ -184,10 +201,14 @@ int main(int argc, char** argv) {
 
   // Quick mode probes fewer sizes; the >= 8x claim only holds against the
   // full lanes, so only the full run gates on it.
-  const bool ok =
+  const bool ratio_ok =
       opt.quick || (max_thread_np > 0 && max_fiber_np >= 8 * max_thread_np);
   std::cout << "\nacceptance: fiber world >= 8x practical thread world: "
-            << (ok ? "ok" : "FAIL") << " (threads " << max_thread_np
+            << (ratio_ok ? "ok" : "FAIL") << " (threads " << max_thread_np
             << ", fibers " << max_fiber_np << ")\n";
-  return ok ? 0 : 1;
+  const bool contended_ok = max_contended_np == contended_nps.back();
+  std::cout << "acceptance: contended fiber lane practical at np="
+            << contended_nps.back() << ": " << (contended_ok ? "ok" : "FAIL")
+            << " (largest practical " << max_contended_np << ")\n";
+  return ratio_ok && contended_ok ? 0 : 1;
 }

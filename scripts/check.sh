@@ -34,9 +34,12 @@
 #                    trend gate
 #   --scale-only     scheduler backends (thread-vs-fiber clock bit-identity,
 #                    MPIM_SCHED parsing, fiber deadlock detection, np=512-1024
-#                    fiber worlds; asan exercises the fiber stack-switch
-#                    annotations, tsan the thread-mode halves of the parity
-#                    sweep); bench_scale's >= 8x world-size acceptance
+#                    fiber worlds, min-clock gate tree vs its linear oracle;
+#                    asan exercises the fiber stack-switch annotations, tsan
+#                    the thread-mode halves of the parity sweep);
+#                    bench_scale --quick: thread, fiber and contended fiber
+#                    lanes (the >= 8x and np=65536 acceptances gate the full
+#                    run only)
 #
 # Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|<lane flag>]
 set -euo pipefail

@@ -424,15 +424,9 @@ void Engine::sched_update_locked(int rank, Sched::St st, double clock) {
   auto& entry = sched_.entries[static_cast<std::size_t>(rank)];
   entry.st = st;
   entry.clock = clock;
-  int best = -1;
-  for (int r = 0; r < world_size(); ++r) {
-    const auto& e = sched_.entries[static_cast<std::size_t>(r)];
-    if (e.st == Sched::St::blocked || e.st == Sched::St::done) continue;
-    if (best < 0 ||
-        e.clock < sched_.entries[static_cast<std::size_t>(best)].clock)
-      best = r;
-  }
-  sched_.min_rank = best;
+  sched_.tree.update(rank, clock,
+                     st != Sched::St::blocked && st != Sched::St::done);
+  const int best = sched_.tree.min_rank();
   if (best >= 0 &&
       sched_.entries[static_cast<std::size_t>(best)].st == Sched::St::gate) {
     if (fiber_ != nullptr)
@@ -495,7 +489,7 @@ void Engine::run(const std::function<void(Ctx&)>& rank_main) {
       for (int r = 0; r < n; ++r)
         sched_.cvs.push_back(std::make_unique<std::condition_variable>());
     }
-    sched_.min_rank = 0;
+    sched_.tree.reset(n);  // every rank running at clock 0: rank 0 leads
   }
   link_busy_.assign(static_cast<std::size_t>(fabric().num_links()), 0.0);
   run_ctx_.assign(static_cast<std::size_t>(n), nullptr);
@@ -938,7 +932,7 @@ double Ctx::contended_transfer(int leaf_src, int leaf_dst, double tx_s,
   const int me = world_rank_;
   std::unique_lock lock(sched.mx);
   engine_->sched_update_locked(me, Engine::Sched::St::gate, clock_);
-  while (sched.min_rank != me) {
+  while (sched.tree.min_rank() != me) {
     if (engine_->abort_.load()) {
       engine_->sched_update_locked(me, Engine::Sched::St::done, clock_);
       throw AbortError();

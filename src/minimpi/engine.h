@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "minimpi/comm.h"
+#include "minimpi/min_clock_tree.h"
 #include "minimpi/types.h"
 #include "netmodel/cost_model.h"
 #include "netmodel/nic_counters.h"
@@ -454,11 +455,14 @@ class Engine {
     std::mutex mx;
     std::vector<Entry> entries;
     std::vector<std::unique_ptr<std::condition_variable>> cvs;
-    int min_rank = -1;  ///< arg-min (clock, rank) over running/gate entries
+    /// Arg-min (clock, rank) over the running/gate/pending entries; its
+    /// root is the rank allowed to send next.
+    MinClockTree tree;
   };
 
-  /// Requires sched_.mx held: updates one entry, recomputes the min and
-  /// wakes the new minimum if it is waiting at the gate.
+  /// Requires sched_.mx held: updates one entry, replays its path in the
+  /// min-clock tree (O(log np)) and wakes the new minimum if it is waiting
+  /// at the gate.
   void sched_update_locked(int rank, Sched::St st, double clock);
 
   Sched sched_;

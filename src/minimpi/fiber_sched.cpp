@@ -60,12 +60,16 @@ FiberSched::FiberSched(int nranks, std::size_t stack_bytes,
   // stacks live in ONE lazy anonymous mapping -- [guard|stack] x n -- so
   // the address space cost is virtual, not RSS, and (with madvise guards;
   // see slab_base_ in the header) the VMA cost is constant, not O(n).
+  // MAP_NORESERVE keeps it lazy under the default heuristic overcommit,
+  // which refuses any single mapping larger than RAM + swap (np=65536 x
+  // 256 KiB is 16 GiB); pages still commit on first touch.
   stack_bytes_ = ((stack_bytes + page - 1) / page) * page;
   if (stack_bytes_ < 4 * page) stack_bytes_ = 4 * page;
   const std::size_t stride = stack_bytes_ + page;
   slab_bytes_ = stride * static_cast<std::size_t>(n_);
-  void* base = ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK, -1, 0);
+  void* base =
+      ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
+             MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
   check(base != MAP_FAILED, "fiber stack slab mmap failed");
   slab_base_ = static_cast<char*>(base);
 

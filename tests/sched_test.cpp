@@ -3,16 +3,25 @@
 // scheduled ucontext fibers of one thread (EngineConfig::sched /
 // MPIM_SCHED). The sweep covers plain p2p + collectives, NIC contention,
 // fault plans, crash + shrink + rebind recovery, and the critical-path
-// profiler's labels; two golden-clock cases pin the tree fabric and every
-// collective family plus a monitored session; fiber-only cases check the
-// structural deadlock detector, timed receives, rerun determinism, and a
-// np=512 recovery world no thread backend could drive on this host.
+// profiler's labels; three golden-clock cases pin the tree fabric, every
+// collective family plus a monitored session, and a np=1000 contended
+// world deep in the min-clock gate's tree. The gate's tree is also checked
+// against the linear arg-min it replaced. Fiber-only cases check the
+// structural deadlock detector, timed receives, rerun determinism, a
+// stack slab larger than the host's memory, and a np=512 recovery world no
+// thread backend could drive on a small host.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -21,7 +30,9 @@
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
+#include "minimpi/fiber_sched.h"
 #include "minimpi/ft.h"
+#include "minimpi/min_clock_tree.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
 
@@ -381,6 +392,146 @@ TEST(SchedParity, CollectivesAndMonitoredSessionKeepGoldenClocks) {
   }
 }
 
+/// FNV-1a (64-bit) over the bit patterns of every clock, low byte first:
+/// one number that pins a whole world's final clocks.
+std::uint64_t clock_bits_hash(const std::vector<double>& clocks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double c : clocks) {
+    const auto bits = std::bit_cast<std::uint64_t>(c);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(SchedParity, DeepGateTreeKeepsGoldenClocks) {
+  // Golden clocks captured on the linear-scan gate: a contended world
+  // deep enough that the min-clock tree has 10 levels (np=1000), on
+  // plafrim_like with a seeded random placement. Ring sendrecv with
+  // per-rank compute skew, a gather to rank 0 and an allreduce; no
+  // MPI_ANY_SOURCE, so thread-mode matching stays deterministic. The
+  // max final clock is pinned as a hexfloat, every clock by its hash.
+  struct Golden {
+    int np;
+    SchedMode mode;
+    double max_clock;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {1000, SchedMode::fibers, 0x1.3d4986d6ee894p-14, 0x0ea3e2436fdfd0c7ull},
+      {96, SchedMode::threads, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
+      {96, SchedMode::fibers, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
+  };
+  const auto workload = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int n = comm_size(world);
+    const int me = comm_rank(world);
+    std::vector<double> buf(128, static_cast<double>(me));
+    for (int it = 0; it < 3; ++it) {
+      compute(1e-6 * (me % 7 + 1));
+      sendrecv(buf.data(), buf.size(), Type::Double, (me + 1) % n, it,
+               buf.data(), buf.size(), (me + n - 1) % n, it, world);
+    }
+    std::vector<long> mine(16, me);
+    std::vector<long> all(me == 0 ? 16 * static_cast<std::size_t>(n) : 0);
+    gather(mine.data(), mine.size(), Type::Long, all.data(), 0, world);
+    if (me == 0) {
+      EXPECT_EQ(all.back(), n - 1);
+    }
+    long v = me, sum = 0;
+    allreduce(&v, &sum, 1, Type::Long, Op::Sum, world);
+    EXPECT_EQ(sum, static_cast<long>(n) * (n - 1) / 2);
+  };
+  for (const Golden& g : goldens) {
+    // 24 ranks per node, like the figure benches.
+    auto cost = net::CostModel::plafrim_like((g.np + 23) / 24);
+    EngineConfig cfg{
+        .cost_model = cost,
+        .placement = topo::random_placement(g.np, cost.topology(), 11)};
+    cfg.nic_contention = true;
+    cfg.nic_port_beta_scale = 2.0;
+    cfg.sched = g.mode;
+    Engine eng(cfg);
+    eng.run(workload);
+    const auto& clocks = eng.final_clocks();
+    const double max_clock = *std::max_element(clocks.begin(), clocks.end());
+    const std::string where =
+        "np=" + std::to_string(g.np) + " mode=" + sched_mode_name(g.mode);
+    EXPECT_EQ(max_clock, g.max_clock)
+        << where << ": " << std::hexfloat << max_clock;
+    EXPECT_EQ(clock_bits_hash(clocks), g.hash)
+        << where << ": 0x" << std::hex << clock_bits_hash(clocks);
+  }
+}
+
+// --- min-clock gate: tournament tree vs the linear arg-min --------------------
+
+TEST(SchedGate, MinClockTreeMatchesLinearArgMin) {
+  // The gate's five entry states; blocked and done ranks sit out.
+  enum class St { running, gate, blocked, pending, done };
+  struct Entry {
+    double clock = 0.0;
+    St st = St::running;
+  };
+  // The linear scan the tree replaced, kept as the reference: the first
+  // rank holding the strictly smallest clock among the ranks taking part.
+  const auto linear_min_rank = [](const std::vector<Entry>& entries) {
+    int best = -1;
+    for (int r = 0; r < static_cast<int>(entries.size()); ++r) {
+      const Entry& e = entries[static_cast<std::size_t>(r)];
+      if (e.st == St::blocked || e.st == St::done) continue;
+      if (best < 0 || e.clock < entries[static_cast<std::size_t>(best)].clock)
+        best = r;
+    }
+    return best;
+  };
+  // Few distinct clocks, so ties are the common case; +inf checks that a
+  // present rank at +inf still beats an absent one.
+  const double kClocks[] = {0.0, 1e-6, 2.5e-6, 3e-6,
+                            std::numeric_limits<double>::infinity()};
+  std::mt19937_64 rng(20201020);
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  for (const int np : {1, 2, 3, 10, 37, 4096}) {
+    SCOPED_TRACE("np=" + std::to_string(np));
+    std::vector<Entry> entries(static_cast<std::size_t>(np));
+    MinClockTree tree;
+    tree.reset(np);
+    EXPECT_EQ(tree.min_rank(), 0);
+    int updates = 0, mismatches = 0;
+    const auto set = [&](int r, St st, double clock) {
+      entries[static_cast<std::size_t>(r)] = {clock, st};
+      tree.update(r, clock, st != St::blocked && st != St::done);
+      ++updates;
+      const int want = linear_min_rank(entries);
+      if (tree.min_rank() != want && mismatches++ == 0)
+        ADD_FAILURE() << "update " << updates << ": tree says "
+                      << tree.min_rank() << ", the scan " << want;
+    };
+    std::vector<int> order(static_cast<std::size_t>(np));
+    for (int r = 0; r < np; ++r) order[static_cast<std::size_t>(r)] = r;
+    // Random updates over all five states.
+    for (int i = 0; i < 4000; ++i)
+      set(static_cast<int>(pick(static_cast<std::size_t>(np))),
+          static_cast<St>(pick(5)), kClocks[pick(std::size(kClocks))]);
+    // Drain: every rank blocks or finishes; then nobody may send.
+    std::shuffle(order.begin(), order.end(), rng);
+    for (const int r : order)
+      set(r, pick(2) == 0 ? St::blocked : St::done,
+          entries[static_cast<std::size_t>(r)].clock);
+    EXPECT_EQ(tree.min_rank(), -1);
+    // Refill in random order with the states that take part.
+    std::shuffle(order.begin(), order.end(), rng);
+    const St live[] = {St::running, St::gate, St::pending};
+    for (const int r : order)
+      set(r, live[pick(3)], kClocks[pick(std::size(kClocks))]);
+    EXPECT_EQ(mismatches, 0) << "over " << updates << " updates";
+  }
+}
+
 TEST(SchedEnv, StrictTopoParseSelectsFabricAndRejectsGarbage) {
   auto cfg = sched_cfg(4);
   const auto fabric_kind_after_run = [&] {
@@ -448,6 +599,35 @@ TEST(SchedFibers, StructuralDeadlockIsReportedWithoutWallTimeout) {
       << report;
   EXPECT_TRUE(contains(report, "rank 1: blocked in recv(src=0, tag=5"))
       << report;
+}
+
+TEST(SchedFibers, StackSlabLargerThanMemoryStillMaps) {
+  // The fiber stacks are one lazy mapping. Under the default heuristic
+  // overcommit (vm.overcommit_memory=0) Linux refuses a single mapping
+  // larger than RAM + swap unless it is MAP_NORESERVE; strict accounting
+  // (2) ignores that flag, so the case says nothing there.
+  std::string overcommit;
+  std::ifstream("/proc/sys/vm/overcommit_memory") >> overcommit;
+  if (overcommit == "2")
+    GTEST_SKIP() << "strict overcommit accounting ignores MAP_NORESERVE";
+  std::size_t swap_kib = 0;
+  std::ifstream meminfo("/proc/meminfo");
+  for (std::string token; meminfo >> token;)
+    if (token == "SwapTotal:") {
+      meminfo >> swap_kib;
+      break;
+    }
+  const std::size_t memory =
+      static_cast<std::size_t>(::sysconf(_SC_PHYS_PAGES)) *
+          static_cast<std::size_t>(::sysconf(_SC_PAGESIZE)) +
+      swap_kib * 1024;
+  // Four stacks of half of RAM + swap each: twice what the host can back.
+  // Trivial bodies touch a few pages of each.
+  FiberSched sched(4, memory / 2, [](int) {});
+  std::vector<int> ran;
+  sched.run([&ran](int r) { ran.push_back(r); },
+            [](int reporter) { ADD_FAILURE() << "stall at " << reporter; });
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
 }
 
 TEST(SchedFibers, TimedReceiveTimesOutAndDeliversLate) {
