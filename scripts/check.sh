@@ -17,8 +17,9 @@
 # presets, then its end-to-end example and bench acceptance check on the
 # default build.
 #   --recovery-only  ULFM shrink/ack/agree, session rebind, degradation
-#                    governor; faulty_reorder crash-shrink-recover,
-#                    bench_recovery
+#                    governor, failure-aware gathers and reorder (with NIC
+#                    contention on, both backends); faulty_reorder
+#                    crash-shrink-recover, bench_recovery
 #   --stream-only    streaming plane (ingest rings, sketches, correlation,
 #                    exporter teardown); stream_monitor fault-injected run,
 #                    monview --live render, bench_stream + trend gate

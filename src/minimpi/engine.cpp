@@ -194,7 +194,6 @@ void Engine::deliver(InFlight msg) {
   {
     std::lock_guard lock(dst.mutex);
     dst.inbox.push_back(std::move(msg));
-    ++dst.inbox_version;
     if (hub_.enabled()) {
       const telemetry::StdIds& ids = hub_.ids();
       hub_.registry().observe(ids.engine_inbox_depth, dst_rank,
@@ -736,11 +735,6 @@ void Ctx::ack_failure_bitmap(const Comm& comm,
     if (dead_by_group[g] != 0) acked[g] = 1;
 }
 
-void Ctx::observe_rank_failure(int world_rank) {
-  const double when = engine_->dead_time(world_rank);
-  if (when >= 0.0) clock_ = std::max(clock_, when);
-}
-
 std::uint32_t Ctx::next_coll_seq(const Comm& comm) {
   return coll_seq_[comm.context_id()]++;
 }
@@ -1036,19 +1030,25 @@ namespace {
 /// failures thrown out of the wait predicate.
 struct BlockedGuard {
   std::atomic<int>& counter;
-  explicit BlockedGuard(std::atomic<int>& c) : counter(c) {
-    counter.fetch_add(1);
+  const int n;
+  BlockedGuard(std::atomic<int>& c, int count) : counter(c), n(count) {
+    counter.fetch_add(n);
   }
-  ~BlockedGuard() { counter.fetch_sub(1); }
+  ~BlockedGuard() { counter.fetch_sub(n); }
 };
 
 }  // namespace
 
 template <typename Pred>
-void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
+bool Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready,
+                        std::chrono::steady_clock::time_point deadline) {
   using namespace std::chrono_literals;
+  using Clock = std::chrono::steady_clock;
   auto& st = engine_->rank_state(world_rank_);
-  BlockedGuard blocked_guard(engine_->blocked_);
+  // A timed wait always ends on its own: it must not let a peer's watchdog
+  // declare a deadlock while it merely waits out its deadline.
+  const bool timed = deadline != Clock::time_point::max();
+  BlockedGuard blocked_guard(engine_->blocked_, timed ? 0 : 1);
   // Blocked ranks cannot issue sends; exclude us from the min-clock gate
   // so earlier senders are not stalled (we will resume with a clock at
   // least as large as the send that wakes us). The guard re-registers us
@@ -1084,6 +1084,7 @@ void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
                                      clock_);
     }
     if (engine_->abort_.load()) throw AbortError();
+    if (timed && Clock::now() >= deadline) return false;
     if (engine_->fiber_ != nullptr) {
       // Cooperative yield: the predicate just failed under the rank mutex,
       // and nothing else can run until block() switches to the scheduler,
@@ -1091,11 +1092,16 @@ void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
       // wall-clock watchdog below is unnecessary here -- a true deadlock
       // empties the scheduler's ready queue and is reported instantly.
       lock.unlock();
-      engine_->fiber_->block(clock_);
+      if (timed)
+        engine_->fiber_->block_until(clock_, deadline);
+      else
+        engine_->fiber_->block(clock_);
       lock.lock();
       continue;
     }
-    if (st.cv.wait_for(lock, 200ms) == std::cv_status::timeout) {
+    if (st.cv.wait_until(lock, std::min(deadline, Clock::now() + 200ms)) ==
+            std::cv_status::timeout &&
+        !timed) {
       waited_s += 0.2;
       const std::uint64_t progress = engine_->deliveries_.load();
       if (progress != last_progress) {
@@ -1113,6 +1119,7 @@ void Ctx::wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready) {
       }
     }
   }
+  return true;
 }
 
 namespace {
@@ -1133,36 +1140,11 @@ struct PendingGuard {
 
 Status Ctx::recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
                        void* buf, std::size_t capacity) {
-  check(!comm.is_null(), "recv on null communicator");
-  check(comm.contains_world(world_rank_), "receiver not in communicator");
-  fault_check();
-  auto& st = engine_->rank_state(world_rank_);
   Status status;
-  std::unique_lock lock(st.mutex);
-  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, &status)) {
-    lock.unlock();
-    fault_check();
-    epoch_check();
-    return status;
-  }
-  if (src_world != kAnySource && engine_->rank_dead(src_world))
+  if (recv_bytes_wait(src_world, comm, tag, kind, buf, capacity, &status,
+                      std::numeric_limits<double>::infinity()) ==
+      RecvWait::peer_dead)
     raise_peer_dead(src_world, comm, tag);
-  if (kind != CommKind::tool && engine_->comm_revoked(comm))
-    raise_revoked(comm, "recv");
-  const Engine::PendingOp op{Engine::PendingOp::What::recv, src_world, tag,
-                             kind, comm.context_id(), clock_};
-  PendingGuard pending_guard(engine_, world_rank_, op);
-  bool done = false;
-  wait_on_inbox(lock, [&] {
-    done = match_and_complete(src_world, comm, tag, kind, buf, capacity,
-                              &status);
-    if (!done && src_world != kAnySource && engine_->rank_dead(src_world))
-      raise_peer_dead(src_world, comm, tag);
-    if (!done && kind != CommKind::tool && engine_->comm_revoked(comm))
-      raise_revoked(comm, "recv");
-    return done;
-  });
-  lock.unlock();
   fault_check();
   epoch_check();
   return status;
@@ -1172,49 +1154,41 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
                                    CommKind kind, void* buf,
                                    std::size_t capacity, Status* status,
                                    double wall_timeout_s) {
-  using namespace std::chrono_literals;
   check(!comm.is_null(), "recv on null communicator");
   check(comm.contains_world(world_rank_), "receiver not in communicator");
   check(wall_timeout_s >= 0.0, "negative receive timeout");
   fault_check();
   auto& st = engine_->rank_state(world_rank_);
   std::unique_lock lock(st.mutex);
-  if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status))
-    return RecvWait::ok;
+  RecvWait outcome = RecvWait::timeout;
+  const auto ready = [&] {
+    if (match_and_complete(src_world, comm, tag, kind, buf, capacity,
+                           status)) {
+      outcome = RecvWait::ok;
+      return true;
+    }
+    if (src_world != kAnySource && engine_->rank_dead(src_world)) {
+      // The peer can never send: complete at its crash time so what
+      // follows still runs at a deterministic virtual clock.
+      clock_ = std::max(clock_, engine_->dead_time(src_world));
+      outcome = RecvWait::peer_dead;
+      return true;
+    }
+    if (kind != CommKind::tool && engine_->comm_revoked(comm))
+      raise_revoked(comm, "recv");
+    return false;
+  };
+  if (ready()) return outcome;
   const Engine::PendingOp op{Engine::PendingOp::What::recv, src_world, tag,
                              kind, comm.context_id(), clock_};
   PendingGuard pending_guard(engine_, world_rank_, op);
-  // Deliberately NOT counted in Engine::blocked_: a timed wait always makes
-  // progress eventually, so it must not let a peer's watchdog declare a
-  // deadlock while we are merely waiting out the timeout.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                            std::chrono::duration<double>(wall_timeout_s));
-  while (true) {
-    if (match_and_complete(src_world, comm, tag, kind, buf, capacity, status))
-      return RecvWait::ok;
-    if (src_world != kAnySource && engine_->rank_dead(src_world)) {
-      // The peer can never contribute: complete at its crash time so the
-      // degraded result still has a deterministic virtual clock.
-      clock_ = std::max(clock_, engine_->dead_time(src_world));
-      return RecvWait::peer_dead;
-    }
-    if (kind != CommKind::tool && engine_->comm_revoked(comm))
-      raise_revoked(comm, "recv_wait");
-    if (engine_->abort_.load()) throw AbortError();
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) return RecvWait::timeout;
-    if (engine_->fiber_ != nullptr) {
-      // Timed cooperative yield: a delivery, crash, revoke or abort wakes
-      // us via FiberSched::wake; otherwise the scheduler hands the core
-      // back once the wall deadline passes and we report the timeout.
-      lock.unlock();
-      engine_->fiber_->block_until(clock_, deadline);
-      lock.lock();
-      continue;
-    }
-    st.cv.wait_until(lock, std::min(deadline, now + 200ms));
-  }
+  auto deadline = std::chrono::steady_clock::time_point::max();
+  if (wall_timeout_s < std::numeric_limits<double>::infinity())
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(wall_timeout_s));
+  wait_on_inbox(lock, ready, deadline);
+  return outcome;
 }
 
 bool Ctx::try_recv_bytes(int src_world, const Comm& comm, int tag,

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -395,7 +396,6 @@ class Engine {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<InFlight> inbox;
-    std::uint64_t inbox_version = 0;  ///< bumped on every push
   };
 
   RankState& rank_state(int world_rank) {
@@ -568,11 +568,11 @@ class Ctx {
   /// recv_bytes. No clock charge on failure.
   bool try_recv_bytes(int src_world, const Comm& comm, int tag, CommKind kind,
                       void* buf, std::size_t capacity, Status* status);
-  /// Failure-aware bounded receive: like recv_bytes but gives up after
-  /// `wall_timeout_s` of host time with no match (RecvWait::timeout) and
-  /// returns promptly when a specific source rank is dead
-  /// (RecvWait::peer_dead, clock advanced to the crash time). Never throws
-  /// typed failures itself -- callers choose between degrading and raising.
+  /// Failure-aware bounded receive: gives up after `wall_timeout_s` of host
+  /// time with no match (RecvWait::timeout; +inf never does) and returns
+  /// promptly when a specific source rank is dead (RecvWait::peer_dead,
+  /// clock advanced to the crash time). Never throws typed failures itself
+  /// -- callers choose between degrading and raising, as recv_bytes does.
   enum class RecvWait { ok, timeout, peer_dead };
   RecvWait recv_bytes_wait(int src_world, const Comm& comm, int tag,
                            CommKind kind, void* buf, std::size_t capacity,
@@ -603,10 +603,6 @@ class Ctx {
   /// agreed dead set, which may run ahead of local detection).
   void ack_failure_bitmap(const Comm& comm,
                           const std::vector<std::uint8_t>& dead_by_group);
-  /// Advances the clock to a dead rank's crash time, exactly as a receive
-  /// that observed the failure would: failure-aware paths that skip a dead
-  /// contributor still complete at a deterministic virtual instant.
-  void observe_rank_failure(int world_rank);
 
   /// Collective sequence number for a communicator: identical across all
   /// member ranks because collectives execute in the same order on each.
@@ -622,9 +618,12 @@ class Ctx {
   Ctx(Engine* engine, int world_rank)
       : engine_(engine), world_rank_(world_rank) {}
 
-  /// Predicate-checked blocking wait on this rank's inbox with watchdog.
+  /// The one blocking wait on this rank's inbox, outside the min-clock gate:
+  /// true once `ready()` holds, false if the wall `deadline` passes first.
+  /// Only an untimed wait counts in Engine::blocked_ for the watchdog.
   template <typename Pred>
-  void wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready);
+  bool wait_on_inbox(std::unique_lock<std::mutex>& lock, Pred&& ready,
+                     std::chrono::steady_clock::time_point deadline);
 
   /// Consults the fault plan at an operation boundary: applies one-shot
   /// stalls and terminates the rank (RankCrashExit) past its crash time.

@@ -37,10 +37,9 @@ void exchange_round(Ctx& ctx, const Comm& comm, int me,
   std::vector<std::uint8_t> incoming(bytes);
   for (int g = 0; g < n; ++g) {
     if (g == me) continue;
-    Status st;
     const Ctx::RecvWait rc =
         ctx.recv_bytes_wait(comm.world_rank_of(g), comm, tag, CommKind::tool,
-                            incoming.data(), bytes, &st, timeout_s);
+                            incoming.data(), bytes, nullptr, timeout_s);
     if (rc == Ctx::RecvWait::ok) {
       fold(incoming.data(), g);
       continue;
@@ -180,6 +179,50 @@ bool comm_agree(const Comm& comm, int* flag) {
         entry_acked[static_cast<std::size_t>(g)] == 0)
       return false;
   return true;
+}
+
+std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
+                                     std::size_t bytes, void* recvbuf,
+                                     int root, double timeout_s) {
+  Ctx& ctx = Ctx::current();
+  const int me = my_group_rank(ctx, comm, "ft_gather");
+  const int tag = coll::coll_tag(ctx.next_coll_seq(comm));
+  if (me != root) {
+    ctx.send_bytes(comm.world_rank_of(root), comm, tag, CommKind::tool,
+                   sendbuf, bytes);
+    return {};
+  }
+  auto* out = static_cast<std::uint8_t*>(recvbuf);
+  std::vector<Ctx::RecvWait> got(static_cast<std::size_t>(comm.size()),
+                                 Ctx::RecvWait::ok);
+  for (int g = 0; g < comm.size(); ++g) {
+    std::uint8_t* slot = out + static_cast<std::size_t>(g) * bytes;
+    if (g == root) {
+      if (bytes > 0) std::memcpy(slot, sendbuf, bytes);
+      continue;
+    }
+    got[static_cast<std::size_t>(g)] =
+        ctx.recv_bytes_wait(comm.world_rank_of(g), comm, tag, CommKind::tool,
+                            slot, bytes, nullptr, timeout_s);
+  }
+  return got;
+}
+
+Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
+                       int root, double timeout_s) {
+  Ctx& ctx = Ctx::current();
+  const int me = my_group_rank(ctx, comm, "ft_bcast");
+  const int tag = coll::coll_tag(ctx.next_coll_seq(comm));
+  if (me != root)
+    return ctx.recv_bytes_wait(
+        comm.world_rank_of(root), comm, tag, CommKind::tool, buf, bytes,
+        nullptr, timeout_s * static_cast<double>(comm.size() + 1));
+  // Sending to a dead member is harmless: the copy is never consumed.
+  for (int g = 0; g < comm.size(); ++g)
+    if (g != root)
+      ctx.send_bytes(comm.world_rank_of(g), comm, tag, CommKind::tool, buf,
+                     bytes);
+  return Ctx::RecvWait::ok;
 }
 
 }  // namespace mpim::mpi

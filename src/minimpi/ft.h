@@ -16,6 +16,10 @@
 //     parent, dead members removed).
 //   comm_agree -- fault-tolerant agreement: bitwise-AND of `*flag` over
 //     the members that can still communicate.
+//   ft_gather / ft_bcast -- the failure-aware tool collectives: a linear
+//     gather to a root and a linear broadcast from it, each waiting with a
+//     wall timeout and reporting what arrived instead of hanging. The
+//     monitoring gathers and the reorder step are built on them.
 //
 // Determinism contract: shrink and agree exchange their views with
 // unconditional sends to every member (send costs never depend on
@@ -26,9 +30,11 @@
 // docs/FAULTS.md, Recovery).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "minimpi/comm.h"
+#include "minimpi/engine.h"
 
 namespace mpim::mpi {
 
@@ -60,5 +66,24 @@ Comm comm_shrink(const Comm& comm);
 /// acked by this rank; false when an unacked failure perturbed the result
 /// (ULFM's MPI_ERR_PROC_FAILED analog -- ack and retry to accept it).
 bool comm_agree(const Comm& comm, int* flag);
+
+/// Failure-aware linear gather of `bytes` per member to group rank `root`,
+/// as tool-kind traffic: the root receives the blocks in group order into
+/// `recvbuf` (size() * bytes), giving each contributor `timeout_s` of wall
+/// time. At the root, returns one outcome per group rank (ok for its own
+/// block); a peer_dead or timeout slot of `recvbuf` is left untouched.
+/// Elsewhere returns an empty vector and `recvbuf` may be null.
+std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
+                                     std::size_t bytes, void* recvbuf,
+                                     int root, double timeout_s);
+
+/// Failure-aware linear broadcast of `bytes` from group rank `root`, as
+/// tool-kind traffic: the root sends `buf` to every other member. The
+/// others wait timeout_s * (size() + 1) of wall time -- room for a root
+/// that first spent one ft_gather timeout per contributor. Returns ok at
+/// the root and wherever the data arrived; otherwise peer_dead or timeout,
+/// with `buf` untouched.
+Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
+                       int root, double timeout_s);
 
 }  // namespace mpim::mpi

@@ -17,6 +17,7 @@
 #include "introspect/snapshot.h"
 #include "minimpi/coll.h"
 #include "minimpi/engine.h"
+#include "minimpi/ft.h"
 #include "mpimon/governor.h"
 #include "mpit/runtime.h"
 #include "obsplane/plane.h"
@@ -549,109 +550,73 @@ void deinterleave_blob(const std::vector<unsigned long>& fused, std::size_t n,
   }
 }
 
-/// Failure-aware variant of gather_rows: a linear gather with a
-/// per-contributor receive timeout instead of the tree collectives, so a
-/// crashed or stalled rank costs one timeout and a sentinel row instead of
-/// a hang. Rows may have any width (the fused blob is 2n wide). Returns
-/// the number of missing rows on receiving ranks.
-int gather_row_matrix_faulty(MonSession& s,
-                             const std::vector<unsigned long>& row, int root,
-                             unsigned long* recv) {
-  Ctx& ctx = Ctx::current();
+/// Counts a failure-aware receive that came back without data: a dead
+/// peer in mpim_mon_dead_skips_total, a silent one in
+/// mpim_mon_gather_timeouts_total.
+void count_lost(Ctx::RecvWait rc) {
+  if (rc == Ctx::RecvWait::ok) return;
+  const auto& ids = tele().ids();
+  tele().add(rc == Ctx::RecvWait::peer_dead ? ids.mon_dead_skips
+                                            : ids.mon_gather_timeouts,
+             tele_rank());
+}
+
+/// mpi::ft_gather of every member's `row` (any width w) into the rows x w
+/// `matrix` at group rank `root`. A lost row is counted and set to
+/// MPI_M_DATA_MISSING. Returns the lost-row mask at the root, empty
+/// elsewhere.
+std::vector<bool> ft_gather_rows(MonSession& s,
+                                 const std::vector<unsigned long>& row,
+                                 int root, unsigned long* matrix) {
+  const std::size_t w = row.size();
+  const std::vector<Ctx::RecvWait> got =
+      mpim::mpi::ft_gather(s.comm, row.data(), w * sizeof(unsigned long),
+                           matrix, root, mon_state().gather_timeout_s);
+  std::vector<bool> lost(got.size(), false);
+  for (std::size_t r = 0; r < got.size(); ++r) {
+    if (got[r] == Ctx::RecvWait::ok) continue;
+    count_lost(got[r]);
+    std::fill(matrix + r * w, matrix + (r + 1) * w, MPI_M_DATA_MISSING);
+    lost[r] = true;
+  }
+  return lost;
+}
+
+/// mpi::ft_bcast of `words` from group rank 0; false, with the loss
+/// counted, when they never arrived.
+bool ft_bcast_words(MonSession& s, std::vector<unsigned long>& words) {
+  const Ctx::RecvWait rc =
+      mpim::mpi::ft_bcast(s.comm, words.data(),
+                          words.size() * sizeof(unsigned long), 0,
+                          mon_state().gather_timeout_s);
+  count_lost(rc);
+  return rc == Ctx::RecvWait::ok;
+}
+
+/// Failure-aware gather_rows: ft_gather_rows to the root (group rank 0 for
+/// an allgather, which then ft_bcasts the matrix with its missing-row
+/// count appended). A crashed or stalled rank costs at most one timeout
+/// and a sentinel row, not a hang. Returns the missing rows on receiving
+/// ranks.
+int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
+                   int root, unsigned long* recv) {
   const std::size_t rows = static_cast<std::size_t>(s.comm.size());
   const std::size_t w = row.size();
-  const std::size_t row_bytes = w * sizeof(unsigned long);
-  const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
-  const int groot = root < 0 ? 0 : root;
-  const double timeout_s = mon_state().gather_timeout_s;
-  // Two tag draws (gather + redistribution) on every rank keep the alive
-  // ranks' collective sequence numbers aligned regardless of role.
-  const int gather_tag = mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-  const int redist_tag = mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-
-  if (myrank == groot) {
-    std::vector<unsigned long> matrix(rows * w, 0ul);
-    int missing = 0;
-    for (std::size_t r = 0; r < rows; ++r) {
-      unsigned long* dst = matrix.data() + r * w;
-      if (static_cast<int>(r) == groot) {
-        std::copy(row.begin(), row.end(), dst);
-        continue;
-      }
-      const int peer_world = s.comm.world_rank_of(static_cast<int>(r));
-      // Known-dead contributor with no pre-crash row still in the inbox:
-      // skip the wait outright instead of re-entering it. Matching first
-      // and advancing to the crash time mirror recv_bytes_wait's own
-      // match-then-peer_dead order, so the data gathered and the virtual
-      // clock are identical to the un-skipped run -- only the wall-time
-      // stall and the counter differ.
-      if (ctx.engine().rank_dead(peer_world) &&
-          !ctx.iprobe_bytes(peer_world, s.comm, gather_tag, CommKind::tool,
-                            nullptr)) {
-        ctx.observe_rank_failure(peer_world);
-        std::fill(dst, dst + w, MPI_M_DATA_MISSING);
-        ++missing;
-        tele().add(tele().ids().mon_dead_skips, tele_rank());
-        continue;
-      }
-      mpim::mpi::Status st;
-      const Ctx::RecvWait rc =
-          ctx.recv_bytes_wait(peer_world, s.comm, gather_tag, CommKind::tool,
-                              dst, row_bytes, &st, timeout_s);
-      if (rc != Ctx::RecvWait::ok) {
-        std::fill(dst, dst + w, MPI_M_DATA_MISSING);
-        ++missing;
-        tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-      }
-    }
-    if (root < 0) {
-      // Redistribute matrix + missing count. Sending to a dead rank is
-      // harmless: the message is simply never consumed.
-      std::vector<unsigned long> msg(rows * w + 1);
-      std::copy(matrix.begin(), matrix.end(), msg.begin());
-      msg[rows * w] = static_cast<unsigned long>(missing);
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (static_cast<int>(r) == groot) continue;
-        ctx.send_bytes(s.comm.world_rank_of(static_cast<int>(r)), s.comm,
-                       redist_tag, CommKind::tool, msg.data(),
-                       msg.size() * sizeof(unsigned long));
-      }
-    }
-    if (recv != nullptr) std::copy(matrix.begin(), matrix.end(), recv);
-    return missing;
-  }
-
-  const int root_world = s.comm.world_rank_of(groot);
-  ctx.send_bytes(root_world, s.comm, gather_tag, CommKind::tool, row.data(),
-                 row_bytes);
-  if (root >= 0) return 0;
-  // Dead gathering rank with no redistributed matrix in flight: every row
-  // is lost, but at least do not wait the full budget to learn it.
-  if (ctx.engine().rank_dead(root_world) &&
-      !ctx.iprobe_bytes(root_world, s.comm, redist_tag, CommKind::tool,
-                        nullptr)) {
-    ctx.observe_rank_failure(root_world);
-    if (recv != nullptr)
-      std::fill(recv, recv + rows * w, MPI_M_DATA_MISSING);
-    tele().add(tele().ids().mon_dead_skips, tele_rank());
-    return static_cast<int>(rows);
-  }
-  // The gathering rank may spend up to one timeout per missing contributor
-  // before our copy of the matrix arrives; budget for all of them.
-  std::vector<unsigned long> msg(rows * w + 1);
-  mpim::mpi::Status st;
-  const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-      s.comm.world_rank_of(groot), s.comm, redist_tag, CommKind::tool,
-      msg.data(), msg.size() * sizeof(unsigned long), &st,
-      timeout_s * static_cast<double>(rows + 1));
-  if (rc != Ctx::RecvWait::ok) {
-    if (recv != nullptr)
-      std::fill(recv, recv + rows * w, MPI_M_DATA_MISSING);
-    tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-    return static_cast<int>(rows);
+  const bool receives =
+      root < 0 ||
+      s.comm.group_rank_of_world(Ctx::current().world_rank()) == root;
+  std::vector<unsigned long> msg(receives ? rows * w + 1 : 0);
+  const std::vector<bool> lost =
+      ft_gather_rows(s, row, std::max(root, 0), msg.data());
+  if (!receives) return 0;
+  msg.back() = static_cast<unsigned long>(
+      std::count(lost.begin(), lost.end(), true));
+  if (root < 0 && !ft_bcast_words(s, msg)) {
+    std::fill(msg.begin(), msg.end(), MPI_M_DATA_MISSING);
+    msg.back() = static_cast<unsigned long>(rows);
   }
   if (recv != nullptr) std::copy(msg.begin(), msg.end() - 1, recv);
-  return static_cast<int>(msg[rows * w]);
+  return static_cast<int>(msg.back());
 }
 
 /// Gathers each contributor's row (any width) into a comm-size x width
@@ -670,7 +635,7 @@ int gather_rows(MonSession& s, const std::vector<unsigned long>& row,
   const double t0 = ctx.now();
   int missing = 0;
   if (ctx.engine().config().fault_plan != nullptr) {
-    missing = gather_row_matrix_faulty(s, row, root, out);
+    missing = gather_rows_ft(s, row, root, out);
   } else {
     std::vector<unsigned long> scratch;
     unsigned long* recv = out;
@@ -804,16 +769,21 @@ std::vector<unsigned long> build_frames_blob(const MonSession& s,
 ///   [0] W (aligned windows, <= K), [1] missing contributors,
 ///   then W entries of (1 + 2n^2) words: window index, counts matrix,
 ///   bytes matrix (rows of missing contributors = MPI_M_DATA_MISSING).
+/// `gathered` holds the n contributors' frames blobs back to back.
 std::vector<unsigned long> assemble_frames_result(
-    const std::vector<std::vector<unsigned long>>& blobs,
+    const std::vector<unsigned long>& gathered,
     const std::vector<bool>& missing_rank, int max_frames, std::size_t n) {
   const std::size_t K = static_cast<std::size_t>(max_frames);
   const std::size_t stride = 1 + 2 * n;
+  const std::size_t blob_words = gathered.size() / n;
+  const auto blob_of = [&](std::size_t r) {
+    return gathered.data() + r * blob_words;
+  };
   // Union of window indices, ascending; keep the last K.
   std::vector<long> windows;
   for (std::size_t r = 0; r < n; ++r) {
     if (missing_rank[r]) continue;
-    const auto& blob = blobs[r];
+    const unsigned long* blob = blob_of(r);
     const std::size_t nwin = static_cast<std::size_t>(blob[0]);
     for (std::size_t i = 0; i < nwin; ++i)
       windows.push_back(
@@ -846,10 +816,10 @@ std::vector<unsigned long> assemble_frames_result(
         std::fill(brow, brow + n, MPI_M_DATA_MISSING);
         continue;
       }
-      const auto& blob = blobs[r];
+      const unsigned long* blob = blob_of(r);
       const std::size_t nwin = static_cast<std::size_t>(blob[0]);
       for (std::size_t i = 0; i < nwin; ++i) {
-        const unsigned long* e = blob.data() + 1 + i * stride;
+        const unsigned long* e = blob + 1 + i * stride;
         if (static_cast<long>(e[0]) != windows[w]) continue;
         std::copy(e + 1, e + 1 + n, crow);
         std::copy(e + 1 + n, e + 1 + 2 * n, brow);
@@ -901,85 +871,6 @@ void refresh_derived_metrics(const MonSession& s,
                 std::llround(mismatch));
   hub.gauge_set(ids.introspect_gain_milli, rank,
                 std::llround(gain * 1000.0));
-}
-
-/// Failure-aware frames gather: linear gather of the fixed-size blobs
-/// with per-contributor timeouts, then a linear redistribution of the
-/// assembled result -- the gather_row_matrix_faulty protocol shape.
-/// Returns the number of missing contributors.
-int gather_frames_faulty(MonSession& s,
-                         const std::vector<unsigned long>& blob,
-                         int max_frames,
-                         std::vector<unsigned long>& result) {
-  Ctx& ctx = Ctx::current();
-  const std::size_t n = static_cast<std::size_t>(s.comm.size());
-  const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
-  const double timeout_s = mon_state().gather_timeout_s;
-  const int gather_tag =
-      mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-  const int redist_tag =
-      mpim::mpi::coll::coll_tag(ctx.next_coll_seq(s.comm));
-
-  if (myrank == 0) {
-    std::vector<std::vector<unsigned long>> blobs(n);
-    std::vector<bool> missing_rank(n, false);
-    blobs[0] = blob;
-    for (std::size_t r = 1; r < n; ++r) {
-      blobs[r].assign(blob.size(), 0ul);
-      const int peer_world = s.comm.world_rank_of(static_cast<int>(r));
-      // Same known-dead skip as gather_row_matrix_faulty: match-first,
-      // then crash-time clock advance, so only the wall stall differs.
-      if (ctx.engine().rank_dead(peer_world) &&
-          !ctx.iprobe_bytes(peer_world, s.comm, gather_tag, CommKind::tool,
-                            nullptr)) {
-        ctx.observe_rank_failure(peer_world);
-        missing_rank[r] = true;
-        tele().add(tele().ids().mon_dead_skips, tele_rank());
-        continue;
-      }
-      mpim::mpi::Status st;
-      const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-          peer_world, s.comm, gather_tag, CommKind::tool, blobs[r].data(),
-          blobs[r].size() * sizeof(unsigned long), &st, timeout_s);
-      if (rc != Ctx::RecvWait::ok) {
-        missing_rank[r] = true;
-        tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-      }
-    }
-    result = assemble_frames_result(blobs, missing_rank, max_frames, n);
-    for (std::size_t r = 1; r < n; ++r)
-      ctx.send_bytes(s.comm.world_rank_of(static_cast<int>(r)), s.comm,
-                     redist_tag, CommKind::tool, result.data(),
-                     result.size() * sizeof(unsigned long));
-    return static_cast<int>(result[1]);
-  }
-
-  const int root_world = s.comm.world_rank_of(0);
-  ctx.send_bytes(root_world, s.comm, gather_tag, CommKind::tool, blob.data(),
-                 blob.size() * sizeof(unsigned long));
-  if (ctx.engine().rank_dead(root_world) &&
-      !ctx.iprobe_bytes(root_world, s.comm, redist_tag, CommKind::tool,
-                        nullptr)) {
-    ctx.observe_rank_failure(root_world);
-    std::fill(result.begin(), result.end(), MPI_M_DATA_MISSING);
-    result[0] = 0;
-    result[1] = static_cast<unsigned long>(n);
-    tele().add(tele().ids().mon_dead_skips, tele_rank());
-    return static_cast<int>(n);
-  }
-  mpim::mpi::Status st;
-  const Ctx::RecvWait rc = ctx.recv_bytes_wait(
-      root_world, s.comm, redist_tag, CommKind::tool, result.data(),
-      result.size() * sizeof(unsigned long), &st,
-      timeout_s * static_cast<double>(n + 1));
-  if (rc != Ctx::RecvWait::ok) {
-    std::fill(result.begin(), result.end(), MPI_M_DATA_MISSING);
-    result[0] = 0;
-    result[1] = static_cast<unsigned long>(n);
-    tele().add(tele().ids().mon_gather_timeouts, tele_rank());
-    return static_cast<int>(n);
-  }
-  return static_cast<int>(result[1]);
 }
 
 }  // namespace
@@ -1142,31 +1033,32 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
         build_frames_blob(*s, max_frames, flags);
     std::vector<unsigned long> result(2 + K * (1 + 2 * n * n), 0ul);
 
-    int missing = 0;
-    if (ctx.engine().config().fault_plan != nullptr) {
-      missing = gather_frames_faulty(*s, blob, max_frames, result);
-    } else {
-      const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
-      std::vector<unsigned long> gathered(myrank == 0 ? n * blob.size() : 0);
+    // Gather every blob to rank 0, which aligns the windows, then
+    // redistribute the result. Under a fault plan both steps are the
+    // failure-aware tool collectives, and a lost result reads as every
+    // contributor missing.
+    const bool faulty = ctx.engine().config().fault_plan != nullptr;
+    const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
+    std::vector<unsigned long> gathered(myrank == 0 ? n * blob.size() : 0);
+    std::vector<bool> lost(n, false);
+    if (faulty)
+      lost = ft_gather_rows(*s, blob, 0, gathered.data());
+    else
       mpim::mpi::coll::gather(ctx, blob.data(), blob.size(),
                               Type::UnsignedLong,
                               myrank == 0 ? gathered.data() : nullptr, 0,
                               s->comm, CommKind::tool);
-      if (myrank == 0) {
-        std::vector<std::vector<unsigned long>> blobs(n);
-        for (std::size_t r = 0; r < n; ++r)
-          blobs[r].assign(gathered.begin() +
-                              static_cast<std::ptrdiff_t>(r * blob.size()),
-                          gathered.begin() +
-                              static_cast<std::ptrdiff_t>((r + 1) *
-                                                          blob.size()));
-        result = assemble_frames_result(
-            blobs, std::vector<bool>(n, false), max_frames, n);
-      }
+    if (myrank == 0)
+      result = assemble_frames_result(gathered, lost, max_frames, n);
+    if (!faulty) {
       mpim::mpi::coll::bcast(ctx, result.data(),
                              result.size() * sizeof(unsigned long),
                              Type::Byte, 0, s->comm, CommKind::tool);
+    } else if (!ft_bcast_words(*s, result)) {
+      result[0] = 0;  // no windows, every contributor missing
+      result[1] = static_cast<unsigned long>(n);
     }
+    const int missing = static_cast<int>(result[1]);
 
     const std::size_t W = static_cast<std::size_t>(result[0]);
     const double window_s = s->sampler->window_s();

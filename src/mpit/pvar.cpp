@@ -67,7 +67,7 @@ constexpr std::array<PvarInfo, 56> kPvars{{
     {"mpim_mon_session_resets_total", "monitoring session resets",
      kTele, false, PvarClass::telemetry},
     {"mpim_mon_gather_timeouts_total",
-     "gather contributors missing after timeout",
+     "failure-aware gather receives that timed out",
      kTele, false, PvarClass::telemetry},
     {"mpim_mon_partial_data_total", "MPI_M_PARTIAL_DATA returns",
      kTele, false, PvarClass::telemetry},
@@ -106,7 +106,7 @@ constexpr std::array<PvarInfo, 56> kPvars{{
      "monitoring sessions rebound onto a shrunk communicator",
      kTele, false, PvarClass::telemetry},
     {"mpim_mon_dead_skips_total",
-     "gather rows skipped immediately because the contributor is dead",
+     "failure-aware gather receives whose peer was dead",
      kTele, false, PvarClass::telemetry},
     {"mpim_governor_shed_steps_total",
      "degradation governor fidelity-shedding steps taken",

@@ -1,12 +1,12 @@
 #include "reorder/reorder.h"
 
 #include <algorithm>
-#include <chrono>
 #include <ctime>
 
 #include "critpath/critpath.h"
 #include "minimpi/coll.h"
 #include "minimpi/engine.h"
+#include "minimpi/ft.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "support/error.h"
@@ -203,42 +203,27 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
     return out;
   }
 
-  // Failure-aware distribution: rank 0 linearly sends {fallback flag, k}
-  // and everyone else receives with a timeout, so a dead rank 0 (or dead
-  // receivers) cannot hang the step. One tag draw on every rank keeps the
-  // alive ranks' sequence numbers aligned.
-  const int tag = mpi::coll::coll_tag(ctx.next_coll_seq(comm));
+  // Failure-aware distribution: an ft_bcast of {fallback flag, k}, so a
+  // dead rank 0 (or dead receivers) cannot hang the step.
   const double dist_t0 = ctx.now();
   std::vector<int> msg(static_cast<std::size_t>(n) + 1);
-  if (myrank == 0) {
-    msg[0] = out.fell_back ? 1 : 0;
-    std::copy(k.begin(), k.end(), msg.begin() + 1);
-    for (int r = 1; r < n; ++r)
-      ctx.send_bytes(comm.world_rank_of(r), comm, tag, mpi::CommKind::tool,
-                     msg.data(), msg.size() * sizeof(int));
-  } else {
-    mpi::Status st;
-    const double timeout_s =
-        MPI_M_get_gather_timeout() * static_cast<double>(n + 1);
-    const mpi::Ctx::RecvWait rc = ctx.recv_bytes_wait(
-        comm.world_rank_of(0), comm, tag, mpi::CommKind::tool, msg.data(),
-        msg.size() * sizeof(int), &st, timeout_s);
-    if (rc != mpi::Ctx::RecvWait::ok) {
-      out.fell_back = true;
-      out.fallback_reason = "rank 0 unreachable during reordering";
-      telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
-                     "falling back to identity permutation: " +
-                         out.fallback_reason);
-      hub.add(hub.ids().reorder_identity, wrank);
-      msg[0] = 1;
-      const std::vector<int> ident = identity_k(static_cast<std::size_t>(n));
-      std::copy(ident.begin(), ident.end(), msg.begin() + 1);
-    }
-    out.fell_back = msg[0] != 0;
-    if (out.fell_back && out.fallback_reason.empty())
-      out.fallback_reason = "rank 0 fell back to the identity permutation";
-    std::copy(msg.begin() + 1, msg.end(), k.begin());
+  msg[0] = out.fell_back ? 1 : 0;
+  std::copy(k.begin(), k.end(), msg.begin() + 1);
+  if (mpi::ft_bcast(comm, msg.data(), msg.size() * sizeof(int), 0,
+                    MPI_M_get_gather_timeout()) != mpi::Ctx::RecvWait::ok) {
+    out.fallback_reason = "rank 0 unreachable during reordering";
+    telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
+                   "falling back to identity permutation: " +
+                       out.fallback_reason);
+    hub.add(hub.ids().reorder_identity, wrank);
+    msg[0] = 1;
+    const std::vector<int> ident = identity_k(static_cast<std::size_t>(n));
+    std::copy(ident.begin(), ident.end(), msg.begin() + 1);
   }
+  out.fell_back = msg[0] != 0;
+  if (out.fell_back && out.fallback_reason.empty())
+    out.fallback_reason = "rank 0 fell back to the identity permutation";
+  std::copy(msg.begin() + 1, msg.end(), k.begin());
   hub.span_complete(wrank, "reorder.distribute", 'R', dist_t0, ctx.now());
   out.k = k;
   // On fallback the group may contain dead ranks, so a comm_split (whose
@@ -254,46 +239,28 @@ namespace {
 
 /// Cross-rank maximum of each rank's phase-boundary count. Fault-free runs
 /// use a tool-class allreduce (never monitored); under a fault plan rank 0
-/// collects linearly with the monitoring gather timeout, counts
-/// unreachable ranks as 0 and redistributes the decision, so a dead rank
-/// suppresses triggering instead of hanging the hook.
+/// takes the maximum over an ft_gather, where an unreachable rank counts as
+/// 0, and ft_bcasts it. A rank that cannot hear rank 0 keeps its own count,
+/// so a dead rank suppresses triggering instead of hanging the hook.
 int agree_max_boundaries(mpi::Ctx& ctx, const mpi::Comm& comm,
                          int local_boundaries) {
-  const int n = comm.size();
   if (ctx.engine().config().fault_plan == nullptr) {
     int global = 0;
     mpi::coll::allreduce(ctx, &local_boundaries, &global, 1, mpi::Type::Int,
                          mpi::Op::Max, comm, mpi::CommKind::tool);
     return global;
   }
-  const int myrank = mpi::comm_rank(comm);
   const double timeout_s = MPI_M_get_gather_timeout();
-  const int gather_tag = mpi::coll::coll_tag(ctx.next_coll_seq(comm));
-  const int redist_tag = mpi::coll::coll_tag(ctx.next_coll_seq(comm));
-  if (myrank == 0) {
-    int global = local_boundaries;
-    for (int r = 1; r < n; ++r) {
-      int theirs = 0;
-      mpi::Status st;
-      const mpi::Ctx::RecvWait rc = ctx.recv_bytes_wait(
-          comm.world_rank_of(r), comm, gather_tag, mpi::CommKind::tool,
-          &theirs, sizeof(int), &st, timeout_s);
-      if (rc == mpi::Ctx::RecvWait::ok) global = std::max(global, theirs);
-    }
-    for (int r = 1; r < n; ++r)
-      ctx.send_bytes(comm.world_rank_of(r), comm, redist_tag,
-                     mpi::CommKind::tool, &global, sizeof(int));
-    return global;
-  }
-  ctx.send_bytes(comm.world_rank_of(0), comm, gather_tag, mpi::CommKind::tool,
-                 &local_boundaries, sizeof(int));
-  int global = 0;
-  mpi::Status st;
-  const mpi::Ctx::RecvWait rc = ctx.recv_bytes_wait(
-      comm.world_rank_of(0), comm, redist_tag, mpi::CommKind::tool, &global,
-      sizeof(int), &st, timeout_s * static_cast<double>(n + 1));
-  // Rank 0 unreachable: report no progress so nobody triggers one-sided.
-  return rc == mpi::Ctx::RecvWait::ok ? global : local_boundaries;
+  int global = local_boundaries;
+  std::vector<int> all(static_cast<std::size_t>(comm.size()));
+  const std::vector<mpi::Ctx::RecvWait> got = mpi::ft_gather(
+      comm, &local_boundaries, sizeof(int), all.data(), 0, timeout_s);
+  for (std::size_t r = 0; r < got.size(); ++r)
+    if (got[r] == mpi::Ctx::RecvWait::ok) global = std::max(global, all[r]);
+  return mpi::ft_bcast(comm, &global, sizeof(int), 0, timeout_s) ==
+                 mpi::Ctx::RecvWait::ok
+             ? global
+             : local_boundaries;
 }
 
 }  // namespace

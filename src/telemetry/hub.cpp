@@ -69,7 +69,7 @@ Hub::Hub(int nranks, std::size_t span_capacity)
       "mpim_mon_session_resets_total", "monitoring session resets");
   ids_.mon_gather_timeouts = reg.define_counter(
       "mpim_mon_gather_timeouts_total",
-      "gather contributors missing after timeout");
+      "failure-aware gather receives that timed out");
   ids_.mon_partial_data = reg.define_counter(
       "mpim_mon_partial_data_total", "MPI_M_PARTIAL_DATA returns");
   ids_.mon_rebinds = reg.define_counter(
@@ -77,7 +77,7 @@ Hub::Hub(int nranks, std::size_t span_capacity)
       "monitoring sessions rebound onto a shrunk communicator");
   ids_.mon_dead_skips = reg.define_counter(
       "mpim_mon_dead_skips_total",
-      "gather rows skipped immediately because the contributor is dead");
+      "failure-aware gather receives whose peer was dead");
   ids_.gov_shed_steps = reg.define_counter(
       "mpim_governor_shed_steps_total",
       "degradation governor fidelity-shedding steps taken");

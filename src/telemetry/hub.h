@@ -59,11 +59,11 @@ struct StdIds {
   int mon_session_starts = -1;
   int mon_session_suspends = -1;
   int mon_session_resets = -1;
-  int mon_gather_timeouts = -1;    ///< counter: per missing contributor
+  int mon_gather_timeouts = -1;    ///< counter: ft receives timed out
   int mon_partial_data = -1;       ///< counter: MPI_M_PARTIAL_DATA returns
   // fault recovery (shrink/rebind) and the degradation governor
   int mon_rebinds = -1;            ///< counter: MPI_M_rebind successes
-  int mon_dead_skips = -1;         ///< counter: gather rows skipped, known dead
+  int mon_dead_skips = -1;         ///< counter: ft receives, peer dead
   int gov_shed_steps = -1;         ///< counter: governor fidelity-shed steps
   int gov_refusals = -1;           ///< counter: reservations refused at max shed
   int gov_overhead_alarms = -1;    ///< counter: MPIM_OVERHEAD_PCT violations

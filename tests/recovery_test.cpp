@@ -1,13 +1,16 @@
 // Fault recovery: the ULFM-style primitives (ack / get_failed / revoke /
 // shrink / agree), monitoring-session rebind onto a shrunk communicator,
-// the failure-aware dead-skip gathers, the degradation governor, and the
+// the failure-aware tool collectives under NIC contention and the gathers
+// and reorder steps built on them, the degradation governor, and the
 // strict environment parsing backing them. Each ctest case runs in its own
 // process, so setenv/unsetenv inside a test cannot leak across cases.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +22,7 @@
 #include "mpimon/governor.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
+#include "reorder/reorder.h"
 #include "support/env.h"
 #include "telemetry/hub.h"
 
@@ -488,6 +492,258 @@ TEST(RecoveryRebind, RejectsActiveSessionsAndForeignComms) {
     EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
     EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
   });
+}
+
+// --- failure-aware tool collectives under NIC contention --------------------
+
+/// Wall seconds `fn` takes.
+double wall_s(const std::function<void()>& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// 8 ranks by node on two PlaFRIM-like nodes with NIC contention on, as
+/// every paper figure runs: odd ranks sit across the network from rank 0,
+/// so their tool traffic to and from it crosses the min-clock gate. The
+/// 1 s watchdog bounds comm_shrink's exchange waits.
+EngineConfig contended_cfg(SchedMode sched,
+                           std::shared_ptr<fault::FaultPlan> plan) {
+  auto cost = net::CostModel::plafrim_like(2);
+  EngineConfig cfg{.cost_model = cost,
+                   .placement = topo::bynode_placement(8, cost.topology())};
+  cfg.nic_contention = true;
+  cfg.watchdog_wall_timeout_s = 1.0;
+  cfg.sched = sched;
+  cfg.fault_plan = std::move(plan);
+  return cfg;
+}
+
+TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
+  constexpr int kNp = 8;
+  constexpr double kGatherTimeoutS = 0.25;
+  std::array<int, kNp> rcs{};
+  std::array<double, kNp> walls{};
+  std::array<std::vector<unsigned long>, kNp> sizes;
+  auto workload = [&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int r = ctx.world_rank();
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_set_gather_timeout(kGatherTimeoutS), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    // A ring with per-rank message sizes, so every row differs.
+    std::vector<std::byte> buf(100 * kNp);
+    const int from = (r + kNp - 1) % kNp;
+    send(buf.data(), 100 * static_cast<std::size_t>(r + 1), Type::Byte,
+         (r + 1) % kNp, 0, world);
+    recv(buf.data(), 100 * static_cast<std::size_t>(from + 1), Type::Byte,
+         from, 0, world);
+    // The root lags: it waits for the rows at a lower virtual clock than
+    // any contributor sends them, so it would stay the gate's minimum if
+    // its timed waits did not leave the gate.
+    if (r != 0) compute(1e-3);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    auto& mine = sizes[static_cast<std::size_t>(r)];
+    mine.assign(kNp * kNp, 0);
+    walls[static_cast<std::size_t>(r)] = wall_s([&] {
+      rcs[static_cast<std::size_t>(r)] = MPI_M_allgather_data(
+          id, MPI_M_DATA_IGNORE, mine.data(), MPI_M_ALL_COMM);
+    });
+    EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  };
+
+  // Without a plan the tree allgather runs: the reference matrix.
+  Engine plain(contended_cfg(SchedMode::threads, nullptr));
+  mpit::Runtime plain_tool(plain);
+  plain.run(workload);
+  const std::vector<unsigned long> want = sizes[0];
+  ASSERT_EQ(want[0 * kNp + 1], 100ul);
+  ASSERT_EQ(want[7 * kNp + 0], 800ul);
+
+  std::vector<std::vector<double>> clocks;
+  for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
+    // An empty plan switches on the failure-aware linear gather.
+    Engine eng(contended_cfg(sched, std::make_shared<fault::FaultPlan>(1)));
+    mpit::Runtime tool(eng);
+    for (int rep = 0; rep < 2; ++rep) {
+      eng.run(workload);
+      clocks.push_back(eng.final_clocks());
+      for (int r = 0; r < kNp; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(rcs[i], MPI_M_SUCCESS)
+            << sched_mode_name(sched) << " rank " << r;
+        EXPECT_EQ(sizes[i], want) << sched_mode_name(sched) << " rank " << r;
+        EXPECT_LT(walls[i], kGatherTimeoutS)
+            << sched_mode_name(sched) << " rank " << r;
+      }
+      ASSERT_FALSE(HasFailure()) << "stopping after the first failed run";
+    }
+  }
+  for (const auto& c : clocks) EXPECT_EQ(c, clocks[0]);
+}
+
+TEST(RecoveryContention, ShrinkAfterCrashKeepsEverySurvivor) {
+  constexpr int kNp = 8;
+  constexpr int kVictim = 3;
+  std::array<int, kNp> shrunk{};
+  auto workload = [&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    comm_set_errhandler(world, ErrMode::ret);
+    const int r = ctx.world_rank();
+    if (r == kVictim) {
+      compute(1.0);  // dies at t = 1e-3
+      return;
+    }
+    compute(2e-4 * r);  // survivors enter the shrink at skewed clocks
+    shrunk[static_cast<std::size_t>(r)] = comm_size(comm_shrink(world));
+  };
+  std::vector<std::vector<double>> clocks;
+  for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
+    Engine eng(contended_cfg(sched, crash_plan({{kVictim, 1e-3}})));
+    for (int rep = 0; rep < 2; ++rep) {
+      shrunk.fill(-1);
+      eng.run(workload);
+      clocks.push_back(eng.final_clocks());
+      for (int r = 0; r < kNp; ++r) {
+        if (r == kVictim) continue;
+        EXPECT_EQ(shrunk[static_cast<std::size_t>(r)], kNp - 1)
+            << sched_mode_name(sched) << " rank " << r;
+      }
+      ASSERT_FALSE(HasFailure()) << "stopping after the first failed run";
+    }
+  }
+  for (const auto& c : clocks) EXPECT_EQ(c, clocks[0]);
+}
+
+TEST(RecoveryGatherCounters, ContributorDyingMidWaitIsADeadSkipNotATimeout) {
+  // Fibers make the order certain: rank 0 runs first, enters the gather
+  // and waits on row 1 while rank 1 is still alive; rank 1 then crashes in
+  // its compute and wakes the root with peer_dead.
+  auto cfg = recovery_cfg(4, crash_plan({{1, 1e-3}}));
+  cfg.sched = SchedMode::fibers;
+  Engine eng(cfg);
+  mpit::Runtime tool(eng);
+  eng.telemetry().set_enabled(true);
+  eng.run([](Ctx& ctx) {
+    if (ctx.world_rank() == 1) {
+      compute(1.0);
+      return;
+    }
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_set_gather_timeout(0.25), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(ctx.world(), &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    std::vector<unsigned long> sizes(16);
+    EXPECT_EQ(MPI_M_allgather_data(id, MPI_M_DATA_IGNORE, sizes.data(),
+                                   MPI_M_ALL_COMM),
+              MPI_M_PARTIAL_DATA);
+    for (int j = 0; j < 4; ++j)
+      EXPECT_EQ(sizes[static_cast<std::size_t>(4 + j)], MPI_M_DATA_MISSING);
+    EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  });
+  const auto& hub = eng.telemetry();
+  EXPECT_EQ(hub.registry().counter_total(hub.ids().mon_dead_skips), 1u);
+  EXPECT_EQ(hub.registry().counter_total(hub.ids().mon_gather_timeouts), 0u);
+}
+
+// --- reorder under a fault plan ----------------------------------------------
+
+TEST(RecoveryReorder, PhaseHookFiresAlikeOnEverySurvivorOfACrash) {
+  constexpr int kVictim = 2;
+  constexpr double kGatherTimeoutS = 1.0;
+  std::array<int, 4> fired{};
+  std::array<double, 4> walls{};
+  auto workload = [&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int r = ctx.world_rank();
+    if (r == kVictim) {
+      compute(1.0);  // dies at t = 1e-3, never joins the hook
+      return;
+    }
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_set_gather_timeout(kGatherTimeoutS), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_snapshot_start(id, 1e-3, 256, MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    // Two bursts of a survivor ring around a lull: a phase boundary.
+    const std::array<int, 3> ring{0, 1, 3};
+    const int me = r == 3 ? 2 : r;
+    std::vector<std::byte> buf(1000);
+    for (int burst = 0; burst < 2; ++burst) {
+      if (burst == 1) compute(0.01);
+      for (int it = 0; it < 2; ++it) {
+        send(buf.data(), buf.size(), Type::Byte, ring[(me + 1) % 3], it,
+             world);
+        recv(buf.data(), buf.size(), Type::Byte, ring[(me + 2) % 3], it,
+             world);
+      }
+    }
+    int seen = 0;
+    bool fire = false;
+    reorder::ReorderResult res;
+    walls[static_cast<std::size_t>(r)] = wall_s(
+        [&] { res = reorder::reorder_on_phase(id, world, &seen, &fire); });
+    fired[static_cast<std::size_t>(r)] = fire ? 1 : 0;
+    // A dead member makes any firing fall back, on the input comm.
+    EXPECT_EQ(res.k, reorder::identity_k(4));
+    EXPECT_EQ(res.opt_comm.context_id(), world.context_id());
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  };
+  Engine eng(recovery_cfg(4, crash_plan({{kVictim, 1e-3}})));
+  mpit::Runtime tool(eng);
+  std::vector<double> first;
+  for (int rep = 0; rep < 2; ++rep) {
+    fired.fill(-1);
+    eng.run(workload);
+    EXPECT_EQ(fired[0], 1) << "the lull is a boundary on every survivor";
+    for (int r : {1, 3})
+      EXPECT_EQ(fired[static_cast<std::size_t>(r)], fired[0]) << "rank " << r;
+    for (int r : {0, 1, 3})
+      EXPECT_LT(walls[static_cast<std::size_t>(r)], kGatherTimeoutS)
+          << "rank " << r;
+    if (rep == 0) first = eng.final_clocks();
+  }
+  EXPECT_EQ(first, eng.final_clocks());
+}
+
+TEST(RecoveryReorder, DeadRankZeroMakesEverySurvivorFallBack) {
+  Engine eng(recovery_cfg(4, crash_plan({{0, 1e-3}})));
+  mpit::Runtime tool(eng);
+  std::atomic<int> checked{0};
+  eng.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int r = ctx.world_rank();
+    if (r == 0) {
+      compute(1.0);  // the gathering rank dies at t = 1e-3
+      return;
+    }
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_set_gather_timeout(0.25), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    std::vector<std::byte> buf(800);
+    send(buf.data(), buf.size(), Type::Byte, r % 3 + 1, 0, world);
+    recv(buf.data(), buf.size(), Type::Byte, (r + 1) % 3 + 1, 0, world);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+
+    const reorder::ReorderResult res = reorder::reorder_ranks(id, world);
+    EXPECT_TRUE(res.fell_back);
+    EXPECT_EQ(res.fallback_reason, "rank 0 unreachable during reordering");
+    EXPECT_EQ(res.k, reorder::identity_k(4));
+    EXPECT_EQ(res.opt_comm.context_id(), world.context_id());
+    checked.fetch_add(1);
+    EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  });
+  EXPECT_EQ(checked.load(), 3);
 }
 
 // --- deadlock report names the failed ranks (satellite b) --------------------
