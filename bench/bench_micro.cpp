@@ -136,10 +136,12 @@ void BM_TreeMatch(benchmark::State& state) {
 BENCHMARK(BM_TreeMatch)->Arg(48)->Arg(192)->Arg(768)->Unit(
     benchmark::kMillisecond);
 
-void BM_EngineP2pRoundtrip(benchmark::State& state) {
-  // Host throughput of the transport itself (messages per second the
-  // simulator can process on this machine).
-  Sim sim(small_cfg(2));
+/// Host microseconds per 8-byte send/recv roundtrip between two ranks
+/// running on the given scheduler backend.
+double p2p_roundtrip_us(mpi::SchedMode sched) {
+  auto cfg = small_cfg(2);
+  cfg.sched = sched;
+  Sim sim(cfg);
   double us_per_roundtrip = 0.0;
   sim.run([&](mpi::Ctx& ctx) {
     const mpi::Comm world = ctx.world();
@@ -161,10 +163,29 @@ void BM_EngineP2pRoundtrip(benchmark::State& state) {
       }
     }
   });
+  return us_per_roundtrip;
+}
+
+void BM_EngineP2pRoundtrip(benchmark::State& state) {
+  // Host throughput of the transport itself (messages per second the
+  // simulator can process on this machine).
+  const double us_per_roundtrip = p2p_roundtrip_us(mpi::SchedMode::threads);
   for (auto _ : state) benchmark::DoNotOptimize(us_per_roundtrip);
   state.counters["us_per_roundtrip"] = us_per_roundtrip;
 }
 BENCHMARK(BM_EngineP2pRoundtrip);
+
+void BM_EngineP2pRoundtripFibers(benchmark::State& state) {
+  // The same roundtrip with both ranks as fibers of one thread: each
+  // roundtrip blocks both ranks once, and each block is two switches
+  // (fiber -> scheduler -> fiber), so this is the transport plus four
+  // switches with no thread handoff. Informational: not one of
+  // bench_trend's gated counters.
+  const double us = p2p_roundtrip_us(mpi::SchedMode::fibers);
+  for (auto _ : state) benchmark::DoNotOptimize(us);
+  state.counters["us_per_fiber_roundtrip"] = us;
+}
+BENCHMARK(BM_EngineP2pRoundtripFibers);
 
 }  // namespace
 

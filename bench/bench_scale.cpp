@@ -1,6 +1,6 @@
 // World-size scaling of the two engine backends (EngineConfig::sched):
-// one OS thread per rank vs cooperatively scheduled ucontext fibers of a
-// single thread, plus a third lane running fibers with the figure benches'
+// one OS thread per rank vs cooperatively scheduled fibers of a single
+// thread, plus a third lane running fibers with the figure benches'
 // NIC contention settings (nic_contention on, port scale 2.0;
 // bench_common.h plafrim_config), where every inter-node send passes the
 // engine's min-clock gate.

@@ -161,8 +161,8 @@ class EngineObserver {
 enum class ErrMode { fatal, ret };
 
 /// Rank execution backend. `threads` spawns one OS thread per rank;
-/// `fibers` runs every rank as a stackful ucontext fiber of the calling
-/// thread, switched cooperatively at the engine's blocking points (inbox
+/// `fibers` runs every rank as a stackful fiber of the calling thread,
+/// switched cooperatively at the engine's blocking points (inbox
 /// waits, timed receives, NIC-gate waits) and dispatched from a min-heap
 /// ready queue keyed by virtual time. Virtual clocks are bit-identical
 /// across the two backends; fibers exist so world size stops being bounded

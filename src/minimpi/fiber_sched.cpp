@@ -26,6 +26,7 @@
 #define MPIM_FIBER_TSAN 1
 #endif
 #if defined(MPIM_FIBER_ASAN)
+#include <sanitizer/asan_interface.h>
 #include <sanitizer/common_interface_defs.h>
 #endif
 #if defined(MPIM_FIBER_TSAN)
@@ -37,6 +38,67 @@
 // madvise simply fails there and we fall back to mprotect guards).
 #ifndef MADV_GUARD_INSTALL
 #define MADV_GUARD_INSTALL 102
+#endif
+
+#if defined(__x86_64__)
+// Register-only context switch (System V x86-64). mpim_fiber_swap(save,
+// load) pushes the callee-saved registers, then MXCSR and the x87 control
+// word -- the rest of the FP environment is caller-saved or status, so it
+// needs no copy -- stores rsp into *save, loads rsp from `load` and pops
+// the same frame from there. Saving the FP control words keeps a fiber's
+// rounding mode its own. Frame at the saved sp, low to high: x87 control
+// word, MXCSR (8 bytes each), r15, r14, r13, r12, rbx, rbp, return address.
+//
+// mpim_fiber_start is the return address of a fiber's first frame (built
+// by make_context): it is entered with rsp at the 16-byte-aligned stack
+// top and calls r13(r12), i.e. entry(self). That call never returns.
+__asm__(R"(
+  .pushsection .text
+  .p2align 4
+  .globl mpim_fiber_swap
+  .hidden mpim_fiber_swap
+  .type mpim_fiber_swap, @function
+mpim_fiber_swap:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size mpim_fiber_swap, .-mpim_fiber_swap
+
+  .p2align 4
+  .globl mpim_fiber_start
+  .hidden mpim_fiber_start
+  .type mpim_fiber_start, @function
+mpim_fiber_start:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size mpim_fiber_start, .-mpim_fiber_start
+  .popsection
+)");
+
+extern "C" void mpim_fiber_swap(void** save_sp, void* load_sp) noexcept;
+extern "C" void mpim_fiber_start() noexcept;
 #endif
 
 namespace mpim::mpi {
@@ -108,12 +170,54 @@ FiberSched::~FiberSched() {
   if (slab_base_ != nullptr) ::munmap(slab_base_, slab_bytes_);
 }
 
-void FiberSched::trampoline(unsigned int self_hi, unsigned int self_lo) {
-  auto* self = reinterpret_cast<FiberSched*>(
-      (static_cast<std::uintptr_t>(self_hi) << 32) |
-      static_cast<std::uintptr_t>(self_lo));
-  self->fiber_main();
+#if defined(__x86_64__)
+void FiberSched::make_context(Fiber& f) {
+  // The frame mpim_fiber_swap would have pushed, so the first switch into
+  // `f` pops it like any other: the scheduler thread's FP control words,
+  // r13 = entry and r12 = this for mpim_fiber_start, rbp = 0 to end
+  // frame-pointer walks, and mpim_fiber_start as the return address in the
+  // top slot, which leaves rsp 16-byte aligned at the call.
+  void (*entry)(FiberSched*) = [](FiberSched* self) { self->fiber_main(); };
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fcw = 0;
+  __asm__ volatile("stmxcsr %0\n\tfnstcw %1" : "=m"(mxcsr), "=m"(fcw));
+  auto* top = reinterpret_cast<std::uintptr_t*>(f.stack_lo + f.stack_bytes);
+  std::uintptr_t* sp = top - 9;
+  sp[0] = fcw;
+  sp[1] = mxcsr;
+  sp[2] = sp[3] = 0;  // r15, r14
+  sp[4] = reinterpret_cast<std::uintptr_t>(entry);
+  sp[5] = reinterpret_cast<std::uintptr_t>(this);
+  sp[6] = sp[7] = 0;  // rbx, rbp
+  sp[8] = reinterpret_cast<std::uintptr_t>(&mpim_fiber_start);
+  f.ctx = sp;
 }
+
+void FiberSched::swap_context(Context& from, Context& to) {
+  mpim_fiber_swap(&from, to);
+}
+#else
+void FiberSched::make_context(Fiber& f) {
+  check(getcontext(&f.ctx) == 0, "getcontext failed");
+  f.ctx.uc_stack.ss_sp = f.stack_lo;
+  f.ctx.uc_stack.ss_size = f.stack_bytes;
+  f.ctx.uc_link = nullptr;  // fibers exit through switch_to_main, never fall off
+  // makecontext passes int arguments only: split `this` into two halves.
+  void (*entry)(unsigned, unsigned) = [](unsigned hi, unsigned lo) {
+    reinterpret_cast<FiberSched*>((static_cast<std::uintptr_t>(hi) << 32) |
+                                  static_cast<std::uintptr_t>(lo))
+        ->fiber_main();
+  };
+  const auto self_bits = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&f.ctx, reinterpret_cast<void (*)()>(entry), 2,
+              static_cast<unsigned>(self_bits >> 32),
+              static_cast<unsigned>(self_bits & 0xffffffffu));
+}
+
+void FiberSched::swap_context(Context& from, Context& to) {
+  swapcontext(&from, &to);
+}
+#endif
 
 void FiberSched::fiber_main() {
   // First entry into this fiber: complete the sanitizer switch the
@@ -144,10 +248,23 @@ void FiberSched::switch_into(int rank) {
 #if defined(MPIM_FIBER_TSAN)
   __tsan_switch_to_fiber(f.tsan_fiber, 0);
 #endif
-  swapcontext(&main_uc_, &f.uc);
+  swap_context(main_ctx_, f.ctx);
   // A fiber switched back (yield or death); we are the scheduler again.
 #if defined(MPIM_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(main_fake_stack_, nullptr, nullptr);
+#if defined(__x86_64__)
+  // A dead fiber never returns from the frames between its saved sp and
+  // its stack top, so their redzones stay poisoned, and a later mapping at
+  // these addresses would inherit them. Clear just that span: unpoisoning
+  // the whole stack writes shadow for the full reservation. (ucontext
+  // needs none of this: ASan's swapcontext interceptor clears the target
+  // stack on every switch.)
+  if (f.st == St::done) {
+    char* sp = static_cast<char*>(f.ctx);
+    __asan_unpoison_memory_region(
+        sp, static_cast<std::size_t>(f.stack_lo + f.stack_bytes - sp));
+  }
+#endif
 #endif
   running_ = -1;
   if (on_resume_) on_resume_(-1);
@@ -163,7 +280,7 @@ void FiberSched::switch_to_main([[maybe_unused]] bool dying) {
 #if defined(MPIM_FIBER_TSAN)
   __tsan_switch_to_fiber(main_tsan_fiber_, 0);
 #endif
-  swapcontext(&f.uc, &main_uc_);
+  swap_context(f.ctx, main_ctx_);
   // Resumed by the scheduler.
 #if defined(MPIM_FIBER_ASAN)
   __sanitizer_finish_switch_fiber(f.fake_stack, nullptr, nullptr);
@@ -236,17 +353,9 @@ void FiberSched::run(const std::function<void(int)>& body,
                      const std::function<void(int)>& on_stall) {
   body_ = body;
   done_ = 0;
-  const auto self_bits = reinterpret_cast<std::uintptr_t>(this);
-  const auto self_hi = static_cast<unsigned int>(self_bits >> 32);
-  const auto self_lo = static_cast<unsigned int>(self_bits & 0xffffffffu);
   for (int r = 0; r < n_; ++r) {
     Fiber& f = *fibers_[static_cast<std::size_t>(r)];
-    check(getcontext(&f.uc) == 0, "getcontext failed");
-    f.uc.uc_stack.ss_sp = f.stack_lo;
-    f.uc.uc_stack.ss_size = f.stack_bytes;
-    f.uc.uc_link = nullptr;  // fibers exit through switch_to_main, never fall off
-    makecontext(&f.uc, reinterpret_cast<void (*)()>(&FiberSched::trampoline),
-                2, self_hi, self_lo);
+    make_context(f);
     f.st = St::ready;
     f.key = 0.0;
     ready_.emplace(0.0, r);

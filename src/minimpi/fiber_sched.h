@@ -1,6 +1,6 @@
-// Cooperative rank scheduler: every rank runs as a stackful ucontext fiber
-// of ONE OS thread, dispatched from a min-heap ready queue keyed by
-// (virtual clock, rank).
+// Cooperative rank scheduler: every rank runs as a stackful fiber of ONE OS
+// thread, dispatched from a min-heap ready queue keyed by (virtual clock,
+// rank).
 //
 // This is the SimGrid/SMPI execution model: instead of one OS thread per
 // rank (which caps practical world size at a few hundred ranks on a small
@@ -9,6 +9,13 @@
 // cooperatively at the engine's blocking points. A single core drives
 // np=1024-4096 worlds, and the switch order is a deterministic function of
 // the virtual clocks, so reruns are bit-identical by construction.
+//
+// Context switch: on x86-64 a switch saves registers only, like SimGrid's
+// "raw" contexts -- the callee-saved integer registers, MXCSR and the x87
+// control word are pushed onto the running stack, the stack pointer is
+// swapped, and the target's frame is popped. No syscall, no signal mask,
+// no full FP-state image. Other targets use ucontext (swapcontext), which
+// also saves the signal mask with an rt_sigprocmask syscall per switch.
 //
 // The scheduler knows nothing about MPI: the engine expresses every
 // blocking point (inbox waits, timed receives, NIC-gate waits) through
@@ -32,7 +39,9 @@
 // annotations, so fiber-mode tests run under both sanitizer presets.
 #pragma once
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <chrono>
 #include <cstddef>
@@ -93,8 +102,15 @@ class FiberSched {
  private:
   enum class St : std::uint8_t { ready, running, blocked, timed, done };
 
+#if defined(__x86_64__)
+  /// Stack pointer of a suspended context; its switch frame sits there.
+  using Context = void*;
+#else
+  using Context = ucontext_t;
+#endif
+
   struct Fiber {
-    ucontext_t uc{};
+    Context ctx{};
     char* stack_lo = nullptr;    ///< usable stack bottom (above the guard)
     std::size_t stack_bytes = 0;
     St st = St::ready;
@@ -106,7 +122,10 @@ class FiberSched {
     void* tsan_fiber = nullptr;
   };
 
-  static void trampoline(unsigned int self_hi, unsigned int self_lo);
+  /// Points `f.ctx` at the start of fiber_main() on `f`'s empty stack.
+  void make_context(Fiber& f);
+  /// Saves the running context into `from` and resumes `to`.
+  static void swap_context(Context& from, Context& to);
   void fiber_main();
   void switch_into(int rank);
   void switch_to_main(bool dying);
@@ -131,7 +150,7 @@ class FiberSched {
   std::function<void(int)> on_resume_;
   std::function<void(int)> body_;
   std::vector<std::unique_ptr<Fiber>> fibers_;
-  ucontext_t main_uc_{};
+  Context main_ctx_{};
   void* main_fake_stack_ = nullptr;
   const void* main_stack_lo_ = nullptr;
   std::size_t main_stack_bytes_ = 0;

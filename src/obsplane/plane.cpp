@@ -181,11 +181,11 @@ bool Plane::push(int rank, const StreamEvent& ev0) {
   StreamEvent ev = ev0;
   ev.rank = rank;
   ev.seq = p.seq++;
-  if (head - tail >= p.buf.size()) {
+  if (head - tail >= p.cap) {
     p.dropped.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
-  p.buf[head % p.buf.size()] = ev;
+  std::memcpy(p.slot(head), &ev, sizeof ev);
   p.head.store(head + 1, std::memory_order_release);
   return true;
 }
@@ -313,7 +313,9 @@ void Plane::drain_locked() {
     const std::uint64_t head = p.head.load(std::memory_order_acquire);
     std::uint64_t tail = p.tail.load(std::memory_order_relaxed);
     while (tail != head) {
-      apply_locked(p.buf[tail % p.buf.size()]);
+      StreamEvent ev;
+      std::memcpy(&ev, p.slot(tail), sizeof ev);
+      apply_locked(ev);
       ++tail;
       ingested_.fetch_add(1, std::memory_order_relaxed);
     }

@@ -31,6 +31,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
@@ -39,6 +40,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "minimpi/engine.h"
@@ -75,6 +77,7 @@ struct StreamEvent {
   std::uint64_t b = 0;     ///< frame: msgs; span: SpanRec.b
   char name[kNameCap] = {0};  ///< span name
 };
+static_assert(std::is_trivially_copyable_v<StreamEvent>);
 
 struct PlaneConfig {
   std::string job = "job0";
@@ -169,9 +172,19 @@ class Plane final : public mpi::EngineObserver {
 
  private:
   struct Producer {
-    explicit Producer(std::size_t cap) : buf(cap) {}
-    // SPSC ring: the rank thread pushes, the draining consumer pops.
-    std::vector<StreamEvent> buf;
+    explicit Producer(std::size_t capacity)
+        : cap(capacity),
+          buf(std::make_unique_for_overwrite<std::byte[]>(
+              capacity * sizeof(StreamEvent))) {}
+    /// Address of the slot ring position `pos` maps to.
+    std::byte* slot(std::uint64_t pos) {
+      return buf.get() + (pos % cap) * sizeof(StreamEvent);
+    }
+    // SPSC ring of StreamEvents: the rank thread pushes, the draining
+    // consumer pops. Slots are raw bytes, memcpy'd in and out, so attaching
+    // does not value-initialize nranks x capacity events it may never use.
+    std::size_t cap;
+    std::unique_ptr<std::byte[]> buf;
     std::atomic<std::uint64_t> head{0};  ///< producer-advanced
     std::atomic<std::uint64_t> tail{0};  ///< consumer-advanced
     std::atomic<std::uint64_t> dropped{0};

@@ -1,20 +1,24 @@
 // Scheduler-backend parity: every workload must produce bit-identical
 // virtual clocks whether ranks run as OS threads or as cooperatively
-// scheduled ucontext fibers of one thread (EngineConfig::sched /
-// MPIM_SCHED). The sweep covers plain p2p + collectives, NIC contention,
-// fault plans, crash + shrink + rebind recovery, and the critical-path
-// profiler's labels; three golden-clock cases pin the tree fabric, every
+// scheduled fibers of one thread (EngineConfig::sched / MPIM_SCHED). The
+// sweep covers plain p2p + collectives, NIC contention, fault plans,
+// crash + shrink + rebind recovery, and the critical-path profiler's
+// labels; three golden-clock cases pin the tree fabric, every
 // collective family plus a monitored session, and a np=1000 contended
 // world deep in the min-clock gate's tree. The gate's tree is also checked
 // against the linear arg-min it replaced. Fiber-only cases check the
-// structural deadlock detector, timed receives, rerun determinism, a
-// stack slab larger than the host's memory, and a np=512 recovery world no
-// thread backend could drive on a small host.
+// structural deadlock detector, timed receives, rerun determinism, that a
+// switch keeps each fiber's FP rounding mode and stack alignment (the
+// register-only switch saves MXCSR and the x87 control word, nothing
+// else), a stack slab larger than the host's memory, and a np=512
+// recovery world no thread backend could drive on a small host.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cfenv>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
@@ -571,6 +575,72 @@ TEST(SchedFibers, RerunsAreDeterministic) {
   const auto first = eng.final_clocks();
   eng.run(mixed_workload);
   EXPECT_EQ(first, eng.final_clocks());
+}
+
+/// 1/10 and -1/10 as bits, from volatile operands so the division runs
+/// under the current rounding mode; the pair differs in all four modes.
+[[gnu::noinline]] std::array<std::uint64_t, 2> tenth_bits() {
+  volatile double one = 1.0;
+  volatile double ten = 10.0;
+  return {std::bit_cast<std::uint64_t>(one / ten),
+          std::bit_cast<std::uint64_t>(-one / ten)};
+}
+
+/// Over-aligned locals in a fresh frame; reading their addresses through
+/// volatiles keeps the compiler from folding the checks to true.
+[[gnu::noinline]] void expect_aligned_locals() {
+  alignas(16) char a16[16] = {};
+  alignas(32) char a32[32] = {};
+  volatile std::uintptr_t p16 = reinterpret_cast<std::uintptr_t>(a16);
+  volatile std::uintptr_t p32 = reinterpret_cast<std::uintptr_t>(a32);
+  EXPECT_EQ(p16 % 16, 0u);
+  EXPECT_EQ(p32 % 32, 0u);
+}
+
+TEST(SchedFibers, SwitchKeepsFpControlStateAndStackAlignment) {
+  // The rounding mode lives in MXCSR (SSE arithmetic) and the x87 control
+  // word (what fegetround reads): a fiber switch must carry both, and must
+  // hand each fiber a 16-byte-aligned first frame.
+  constexpr std::array<int, 4> kModes = {FE_TONEAREST, FE_UPWARD, FE_DOWNWARD,
+                                         FE_TOWARDZERO};
+  std::array<std::array<std::uint64_t, 2>, 4> want{};
+  for (std::size_t m = 0; m < kModes.size(); ++m) {
+    ASSERT_EQ(std::fesetround(kModes[m]), 0);
+    want[m] = tenth_bits();
+  }
+  ASSERT_EQ(std::fesetround(FE_TONEAREST), 0);
+  for (std::size_t m = 1; m < want.size(); ++m)
+    for (std::size_t k = 0; k < m; ++k) ASSERT_NE(want[m], want[k]);
+
+  // One token circulates, so every receive but rank 1's first blocks while
+  // the fibers of the other modes run.
+  constexpr int kNp = 8;
+  constexpr int kLaps = 64;
+  auto cfg = sched_cfg(kNp);
+  cfg.sched = SchedMode::fibers;
+  Engine eng(cfg);
+  eng.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    const auto m = static_cast<std::size_t>(me) % kModes.size();
+    const auto expect_own_state = [&](int lap) {
+      EXPECT_EQ(std::fegetround(), kModes[m]) << "rank " << me << " lap "
+                                              << lap;
+      EXPECT_EQ(tenth_bits(), want[m]) << "rank " << me << " lap " << lap;
+      expect_aligned_locals();
+    };
+    ASSERT_EQ(std::fesetround(kModes[m]), 0);
+    expect_own_state(-1);
+    int token = 0;
+    for (int lap = 0; lap < kLaps; ++lap) {
+      if (me == 0) send(&token, 1, Type::Int, 1, lap, world);
+      recv(&token, 1, Type::Int, (me + kNp - 1) % kNp, lap, world);
+      expect_own_state(lap);
+      if (me != 0) send(&token, 1, Type::Int, (me + 1) % kNp, lap, world);
+    }
+  });
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(tenth_bits(), want[0]);
 }
 
 TEST(SchedFibers, StructuralDeadlockIsReportedWithoutWallTimeout) {
