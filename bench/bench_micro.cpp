@@ -136,9 +136,10 @@ void BM_TreeMatch(benchmark::State& state) {
 BENCHMARK(BM_TreeMatch)->Arg(48)->Arg(192)->Arg(768)->Unit(
     benchmark::kMillisecond);
 
-/// Host microseconds per 8-byte send/recv roundtrip between two ranks
-/// running on the given scheduler backend.
-double p2p_roundtrip_us(mpi::SchedMode sched) {
+/// Host microseconds per send/recv roundtrip between two ranks running on
+/// the given scheduler backend: 8-byte timing-only messages by default, or
+/// real buffers of `payload_bytes`.
+double p2p_roundtrip_us(mpi::SchedMode sched, std::size_t payload_bytes = 0) {
   auto cfg = small_cfg(2);
   cfg.sched = sched;
   Sim sim(cfg);
@@ -146,11 +147,14 @@ double p2p_roundtrip_us(mpi::SchedMode sched) {
   sim.run([&](mpi::Ctx& ctx) {
     const mpi::Comm world = ctx.world();
     constexpr int kRounds = 20000;
+    const std::size_t bytes = payload_bytes == 0 ? 8 : payload_bytes;
+    std::vector<std::byte> storage(payload_bytes, std::byte{1});
+    void* buf = payload_bytes == 0 ? nullptr : storage.data();
     if (ctx.world_rank() == 0) {
       const auto t0 = std::chrono::steady_clock::now();
       for (int i = 0; i < kRounds; ++i) {
-        mpi::send(nullptr, 8, mpi::Type::Byte, 1, 0, world);
-        mpi::recv(nullptr, 8, mpi::Type::Byte, 1, 0, world);
+        mpi::send(buf, bytes, mpi::Type::Byte, 1, 0, world);
+        mpi::recv(buf, bytes, mpi::Type::Byte, 1, 0, world);
       }
       const auto t1 = std::chrono::steady_clock::now();
       us_per_roundtrip =
@@ -158,8 +162,8 @@ double p2p_roundtrip_us(mpi::SchedMode sched) {
           kRounds;
     } else {
       for (int i = 0; i < kRounds; ++i) {
-        mpi::recv(nullptr, 8, mpi::Type::Byte, 0, 0, world);
-        mpi::send(nullptr, 8, mpi::Type::Byte, 0, 0, world);
+        mpi::recv(buf, bytes, mpi::Type::Byte, 0, 0, world);
+        mpi::send(buf, bytes, mpi::Type::Byte, 0, 0, world);
       }
     }
   });
@@ -186,6 +190,16 @@ void BM_EngineP2pRoundtripFibers(benchmark::State& state) {
   state.counters["us_per_fiber_roundtrip"] = us;
 }
 BENCHMARK(BM_EngineP2pRoundtripFibers);
+
+void BM_EngineP2pRoundtripFibers64k(benchmark::State& state) {
+  // The fiber roundtrip carrying a real 64 KiB buffer each way: the
+  // transport's payload handling (allocation and copies) on top of what
+  // BM_EngineP2pRoundtripFibers times. Informational, like that one.
+  const double us = p2p_roundtrip_us(mpi::SchedMode::fibers, 64 * 1024);
+  for (auto _ : state) benchmark::DoNotOptimize(us);
+  state.counters["us_per_64k_fiber_roundtrip"] = us;
+}
+BENCHMARK(BM_EngineP2pRoundtripFibers64k);
 
 }  // namespace
 

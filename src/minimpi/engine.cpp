@@ -27,6 +27,15 @@ thread_local Ctx* g_running_ctx = nullptr;
 /// guard page below). mmap keeps untouched pages off the RSS, so 4096 ranks
 /// cost ~1 GiB of address space, not memory.
 constexpr std::size_t kFiberStackBytes = 256 * 1024;
+
+bool pkt_matches(const PktInfo& info, int src_world, int context_id, int tag,
+                 CommKind kind) {
+  if (info.context_id != context_id) return false;
+  if (info.kind != kind) return false;
+  if (tag != kAnyTag && info.tag != tag) return false;
+  if (src_world != kAnySource && info.src_world != src_world) return false;
+  return true;
+}
 }  // namespace
 
 const char* sched_mode_name(SchedMode mode) {
@@ -186,13 +195,35 @@ std::shared_ptr<void> Engine::get_or_create_tool_object(
   return obj;
 }
 
-void Engine::deliver(InFlight msg) {
+void Engine::deliver(InFlight msg, const void* buf) {
   const int dst_rank = msg.info.dst_world;
+  const int src_rank = msg.info.src_world;
   const double arrival = msg.arrival_s;
   const std::size_t msg_bytes = msg.info.bytes;
+  const bool carries = buf != nullptr && msg_bytes > 0;
   RankState& dst = rank_state(dst_rank);
   {
     std::lock_guard lock(dst.mutex);
+    PostedRecv& post = dst.posted;
+    bool landed = false;
+    if (post.buf != nullptr &&
+        pkt_matches(msg.info, post.src_world, post.context_id, post.tag,
+                    post.kind)) {
+      // The posted receive takes this message next. Land the payload in its
+      // buffer when it fits; a message too large for it stays in the inbox
+      // for the receive to reject. Either way the post is spent, so no later
+      // message can land behind this one. memmove: ranks may share memory,
+      // so the sender's buffer can overlap the one it lands in.
+      if (carries && msg_bytes <= post.capacity) {
+        std::memmove(post.buf, buf, msg_bytes);
+        landed = true;
+      }
+      post = PostedRecv{};
+    }
+    if (carries && !landed) {
+      msg.payload = std::make_unique_for_overwrite<std::byte[]>(msg_bytes);
+      std::memcpy(msg.payload.get(), buf, msg_bytes);
+    }
     dst.inbox.push_back(std::move(msg));
     if (hub_.enabled()) {
       const telemetry::StdIds& ids = hub_.ids();
@@ -200,6 +231,7 @@ void Engine::deliver(InFlight msg) {
                               static_cast<double>(dst.inbox.size()));
       hub_.registry().gauge_add(ids.engine_bytes_in_flight, dst_rank,
                                 static_cast<std::int64_t>(msg_bytes));
+      if (landed) hub_.registry().add(ids.engine_direct_deliveries, src_rank);
     }
     if (cfg_.nic_contention) {
       // A blocked receiver may wake from this delivery and send as early
@@ -866,16 +898,12 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
   Engine::InFlight msg;
   msg.info = info;
   msg.arrival_s = arrival;
-  if (buf != nullptr && bytes > 0) {
-    msg.payload = std::make_unique<std::byte[]>(bytes);
-    std::memcpy(msg.payload.get(), buf, bytes);
-  }
 
   if (crosses)
     engine_->nic_.record_tx(engine_->fabric().node_of(leaf_src), tx_start,
                             bytes);
 
-  engine_->deliver(std::move(msg));
+  engine_->deliver(std::move(msg), buf);
   clock_ = tx_start + tx + cost.send_overhead();
   if (observed)
     engine_->notify(EngineObserver::kSend, [&](EngineObserver& o) {
@@ -973,19 +1001,6 @@ double Ctx::contended_transfer(int leaf_src, int leaf_dst, double tx_s,
   *tx_start = start;
   return arrival;
 }
-
-namespace {
-
-bool pkt_matches(const PktInfo& info, int src_world, int context_id, int tag,
-                 CommKind kind) {
-  if (info.context_id != context_id) return false;
-  if (info.kind != kind) return false;
-  if (tag != kAnyTag && info.tag != tag) return false;
-  if (src_world != kAnySource && info.src_world != src_world) return false;
-  return true;
-}
-
-}  // namespace
 
 bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
                              CommKind kind, void* buf, std::size_t capacity,
@@ -1179,6 +1194,20 @@ Ctx::RecvWait Ctx::recv_bytes_wait(int src_world, const Comm& comm, int tag,
     return false;
   };
   if (ready()) return outcome;
+  // Post the buffer for Engine::deliver before the first wait, and retract
+  // it on every way out (match, timeout, dead peer, revoke, abort). Both
+  // happen under the inbox mutex, which `lock` holds at every exit.
+  struct PostGuard {
+    Engine::PostedRecv& slot;
+    ~PostGuard() { slot = Engine::PostedRecv{}; }
+  } post_guard{st.posted};
+  if (buf != nullptr && capacity > 0)
+    st.posted = Engine::PostedRecv{.buf = buf,
+                                   .capacity = capacity,
+                                   .src_world = src_world,
+                                   .tag = tag,
+                                   .context_id = comm.context_id(),
+                                   .kind = kind};
   const Engine::PendingOp op{Engine::PendingOp::What::recv, src_world, tag,
                              kind, comm.context_id(), clock_};
   PendingGuard pending_guard(engine_, world_rank_, op);

@@ -389,13 +389,30 @@ class Engine {
   struct InFlight {
     PktInfo info;
     double arrival_s = 0.0;
-    std::unique_ptr<std::byte[]> payload;  ///< null for timing-only messages
+    /// Null for timing-only messages and for messages deliver() already
+    /// copied into the posted receive's buffer.
+    std::unique_ptr<std::byte[]> payload;
+  };
+
+  /// The receive a rank is blocked in, published for deliver(): the first
+  /// delivery that matches it is exactly the message that receive takes
+  /// next (its inbox held no match when it posted), so a payload that fits
+  /// is copied straight into `buf` instead of into a fresh allocation.
+  /// `buf` is null when nothing is posted.
+  struct PostedRecv {
+    void* buf = nullptr;
+    std::size_t capacity = 0;
+    int src_world = kAnySource;
+    int tag = 0;
+    int context_id = -1;
+    CommKind kind = CommKind::p2p;
   };
 
   struct RankState {
     std::mutex mutex;
     std::condition_variable cv;
     std::deque<InFlight> inbox;
+    PostedRecv posted;  ///< guarded by mutex, like the inbox
   };
 
   RankState& rank_state(int world_rank) {
@@ -424,7 +441,11 @@ class Engine {
  private:
   friend class Ctx;
 
-  void deliver(InFlight msg);
+  /// Enqueues `msg` in its destination's inbox. `buf` is the sender's
+  /// payload (null for timing-only traffic): it lands in the destination's
+  /// posted receive when that receive matches and has room, and is copied
+  /// into msg.payload otherwise.
+  void deliver(InFlight msg, const void* buf);
   void record_error(std::exception_ptr err);
   void abort_all();
   /// Per-rank prologue/workload/epilogue shared by both backends: runs on

@@ -4,7 +4,10 @@
 // immediately. An irecv records its matching parameters; the actual
 // matching happens at wait/test time -- a documented simplification of the
 // MPI posted-receive queue that is indistinguishable for programs that
-// wait on requests in post order.
+// wait on requests in post order. The engine keeps one posted receive per
+// rank: a wait that blocks posts its buffer like recv, so a message that
+// arrives during the wait lands there directly (DESIGN.md §7, "Data
+// path"); test never posts.
 #pragma once
 
 #include <cstddef>

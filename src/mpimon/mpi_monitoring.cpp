@@ -538,11 +538,11 @@ void read_row_blob(MonSession& s, int flags,
 /// Splits a gathered rows x 2n blob matrix back into the caller's count
 /// and size matrices (either may be MPI_M_DATA_IGNORE). A sentinel-filled
 /// blob row lands as sentinel rows in both outputs.
-void deinterleave_blob(const std::vector<unsigned long>& fused, std::size_t n,
+void deinterleave_blob(const unsigned long* fused, std::size_t n,
                        unsigned long* matrix_counts,
                        unsigned long* matrix_sizes) {
   for (std::size_t r = 0; r < n; ++r) {
-    const unsigned long* src = fused.data() + r * 2 * n;
+    const unsigned long* src = fused + r * 2 * n;
     if (matrix_counts != MPI_M_DATA_IGNORE)
       std::copy(src, src + n, matrix_counts + r * n);
     if (matrix_sizes != MPI_M_DATA_IGNORE)
@@ -582,12 +582,11 @@ std::vector<bool> ft_gather_rows(MonSession& s,
   return lost;
 }
 
-/// mpi::ft_bcast of `words` from group rank 0; false, with the loss
+/// mpi::ft_bcast of `count` words from group rank 0; false, with the loss
 /// counted, when they never arrived.
-bool ft_bcast_words(MonSession& s, std::vector<unsigned long>& words) {
+bool ft_bcast_words(MonSession& s, unsigned long* words, std::size_t count) {
   const Ctx::RecvWait rc =
-      mpim::mpi::ft_bcast(s.comm, words.data(),
-                          words.size() * sizeof(unsigned long), 0,
+      mpim::mpi::ft_bcast(s.comm, words, count * sizeof(unsigned long), 0,
                           mon_state().gather_timeout_s);
   count_lost(rc);
   return rc == Ctx::RecvWait::ok;
@@ -605,18 +604,25 @@ int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
   const bool receives =
       root < 0 ||
       s.comm.group_rank_of_world(Ctx::current().world_rank()) == root;
-  std::vector<unsigned long> msg(receives ? rows * w + 1 : 0);
+  // rows x w matrix plus the missing-row count. Left uninitialized: the
+  // gather root fills every row (received or sentinel) and sets the count,
+  // and the other ranks of an allgather take the whole message from the
+  // broadcast or fill it with sentinels.
+  const std::size_t words = rows * w + 1;
+  std::unique_ptr<unsigned long[]> msg;
+  if (receives) msg = std::make_unique_for_overwrite<unsigned long[]>(words);
   const std::vector<bool> lost =
-      ft_gather_rows(s, row, std::max(root, 0), msg.data());
+      ft_gather_rows(s, row, std::max(root, 0), msg.get());
   if (!receives) return 0;
-  msg.back() = static_cast<unsigned long>(
+  unsigned long& missing = msg[words - 1];
+  missing = static_cast<unsigned long>(
       std::count(lost.begin(), lost.end(), true));
-  if (root < 0 && !ft_bcast_words(s, msg)) {
-    std::fill(msg.begin(), msg.end(), MPI_M_DATA_MISSING);
-    msg.back() = static_cast<unsigned long>(rows);
+  if (root < 0 && !ft_bcast_words(s, msg.get(), words)) {
+    std::fill_n(msg.get(), words - 1, MPI_M_DATA_MISSING);
+    missing = static_cast<unsigned long>(rows);
   }
-  if (recv != nullptr) std::copy(msg.begin(), msg.end() - 1, recv);
-  return static_cast<int>(msg.back());
+  if (recv != nullptr) std::copy_n(msg.get(), words - 1, recv);
+  return static_cast<int>(missing);
 }
 
 /// Gathers each contributor's row (any width) into a comm-size x width
@@ -637,13 +643,14 @@ int gather_rows(MonSession& s, const std::vector<unsigned long>& row,
   if (ctx.engine().config().fault_plan != nullptr) {
     missing = gather_rows_ft(s, row, root, out);
   } else {
-    std::vector<unsigned long> scratch;
+    std::unique_ptr<unsigned long[]> scratch;
     unsigned long* recv = out;
     const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
     const bool receives = (root < 0) || (myrank == root);
     if (receives && recv == nullptr) {
-      scratch.assign(rows * w, 0ul);
-      recv = scratch.data();
+      // Uninitialized: the collective writes every word.
+      scratch = std::make_unique_for_overwrite<unsigned long[]>(rows * w);
+      recv = scratch.get();
     }
     if (root < 0) {
       mpim::mpi::coll::allgather(ctx, row.data(), w, Type::UnsignedLong,
@@ -676,10 +683,13 @@ int gather_data_common(MPI_M_msid msid, int root, unsigned long* matrix_counts,
     const int myrank =
         s->comm.group_rank_of_world(Ctx::current().world_rank());
     const bool receives = (root < 0) || (myrank == root);
-    std::vector<unsigned long> fused(receives ? n * 2 * n : 0, 0ul);
-    const int missing =
-        gather_rows(*s, blob, root, receives ? fused.data() : nullptr);
-    if (receives) deinterleave_blob(fused, n, matrix_counts, matrix_sizes);
+    // Uninitialized: gather_rows writes all n x 2n words before they are read.
+    std::unique_ptr<unsigned long[]> fused;
+    if (receives)
+      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
+    const int missing = gather_rows(*s, blob, root, fused.get());
+    if (receives)
+      deinterleave_blob(fused.get(), n, matrix_counts, matrix_sizes);
     if (missing > 0) {
       tele().add(tele().ids().mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
@@ -1054,7 +1064,7 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
       mpim::mpi::coll::bcast(ctx, result.data(),
                              result.size() * sizeof(unsigned long),
                              Type::Byte, 0, s->comm, CommKind::tool);
-    } else if (!ft_bcast_words(*s, result)) {
+    } else if (!ft_bcast_words(*s, result.data(), result.size())) {
       result[0] = 0;  // no windows, every contributor missing
       result[1] = static_cast<unsigned long>(n);
     }
@@ -1132,12 +1142,14 @@ int MPI_M_rootflush(MPI_M_msid msid, int root, const char* filename,
     const std::size_t n = static_cast<std::size_t>(s->comm.size());
     std::vector<unsigned long> blob;
     read_row_blob(*s, flags, blob);
-    std::vector<unsigned long> fused(myrank == root ? n * 2 * n : 0, 0ul);
-    const int missing = gather_rows(*s, blob, root,
-                                    myrank == root ? fused.data() : nullptr);
+    // Uninitialized: gather_rows writes all n x 2n words before they are read.
+    std::unique_ptr<unsigned long[]> fused;
+    if (myrank == root)
+      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
+    const int missing = gather_rows(*s, blob, root, fused.get());
     if (myrank != root) return MPI_M_SUCCESS;
     std::vector<unsigned long> counts(n * n), sizes(n * n);
-    deinterleave_blob(fused, n, counts.data(), sizes.data());
+    deinterleave_blob(fused.get(), n, counts.data(), sizes.data());
 
     // [rank] in the file names is the root's rank in MPI_COMM_WORLD.
     const std::string world_rank = std::to_string(ctx.world_rank());

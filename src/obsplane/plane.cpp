@@ -352,7 +352,9 @@ void Plane::apply_locked(const StreamEvent& ev) {
   const int merge = merge_.load(std::memory_order_relaxed);
   switch (ev.kind) {
     case StreamEvent::Kind::metric: {
-      Series& s = series_[{ev.rank, ev.id}];
+      const auto [it, fresh] = series_.try_emplace({ev.rank, ev.id});
+      Series& s = it->second;
+      const std::uint64_t before = fresh ? 0 : series_bytes(s);
       const long me = ev.epoch / merge;
       if (!s.buckets.empty() && s.buckets.back().first >= me) {
         s.buckets.back().second += ev.a;
@@ -363,26 +365,34 @@ void Plane::apply_locked(const StreamEvent& ev) {
       s.hist.observe(ev.a);
       s.sketch.observe(ev.a);
       s.total += ev.a;
+      series_bytes_ = series_bytes_ - before + series_bytes(s);
       if (ev.id == kSlotRetransmits) retransmits_by_epoch_[ev.epoch] += ev.a;
       if (const char* what = derived_event_name(ev.id); what != nullptr)
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, what, nullptr);
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
     case StreamEvent::Kind::frame: {
       if (ev.aux != 0)
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, "phase", nullptr);
       mismatch_by_epoch_[ev.epoch] += ev.a;
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
     case StreamEvent::Kind::span: {
       if (ev.aux == 'S')
         add_event_locked(ev.epoch, ev.rank, ev.t0_s, "session", ev.name);
-      if (stream_) pending_[ev.epoch].push_back(ev);
       break;
     }
   }
+  if (stream_) {
+    pending_[ev.epoch].push_back(ev);
+    ++pending_size_;
+  }
+}
+
+std::uint64_t Plane::series_bytes(const Series& s) {
+  return sizeof(Series) +
+         s.buckets.size() * sizeof(std::pair<long, std::uint64_t>) +
+         s.sketch.stored() * 16;
 }
 
 void Plane::derive_crash_events_locked() {
@@ -453,6 +463,7 @@ void Plane::emit_epoch_locked(long e) {
         ++n;
       }
     }
+    pending_size_ -= it->second.size();
     pending_.erase(it);
   }
   auto et = pending_events_.find(e);
@@ -532,16 +543,10 @@ void Plane::mirror_counters_locked() {
 }
 
 void Plane::update_mem_gauge_locked() {
-  std::uint64_t mem =
+  const std::uint64_t mem =
       static_cast<std::uint64_t>(nranks_) * cfg_.ring_capacity *
-      sizeof(StreamEvent);
-  for (const auto& kv : series_) {
-    mem += sizeof(Series) + kv.second.buckets.size() * sizeof(std::pair<long, std::uint64_t>);
-    mem += kv.second.sketch.stored() * 16;
-  }
-  std::uint64_t pend = 0;
-  for (const auto& kv : pending_) pend += kv.second.size();
-  mem += pend * sizeof(StreamEvent);
+          sizeof(StreamEvent) +
+      series_bytes_ + pending_size_ * sizeof(StreamEvent);
   mem_bytes_.store(mem, std::memory_order_relaxed);
   engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_mem_bytes, 0,
                                 static_cast<std::int64_t>(mem));
@@ -558,7 +563,9 @@ void Plane::on_run_begin() {
     p->final_flag.store(false, std::memory_order_relaxed);
   }
   series_.clear();
+  series_bytes_ = 0;
   pending_.clear();
+  pending_size_ = 0;
   pending_events_.clear();
   retransmits_by_epoch_.clear();
   mismatch_by_epoch_.clear();
@@ -687,6 +694,7 @@ void Plane::widen_windows() {
   std::lock_guard<std::mutex> lk(drain_mx_);
   const int merge = merge_.load(std::memory_order_relaxed) * 2;
   merge_.store(merge, std::memory_order_relaxed);
+  series_bytes_ = 0;
   for (auto& kv : series_) {
     Series& s = kv.second;
     std::deque<std::pair<long, std::uint64_t>> rekeyed;
@@ -698,6 +706,7 @@ void Plane::widen_windows() {
         rekeyed.emplace_back(me, b.second);
     }
     s.buckets.swap(rekeyed);
+    series_bytes_ += series_bytes(s);
   }
   engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_window_merge,
                                 0, merge);

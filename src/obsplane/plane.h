@@ -203,6 +203,8 @@ class Plane final : public mpi::EngineObserver {
     QuantileSketch sketch;
     std::uint64_t total = 0;
   };
+  /// What one series adds to store_bytes().
+  static std::uint64_t series_bytes(const Series& s);
 
   bool push(int rank, const StreamEvent& ev);
   void drain_locked();
@@ -237,6 +239,10 @@ class Plane final : public mpi::EngineObserver {
   mutable std::mutex drain_mx_;
   std::map<std::pair<int, int>, Series> series_;      // (rank, slot)
   std::map<long, std::vector<StreamEvent>> pending_;  // raw epoch -> events
+  // Running totals behind store_bytes(), so a drain does not walk the store:
+  // series_bytes() summed over series_, and the events held in pending_.
+  std::uint64_t series_bytes_ = 0;
+  std::uint64_t pending_size_ = 0;
   std::map<long, std::vector<EventRec>> pending_events_;
   std::map<long, std::uint64_t> retransmits_by_epoch_;
   std::map<long, std::uint64_t> mismatch_by_epoch_;

@@ -46,6 +46,9 @@ Hub::Hub(int nranks, std::size_t span_capacity)
       "mpim_engine_message_bytes", "message payload size", size_bounds);
   ids_.engine_bytes_in_flight = reg.define_gauge(
       "mpim_engine_bytes_in_flight", "delivered but unmatched bytes");
+  ids_.engine_direct_deliveries = reg.define_counter(
+      "mpim_engine_direct_deliveries_total",
+      "messages copied straight into a waiting receive's buffer");
 
   ids_.fault_retransmits = reg.define_counter(
       "mpim_fault_retransmits_total", "retransmit attempts (extra sends)");

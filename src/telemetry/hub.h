@@ -48,6 +48,7 @@ struct StdIds {
   int engine_match_s = -1;         ///< histogram: arrival->match latency (s)
   int engine_msg_bytes = -1;       ///< histogram: message size
   int engine_bytes_in_flight = -1; ///< gauge: delivered but unmatched bytes
+  int engine_direct_deliveries = -1;  ///< counter: landed in a posted receive
   // fault-plan outcomes
   int fault_retransmits = -1;      ///< counter: extra attempts (attempts-1)
   int fault_drops = -1;            ///< counter: on-wire transmissions lost

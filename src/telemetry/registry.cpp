@@ -19,9 +19,8 @@ int Registry::define(MetricDesc d, std::size_t cells_per_rank) {
   m.rank_stride =
       (cells_per_rank + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
   const std::size_t total = m.rank_stride * static_cast<std::size_t>(nranks_);
+  // Value-initialized: every cell starts at 0 (C++20 atomics hold T()).
   m.cells = std::make_unique<std::atomic<std::uint64_t>[]>(total);
-  for (std::size_t i = 0; i < total; ++i)
-    m.cells[i].store(0, std::memory_order_relaxed);
   metrics_.push_back(std::move(m));
   return static_cast<int>(metrics_.size()) - 1;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
 
@@ -163,6 +164,36 @@ TEST(Engine, TruncationIsAnError) {
     }
   }),
                Error);
+
+  // Receiver first: rank 1 is blocked in its receive, buffer posted, when
+  // the oversized message arrives (certain under fibers, where rank 0 waits
+  // for a timing-only go). The posted buffer must not be written -- not
+  // even its one-int capacity -- and the receive still raises.
+  for (const SchedMode sched : {SchedMode::fibers, SchedMode::threads}) {
+    auto cfg = tiny_cfg(2);
+    cfg.sched = sched;
+    Engine posted(cfg);
+    EXPECT_THROW(posted.run([](Ctx& ctx) {
+      const Comm world = ctx.world();
+      if (ctx.world_rank() == 0) {
+        recv(nullptr, 0, Type::Byte, 1, 1, world);
+        std::vector<int> data(8, 5);
+        send(data.data(), data.size(), Type::Int, 1, 0, world);
+      } else {
+        send(nullptr, 0, Type::Byte, 0, 1, world);
+        std::array<int, 2> little{-1, -1};
+        try {
+          recv(little.data(), 1, Type::Int, 0, 0, world);
+        } catch (const Error&) {
+          EXPECT_EQ(little, (std::array<int, 2>{-1, -1}));
+          throw;
+        }
+        ADD_FAILURE() << "oversized message was accepted";
+      }
+    }),
+                 Error)
+        << sched_mode_name(sched);
+  }
 }
 
 TEST(Engine, DeadlockDetected) {

@@ -256,6 +256,50 @@ TEST(ObsplanePlane, SmallRingsWrapManyTimesWithoutDropsAndReconcile) {
     }
 }
 
+TEST(ObsplanePlane, StoreBytesKeepTheirGoldenValues) {
+  // The memory gauge is kept as running totals; these goldens are what a
+  // full walk of every series and pending epoch gives at the same points.
+  // Fibers make the drain points deterministic, and the JSONL stream keeps
+  // events pending until their epoch is emitted, so the mid-run samples
+  // count pending events as well as series.
+  const std::string path = temp_path("obsplane_store_bytes.jsonl");
+  std::remove(path.c_str());
+  auto ecfg = small_cfg(8);
+  ecfg.sched = mpi::SchedMode::fibers;
+  mpi::Engine eng(ecfg);
+  PlaneConfig cfg;
+  cfg.epoch_s = 1e-4;
+  cfg.stream_path = path;
+  auto plane = Plane::attach(eng, cfg);
+  ASSERT_NE(plane, nullptr);
+  std::vector<std::uint64_t> samples;
+  const auto workload = [&](Ctx& ctx) {
+    for (int rep = 0; rep < 3; ++rep) {
+      ring_workload(ctx);
+      if (ctx.world_rank() == 0) samples.push_back(plane->store_bytes());
+    }
+  };
+  eng.run(workload);
+  EXPECT_EQ(samples,
+            (std::vector<std::uint64_t>{2638208, 2641952, 2644704}));
+  EXPECT_EQ(plane->store_bytes(), 2644000u);
+  plane->widen_windows();
+  plane->try_drain();  // publishes the gauge for the widened store
+  EXPECT_EQ(plane->store_bytes(), 2643552u);
+
+  // A rerun clears the store and the pending epochs, then rebuilds the
+  // series at the widened merge factor.
+  samples.clear();
+  eng.run(workload);
+  EXPECT_EQ(samples,
+            (std::vector<std::uint64_t>{2638208, 2641824, 2644352}));
+  EXPECT_EQ(plane->store_bytes(), 2643552u);
+  const auto& hub = eng.telemetry();
+  EXPECT_EQ(hub.registry().gauge_value(hub.ids().obsplane_mem_bytes, 0),
+            static_cast<std::int64_t>(plane->store_bytes()));
+  std::remove(path.c_str());
+}
+
 TEST(ObsplanePlane, ClocksBitIdenticalWithAndWithoutPlane) {
   mpi::Engine bare(small_cfg(4));
   bare.run(ring_workload);

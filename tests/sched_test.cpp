@@ -6,7 +6,10 @@
 // labels; three golden-clock cases pin the tree fabric, every
 // collective family plus a monitored session, and a np=1000 contended
 // world deep in the min-clock gate's tree. The gate's tree is also checked
-// against the linear arg-min it replaced. Fiber-only cases check the
+// against the linear arg-min it replaced. The delivery cases check that a
+// message landing in a waiting receive's buffer and one copied through the
+// inbox arrive byte-identical, in order and at the same clocks, and that
+// a receive that timed out leaves no stale post. Fiber-only cases check the
 // structural deadlock detector, timed receives, rerun determinism, that a
 // switch keeps each fiber's FP rounding mode and stack alignment (the
 // register-only switch saves MXCSR and the x87 control word, nothing
@@ -563,6 +566,295 @@ TEST(SchedEnv, StrictTopoParseSelectsFabricAndRejectsGarbage) {
   ::setenv("MPIM_TOPO", "tree", 1);
   EXPECT_EQ(fabric_kind_after_run(), topo::FabricKind::tree);
   ::unsetenv("MPIM_TOPO");
+}
+
+// --- single-copy delivery ---------------------------------------------------
+// A message that reaches a rank already blocked in a matching receive is
+// copied straight into that receive's buffer; any other message is copied
+// into the inbox and out again at the match. Fibers make the two orders
+// certain (mpim_engine_direct_deliveries_total counts the landings); under
+// threads the order is racy, so there only bytes and clocks are checked.
+
+/// Deterministic payload for message `seq` of rank `src`.
+std::vector<std::uint8_t> payload(int src, int seq, std::size_t bytes) {
+  std::vector<std::uint8_t> out(bytes);
+  const auto salt = static_cast<std::size_t>(src * 17 + seq * 7 + 1);
+  for (std::size_t i = 0; i < bytes; ++i)
+    out[i] = static_cast<std::uint8_t>(i * 131 + salt);
+  return out;
+}
+
+struct DeliveryRun {
+  std::vector<double> clocks;
+  std::uint64_t landed = 0;  ///< direct deliveries, summed over senders
+};
+
+DeliveryRun run_delivery(EngineConfig cfg, SchedMode sched,
+                         const std::function<void(Ctx&)>& program) {
+  cfg.sched = sched;
+  Engine eng(cfg);
+  eng.telemetry().set_enabled(true);
+  eng.run(program);
+  DeliveryRun out{eng.final_clocks(), 0};
+  const telemetry::Hub& hub = eng.telemetry();
+  for (int r = 0; r < eng.world_size(); ++r)
+    out.landed += hub.registry().counter_value(
+        hub.ids().engine_direct_deliveries, r);
+  return out;
+}
+
+/// Runs `program` on both backends, requires bit-identical clocks, and
+/// returns the fiber run's landing count.
+std::uint64_t landed_with_clock_parity(
+    const EngineConfig& cfg, const std::function<void(Ctx&)>& program) {
+  const DeliveryRun threads = run_delivery(cfg, SchedMode::threads, program);
+  const DeliveryRun fibers = run_delivery(cfg, SchedMode::fibers, program);
+  EXPECT_EQ(threads.clocks, fibers.clocks);
+  return fibers.landed;
+}
+
+TEST(SchedDelivery, ReceiverFirstLandsAndSenderFirstCopies) {
+  static constexpr std::size_t kBytes = 64 * 1024;
+  static constexpr int kData = 3, kGo = 4;
+  // Sender first: rank 0 leads the fiber queue and sends before rank 1
+  // ever receives, so the message waits in the inbox.
+  const auto sender_first = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    if (ctx.world_rank() == 0) {
+      const auto data = payload(0, 0, kBytes);
+      send(data.data(), kBytes, Type::Byte, 1, kData, world);
+    } else {
+      std::vector<std::uint8_t> got(kBytes, 0xee);
+      const Status st = recv(got.data(), kBytes, Type::Byte, 0, kData, world);
+      EXPECT_EQ(st.bytes, kBytes);
+      EXPECT_EQ(got, payload(0, 0, kBytes));
+    }
+  };
+  // Receiver first: rank 0 waits for a timing-only go (a null buffer is
+  // never posted), so rank 1 is blocked in its receive when the data
+  // arrives.
+  const auto receiver_first = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    if (ctx.world_rank() == 0) {
+      recv(nullptr, 0, Type::Byte, 1, kGo, world);
+      const auto data = payload(0, 1, kBytes);
+      send(data.data(), kBytes, Type::Byte, 1, kData, world);
+    } else {
+      send(nullptr, 0, Type::Byte, 0, kGo, world);
+      std::vector<std::uint8_t> got(kBytes + 8, 0xee);
+      const Status st =
+          recv(got.data(), got.size(), Type::Byte, 0, kData, world);
+      EXPECT_EQ(st.bytes, kBytes);
+      EXPECT_TRUE(std::equal(got.begin(), got.begin() + kBytes,
+                             payload(0, 1, kBytes).begin()));
+      // Only the message's bytes were written, not the whole capacity.
+      EXPECT_TRUE(std::all_of(got.begin() + kBytes, got.end(),
+                              [](std::uint8_t b) { return b == 0xee; }));
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), sender_first), 0u);
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), receiver_first), 1u);
+}
+
+TEST(SchedDelivery, MessageThatCannotLandStillSpendsThePost) {
+  // Rank 1 is blocked in a receive when rank 0 sends a timing-only message
+  // and then a real one, both matching it. The first cannot land (it has
+  // no payload) but is the one that receive takes, so it must retire the
+  // post: the second may not land in the first receive's buffer, and must
+  // reach the second receive intact.
+  static constexpr std::size_t kBytes = 512;
+  const auto program = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    if (ctx.world_rank() == 0) {
+      recv(nullptr, 0, Type::Byte, 1, 1, world);
+      send(nullptr, kBytes, Type::Byte, 1, 0, world);
+      const auto data = payload(0, 0, kBytes);
+      send(data.data(), kBytes, Type::Byte, 1, 0, world);
+    } else {
+      send(nullptr, 0, Type::Byte, 0, 1, world);
+      std::vector<std::uint8_t> first(kBytes, 0xee), second(kBytes, 0xee);
+      EXPECT_EQ(recv(first.data(), kBytes, Type::Byte, 0, 0, world).bytes,
+                kBytes);
+      EXPECT_EQ(first, std::vector<std::uint8_t>(kBytes, 0xee));
+      recv(second.data(), kBytes, Type::Byte, 0, 0, world);
+      EXPECT_EQ(second, payload(0, 0, kBytes));
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), program), 0u);
+}
+
+TEST(SchedDelivery, AnySourceFromSeveralSendersArrivesIntactAndInOrder) {
+  // Four senders interleave on one receiver posted for any source: under
+  // fibers some messages land and some wait in the inbox, under threads
+  // the mix is up to the host. Sizes vary per message, and the contended
+  // gate makes senders yield mid-stream.
+  static constexpr int kSenders = 4, kPerSender = 12;
+  static constexpr std::size_t kMaxBytes = 4096;
+  auto cfg = sched_cfg(kSenders + 1);
+  cfg.nic_contention = true;
+  const auto bytes_of = [](int src, int seq) {
+    return static_cast<std::size_t>(256 * ((src + seq) % 16 + 1));
+  };
+  const auto program = [&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    if (me != 0) {
+      for (int seq = 0; seq < kPerSender; ++seq) {
+        compute(1e-6 * me * (seq % 3 + 1));
+        const auto data = payload(me, seq, bytes_of(me, seq));
+        send(data.data(), data.size(), Type::Byte, 0, 9, world);
+      }
+      return;
+    }
+    std::vector<int> next(kSenders + 1, 0);
+    std::vector<std::uint8_t> got(kMaxBytes);
+    for (int m = 0; m < kSenders * kPerSender; ++m) {
+      std::fill(got.begin(), got.end(), 0xee);
+      const Status st =
+          recv(got.data(), got.size(), Type::Byte, kAnySource, 9, world);
+      ASSERT_GE(st.source, 1);
+      const int seq = next[static_cast<std::size_t>(st.source)]++;
+      const std::size_t bytes = bytes_of(st.source, seq);
+      ASSERT_EQ(st.bytes, bytes) << "from " << st.source << " seq " << seq;
+      EXPECT_TRUE(std::equal(got.begin(), got.begin() + bytes,
+                             payload(st.source, seq, bytes).begin()))
+          << "from " << st.source << " seq " << seq;
+    }
+    for (int src = 1; src <= kSenders; ++src)
+      EXPECT_EQ(next[static_cast<std::size_t>(src)], kPerSender);
+  };
+  run_delivery(cfg, SchedMode::threads, program);
+  const DeliveryRun fibers = run_delivery(cfg, SchedMode::fibers, program);
+  EXPECT_GT(fibers.landed, 0u);
+  EXPECT_LT(fibers.landed, static_cast<std::uint64_t>(kSenders * kPerSender));
+  const DeliveryRun again = run_delivery(cfg, SchedMode::fibers, program);
+  EXPECT_EQ(again.clocks, fibers.clocks);
+  EXPECT_EQ(again.landed, fibers.landed);
+}
+
+TEST(SchedDelivery, TimedOutReceiveLeavesNoStalePost) {
+  // The timed-out receive posted `stale`. The late message arrives while
+  // rank 0 waits in a timing-only receive, which posts nothing: if the old
+  // post had outlived its receive, the message would land in `stale` and
+  // never reach `fresh`.
+  static constexpr std::uint32_t kSentinel = 0xdeadbeef;
+  const auto program = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    if (ctx.world_rank() == 0) {
+      std::array<std::uint32_t, 16> stale;
+      stale.fill(kSentinel);
+      Status st;
+      EXPECT_EQ(ctx.recv_bytes_wait(1, world, 7, CommKind::p2p, stale.data(),
+                                    sizeof stale, &st, 0.05),
+                Ctx::RecvWait::timeout);
+      send(nullptr, 0, Type::Byte, 1, 8, world);  // now let rank 1 send
+      recv(nullptr, 0, Type::Byte, 1, 9, world);  // it has sent
+      std::array<std::uint32_t, 16> fresh{};
+      recv(fresh.data(), sizeof fresh, Type::Byte, 1, 7, world);
+      for (std::size_t i = 0; i < fresh.size(); ++i) {
+        EXPECT_EQ(fresh[i], 1000 + i);
+        EXPECT_EQ(stale[i], kSentinel);
+      }
+    } else {
+      recv(nullptr, 0, Type::Byte, 0, 8, world);
+      std::array<std::uint32_t, 16> late;
+      for (std::size_t i = 0; i < late.size(); ++i)
+        late[i] = static_cast<std::uint32_t>(1000 + i);
+      send(late.data(), sizeof late, Type::Byte, 0, 7, world);
+      send(nullptr, 0, Type::Byte, 0, 9, world);
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), program), 0u);
+}
+
+TEST(SchedDelivery, OnlyAMatchingMessageLands) {
+  // Rank 1 is blocked in a receive for (rank 0, tag kData, world) when
+  // messages that differ from it in source, tag or communicator arrive:
+  // each must wait in the inbox, and only the matching one lands.
+  static constexpr std::size_t kBytes = 256;
+  static constexpr int kData = 3, kOther = 4, kGo = 5;
+  const auto program = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const Comm dup = comm_dup(world);
+    const int me = ctx.world_rank();
+    if (me == 0) {
+      recv(nullptr, 0, Type::Byte, 1, kGo, world);
+      const auto other_tag = payload(0, 1, kBytes);
+      send(other_tag.data(), kBytes, Type::Byte, 1, kOther, world);
+      const auto other_comm = payload(0, 2, kBytes);
+      send(other_comm.data(), kBytes, Type::Byte, 1, kData, dup);
+      const auto data = payload(0, 0, kBytes);
+      send(data.data(), kBytes, Type::Byte, 1, kData, world);
+    } else if (me == 2) {
+      recv(nullptr, 0, Type::Byte, 1, kGo, world);
+      const auto other_src = payload(2, 0, kBytes);
+      send(other_src.data(), kBytes, Type::Byte, 1, kData, world);
+    } else {
+      send(nullptr, 0, Type::Byte, 0, kGo, world);
+      send(nullptr, 0, Type::Byte, 2, kGo, world);
+      std::vector<std::uint8_t> got(kBytes);
+      recv(got.data(), kBytes, Type::Byte, 0, kData, world);
+      EXPECT_EQ(got, payload(0, 0, kBytes));
+      recv(got.data(), kBytes, Type::Byte, 2, kData, world);
+      EXPECT_EQ(got, payload(2, 0, kBytes));
+      recv(got.data(), kBytes, Type::Byte, 0, kOther, world);
+      EXPECT_EQ(got, payload(0, 1, kBytes));
+      recv(got.data(), kBytes, Type::Byte, 0, kData, dup);
+      EXPECT_EQ(got, payload(0, 2, kBytes));
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(3), program), 1u);
+}
+
+TEST(SchedDelivery, SendBufferMayOverlapThePostedBuffer) {
+  // Ranks of one process may share memory. Rank 1 receives into bytes
+  // [128, 384) of an array while rank 0 sends bytes [0, 256) of the same
+  // array: whether the message lands or is copied through the inbox, the
+  // receive sees the bytes as they were at the send.
+  static constexpr std::size_t kBytes = 256, kShift = 128;
+  const auto program = [](Ctx& ctx) {
+    static std::vector<std::uint8_t> shared;
+    const Comm world = ctx.world();
+    if (ctx.world_rank() == 0) {
+      recv(nullptr, 0, Type::Byte, 1, 1, world);
+      send(shared.data(), kBytes, Type::Byte, 1, 0, world);
+    } else {
+      shared = payload(0, 0, kBytes + kShift);
+      send(nullptr, 0, Type::Byte, 0, 1, world);
+      recv(shared.data() + kShift, kBytes, Type::Byte, 0, 0, world);
+      const auto want = payload(0, 0, kBytes + kShift);
+      EXPECT_TRUE(std::equal(shared.begin() + kShift, shared.end(),
+                             want.begin()));
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), program), 1u);
+}
+
+TEST(SchedDelivery, PingPongLandsEveryMessageButTheFirst) {
+  // Rank 0 sends first, before rank 1 has run; from then on each message
+  // finds its receiver blocked in the matching receive.
+  static constexpr int kRounds = 50;
+  static constexpr std::size_t kBytes = 1024;
+  const auto program = [](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    std::vector<std::uint8_t> buf(kBytes);
+    for (int i = 0; i < kRounds; ++i) {
+      if (me == 0) {
+        const auto out = payload(0, i, kBytes);
+        send(out.data(), kBytes, Type::Byte, 1, 0, world);
+        recv(buf.data(), kBytes, Type::Byte, 1, 0, world);
+        EXPECT_EQ(buf, payload(1, i, kBytes)) << "round " << i;
+      } else {
+        recv(buf.data(), kBytes, Type::Byte, 0, 0, world);
+        EXPECT_EQ(buf, payload(0, i, kBytes)) << "round " << i;
+        const auto out = payload(1, i, kBytes);
+        send(out.data(), kBytes, Type::Byte, 0, 0, world);
+      }
+    }
+  };
+  EXPECT_EQ(landed_with_clock_parity(sched_cfg(2), program),
+            static_cast<std::uint64_t>(2 * kRounds - 1));
 }
 
 // --- fiber-only behaviors ----------------------------------------------------
