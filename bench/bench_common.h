@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -101,6 +102,12 @@ inline Options parse_options(int argc, char** argv) {
       opt.quick = true;
     } else if (arg == "--csv" && i + 1 < argc) {
       opt.csv_dir = argv[++i];
+      // Checked before any work: the tables are written at the end.
+      std::error_code ec;
+      if (!std::filesystem::is_directory(*opt.csv_dir, ec)) {
+        std::cerr << "--csv: not a directory: " << *opt.csv_dir << "\n";
+        std::exit(2);
+      }
     } else if (arg == "--help" || arg == "-h") {
       std::cout << "usage: " << argv[0] << " [--quick] [--csv <dir>]\n";
       std::exit(0);

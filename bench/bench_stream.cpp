@@ -31,6 +31,7 @@
 namespace {
 
 using namespace mpim;
+using telemetry::Metric;
 
 mpi::EngineConfig stream_config(int nranks) {
   // Contention model off: this bench isolates host-side software cost.
@@ -50,14 +51,13 @@ double ingest_once(int nranks, int epochs, std::uint64_t* events_out) {
   pcfg.epoch_s = 1.0e-3;
   auto plane = obsplane::Plane::attach(engine, pcfg);
   auto& hub = engine.telemetry();
-  const auto& ids = hub.ids();
 
   const auto t0 = std::chrono::steady_clock::now();
   for (int e = 0; e < epochs; ++e) {
     const double now_s = (e + 1) * pcfg.epoch_s;
     for (int r = 0; r < nranks; ++r) {
-      hub.add(ids.engine_messages, r);
-      hub.add(ids.engine_bytes, r, 64);
+      hub.add(Metric::engine_messages, r);
+      hub.add(Metric::engine_bytes, r, 64);
       plane->on_epoch(r, now_s, false);
     }
   }

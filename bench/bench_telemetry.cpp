@@ -28,6 +28,7 @@
 namespace {
 
 using namespace mpim;
+using telemetry::Metric;
 
 // --- counter increment -------------------------------------------------------
 
@@ -42,7 +43,7 @@ BENCHMARK(BM_CounterAdd_Absent);
 
 void BM_CounterAdd_Disabled(benchmark::State& state) {
   telemetry::Hub hub(1);
-  const int id = hub.ids().engine_messages;
+  constexpr Metric id = Metric::engine_messages;
   for (auto _ : state) hub.add(id, 0);
   benchmark::DoNotOptimize(hub.registry().counter_total(id));
 }
@@ -51,7 +52,7 @@ BENCHMARK(BM_CounterAdd_Disabled);
 void BM_CounterAdd_Enabled(benchmark::State& state) {
   telemetry::Hub hub(1);
   hub.set_enabled(true);
-  const int id = hub.ids().engine_messages;
+  constexpr Metric id = Metric::engine_messages;
   for (auto _ : state) hub.add(id, 0);
   benchmark::DoNotOptimize(hub.registry().counter_total(id));
 }
@@ -60,7 +61,7 @@ BENCHMARK(BM_CounterAdd_Enabled);
 void BM_HistogramObserve_Enabled(benchmark::State& state) {
   telemetry::Hub hub(1);
   hub.set_enabled(true);
-  const int id = hub.ids().engine_msg_bytes;
+  constexpr Metric id = Metric::engine_msg_bytes;
   double v = 1.0;
   for (auto _ : state) {
     hub.observe(id, 0, v);

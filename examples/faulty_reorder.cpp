@@ -184,16 +184,16 @@ int main() {
     telemetry::write_spans_csv_file(hub, spans_path);
   }
 
+  using telemetry::Metric;
   const auto& reg = hub.registry();
-  const auto& ids = hub.ids();
   const unsigned long retransmits =
-      static_cast<unsigned long>(reg.counter_total(ids.fault_retransmits));
-  const unsigned long timeouts =
-      static_cast<unsigned long>(reg.counter_total(ids.mon_gather_timeouts));
+      static_cast<unsigned long>(reg.counter_total(Metric::fault_retransmits));
+  const unsigned long timeouts = static_cast<unsigned long>(
+      reg.counter_total(Metric::mon_gather_timeouts));
   const unsigned long dead_skips =
-      static_cast<unsigned long>(reg.counter_total(ids.mon_dead_skips));
+      static_cast<unsigned long>(reg.counter_total(Metric::mon_dead_skips));
   const unsigned long fallbacks =
-      static_cast<unsigned long>(reg.counter_total(ids.reorder_identity));
+      static_cast<unsigned long>(reg.counter_total(Metric::reorder_identity));
 
   std::printf("CG class S on %d scattered ranks, one monitored iteration\n",
               nranks);

@@ -44,6 +44,7 @@
 namespace {
 
 using namespace mpim;
+using telemetry::Metric;
 
 constexpr int kRanks = 8;
 constexpr int kVictim = 6;
@@ -193,7 +194,7 @@ int main() {
                                has_line(stream_path, "\"type\":\"run_end\"");
   const auto& hub = monitored.engine().telemetry();
   const unsigned long retransmits = static_cast<unsigned long>(
-      hub.registry().counter_total(hub.ids().fault_retransmits));
+      hub.registry().counter_total(Metric::fault_retransmits));
 
   std::printf("\nring exchange on %d ranks, link 0->1 degraded x8 in "
               "t=[%g, %g)s, rank %d crashed at t=%gs\n",

@@ -10,7 +10,7 @@
 #   3. tsan preset:    configure, build, ctest filtered to label
 #      "sanitize-thread": the record_stress (rank threads hammer the
 #      lock-free send path while the control plane churns RecordingPlans),
-#      recovery and sched suites
+#      recovery, sched and telemetry suites
 #
 # The --<lane>-only flags run one focused lane instead (the `lanes` table
 # below): the tests labeled with the lane's suite label under BOTH sanitizer
@@ -33,6 +33,12 @@
 #                    flows, per-link-class mismatch, hierarchical TreeMatch);
 #                    fabric_tour, monview --timeline render, bench_fabric +
 #                    trend gate
+#   --telemetry-only telemetry registry and exporters (catalog cell layout,
+#                    spans, MPI_T read-through; tsan watches the sender
+#                    thread recording into the destination rank's block);
+#                    faulty_reorder exports rendered by monview, and
+#                    MPIM_TELEMETRY=1 bench_fig4_overhead --quick
+#                    byte-identical to the run without it
 #   --scale-only     scheduler backends (thread-vs-fiber clock bit-identity,
 #                    MPIM_SCHED parsing, fiber deadlock detection, np=512-1024
 #                    fiber worlds, min-clock gate tree vs its linear oracle;
@@ -54,6 +60,7 @@ lanes=(
   "--stream-only obsplane stream_monitor,monview,bench_stream stream_e2e"
   "--critpath-only critpath stencil_reorder,profview,bench_critpath critpath_e2e"
   "--fabric-only fabric fabric_tour,monview,bench_fabric fabric_e2e"
+  "--telemetry-only telemetry faulty_reorder,monview,bench_fig4_overhead telemetry_e2e"
   "--scale-only sched bench_scale scale_e2e"
 )
 
@@ -114,6 +121,15 @@ fabric_e2e() {
   ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
   ./build/bench/bench_fabric --quick --csv results
   trend_gate
+}
+
+telemetry_e2e() {
+  ./build/examples/faulty_reorder >/dev/null
+  ./build/src/tools/monview results/faulty_reorder_metrics.csv \
+    results/faulty_reorder_spans.csv >/dev/null
+  # Telemetry is host-side only: enabling it must not move a figure.
+  cmp <(./build/bench/bench_fig4_overhead --quick) \
+    <(MPIM_TELEMETRY=1 ./build/bench/bench_fig4_overhead --quick)
 }
 
 scale_e2e() {

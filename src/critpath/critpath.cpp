@@ -12,8 +12,15 @@ namespace mpim::critpath {
 
 namespace {
 
+using telemetry::Metric;
+
 /// Hook-side telemetry mirror flush cadence, in events per lane.
 constexpr std::uint64_t kTelemetryFlushBatch = 64;
+
+/// Telemetry counter of each per-class accumulator, by class index.
+constexpr Metric kClassMetric[kNumClasses] = {
+    Metric::critpath_late_sender_ns, Metric::critpath_late_receiver_ns,
+    Metric::critpath_wait_collective_ns, Metric::critpath_root_imbalance_ns};
 
 /// Virtual seconds -> whole nanoseconds, round-to-nearest. Inputs are
 /// non-negative, so +0.5-and-truncate matches llround without the libm
@@ -85,14 +92,6 @@ Profiler::Profiler(mpi::Engine& engine, Config cfg)
   for (int r = 0; r < n; ++r)
     node_of_rank_[static_cast<std::size_t>(r)] =
         engine_.fabric().node_of(placement[static_cast<std::size_t>(r)]);
-  const telemetry::StdIds& ids = engine_.telemetry().ids();
-  id_events_ = ids.critpath_events;
-  id_dropped_ = ids.critpath_dropped;
-  id_wait_ = ids.critpath_wait_ns;
-  id_class_ = {ids.critpath_late_sender_ns, ids.critpath_late_receiver_ns,
-               ids.critpath_wait_collective_ns, ids.critpath_root_imbalance_ns};
-  id_extractions_ = ids.critpath_extractions;
-  id_blame_only_ = ids.critpath_blame_only;
 }
 
 std::shared_ptr<Profiler> Profiler::attach(mpi::Engine& engine, Config cfg) {
@@ -161,7 +160,8 @@ void Profiler::on_run_begin() {
   }
   finalized_ = false;
   report_ = BlameReport{};
-  engine_.telemetry().gauge_set(id_blame_only_, 0, blame_only_ ? 1 : 0);
+  engine_.telemetry().gauge_set(Metric::critpath_blame_only, 0,
+                                blame_only_ ? 1 : 0);
 }
 
 void Profiler::on_run_end() {
@@ -174,12 +174,14 @@ void Profiler::on_run_end() {
 
 void Profiler::flush_lane_telemetry(int rank, Lane& ln) {
   telemetry::Hub& hub = engine_.telemetry();
-  if (ln.pend_events) hub.add(id_events_, rank, ln.pend_events);
-  if (ln.pend_dropped) hub.add(id_dropped_, rank, ln.pend_dropped);
-  if (ln.pend_wait) hub.add(id_wait_, rank, ln.pend_wait);
+  if (ln.pend_events) hub.add(Metric::critpath_events, rank, ln.pend_events);
+  if (ln.pend_dropped)
+    hub.add(Metric::critpath_dropped, rank, ln.pend_dropped);
+  if (ln.pend_wait) hub.add(Metric::critpath_wait_ns, rank, ln.pend_wait);
   for (int c = 0; c < kNumClasses; ++c) {
     const auto ci = static_cast<std::size_t>(c);
-    if (ln.pend_class[ci]) hub.add(id_class_[ci], rank, ln.pend_class[ci]);
+    if (ln.pend_class[ci])
+      hub.add(kClassMetric[ci], rank, ln.pend_class[ci]);
   }
   ln.pend_events = 0;
   ln.pend_dropped = 0;
@@ -477,7 +479,7 @@ void Profiler::finalize_locked() {
       out.push_back(ln.ring[(start + i) % sz]);
   }
   extract_path(ordered);
-  engine_.telemetry().add(id_extractions_, 0);
+  engine_.telemetry().add(Metric::critpath_extractions, 0);
 }
 
 void Profiler::extract_path(std::vector<std::vector<Event>>& ordered) {

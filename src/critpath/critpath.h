@@ -286,10 +286,6 @@ class Profiler final : public mpi::EngineObserver {
   bool finalized_ = true;  ///< no run captured yet
   double extract_host_s_ = 0.0;
   BlameReport report_;
-  // Telemetry mirror ids, prefetched so hooks avoid the ids() indirection.
-  int id_events_ = -1, id_dropped_ = -1, id_wait_ = -1;
-  std::array<int, kNumClasses> id_class_{{-1, -1, -1, -1}};
-  int id_extractions_ = -1, id_blame_only_ = -1;
 };
 
 }  // namespace mpim::critpath

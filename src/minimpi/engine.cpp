@@ -15,6 +15,8 @@
 
 namespace mpim::mpi {
 
+using telemetry::Metric;
+
 namespace {
 // The executing rank context, owned by the scheduler of the executing
 // context rather than by "the rank's thread": in thread mode every rank
@@ -226,12 +228,12 @@ void Engine::deliver(InFlight msg, const void* buf) {
     }
     dst.inbox.push_back(std::move(msg));
     if (hub_.enabled()) {
-      const telemetry::StdIds& ids = hub_.ids();
-      hub_.registry().observe(ids.engine_inbox_depth, dst_rank,
+      hub_.registry().observe(Metric::engine_inbox_depth, dst_rank,
                               static_cast<double>(dst.inbox.size()));
-      hub_.registry().gauge_add(ids.engine_bytes_in_flight, dst_rank,
+      hub_.registry().gauge_add(Metric::engine_bytes_in_flight, dst_rank,
                                 static_cast<std::int64_t>(msg_bytes));
-      if (landed) hub_.registry().add(ids.engine_direct_deliveries, src_rank);
+      if (landed)
+        hub_.registry().add(Metric::engine_direct_deliveries, src_rank);
     }
     if (cfg_.nic_contention) {
       // A blocked receiver may wake from this delivery and send as early
@@ -324,7 +326,7 @@ void Engine::mark_dead(int world_rank, double when_s) {
     slot = when_s;
   }
   dead_count_.fetch_add(1, std::memory_order_release);
-  hub_.add(hub_.ids().fault_crashes, world_rank);
+  hub_.add(Metric::fault_crashes, world_rank);
   PendingOp op;
   op.what = PendingOp::What::crashed;
   op.clock_s = when_s;
@@ -687,7 +689,7 @@ void Ctx::fault_check() {
   double stall_virtual = 0.0;
   double stall_wall = 0.0;
   if (plan->take_stall(world_rank_, clock_, &stall_virtual, &stall_wall)) {
-    engine_->hub_.add(engine_->hub_.ids().fault_stalls, world_rank_);
+    engine_->hub_.add(Metric::fault_stalls, world_rank_);
     clock_ += stall_virtual;
     if (stall_wall > 0.0)
       std::this_thread::sleep_for(std::chrono::duration<double>(stall_wall));
@@ -823,23 +825,22 @@ void Ctx::send_bytes(int dst_world, const Comm& comm, int tag, CommKind kind,
 
   telemetry::Hub& hub = engine_->hub_;
   if (hub.enabled()) {
-    const telemetry::StdIds& ids = hub.ids();
     telemetry::Registry& reg = hub.registry();
-    reg.add(ids.engine_messages, world_rank_);
-    reg.add(ids.engine_bytes, world_rank_, bytes);
-    reg.observe(ids.engine_msg_bytes, world_rank_,
+    reg.add(Metric::engine_messages, world_rank_);
+    reg.add(Metric::engine_bytes, world_rank_, bytes);
+    reg.observe(Metric::engine_msg_bytes, world_rank_,
                 static_cast<double>(bytes));
     if (have_faults) {
       const auto extra = static_cast<std::uint64_t>(faults.attempts - 1);
       if (extra > 0) {
-        reg.add(ids.fault_retransmits, world_rank_, extra);
-        reg.add(ids.fault_drops, world_rank_, extra);
-        reg.add(ids.fault_backoff_ns, world_rank_,
+        reg.add(Metric::fault_retransmits, world_rank_, extra);
+        reg.add(Metric::fault_drops, world_rank_, extra);
+        reg.add(Metric::fault_backoff_ns, world_rank_,
                 static_cast<std::uint64_t>(faults.sender_extra_s * 1e9));
       }
       if (faults.lost) {
-        reg.add(ids.fault_lost, world_rank_);
-        reg.add(ids.fault_drops, world_rank_);
+        reg.add(Metric::fault_lost, world_rank_);
+        reg.add(Metric::fault_drops, world_rank_);
       }
     }
   }
@@ -923,9 +924,8 @@ void Ctx::rma_transfer(int from_world, int to_world, const Comm& comm,
   record_send(PktInfo{from_world, to_world, bytes, CommKind::osc, 0,
                       comm.context_id(), clock_});
   if (engine_->hub_.enabled()) {
-    const telemetry::StdIds& ids = engine_->hub_.ids();
-    engine_->hub_.registry().add(ids.engine_messages, from_world);
-    engine_->hub_.registry().add(ids.engine_bytes, from_world, bytes);
+    engine_->hub_.registry().add(Metric::engine_messages, from_world);
+    engine_->hub_.registry().add(Metric::engine_bytes, from_world, bytes);
   }
 
   const auto& placement = engine_->cfg_.placement;
@@ -1027,10 +1027,9 @@ bool Ctx::match_and_complete(int src_world, const Comm& comm, int tag,
       *status = Status{it->info.src_world, it->info.tag, it->info.bytes};
     telemetry::Hub& hub = engine_->hub_;
     if (hub.enabled()) {
-      const telemetry::StdIds& ids = hub.ids();
-      hub.registry().observe(ids.engine_match_s, world_rank_,
+      hub.registry().observe(Metric::engine_match_s, world_rank_,
                              completion - it->arrival_s);
-      hub.registry().gauge_add(ids.engine_bytes_in_flight, world_rank_,
+      hub.registry().gauge_add(Metric::engine_bytes_in_flight, world_rank_,
                                -static_cast<std::int64_t>(it->info.bytes));
     }
     inbox.erase(it);

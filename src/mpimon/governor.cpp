@@ -14,6 +14,8 @@
 
 namespace mpim::mon {
 
+using telemetry::Metric;
+
 Governor& Governor::of(mpi::Engine& engine) {
   auto obj = engine.get_or_create_tool_object(
       "mpimon:governor",
@@ -57,7 +59,7 @@ Governor::Governor(mpi::Engine& engine) : engine_(engine) {
 
 void Governor::set_mem_gauge_locked() {
   telemetry::Hub& hub = engine_.telemetry();
-  hub.gauge_set(hub.ids().gov_mem_bytes, 0,
+  hub.gauge_set(Metric::gov_mem_bytes, 0,
                 static_cast<std::int64_t>(
                     level_.load(std::memory_order_relaxed)));
 }
@@ -115,8 +117,8 @@ bool Governor::shed_step_locked(int rank) {
   }
   shed_level_.store(next, std::memory_order_relaxed);
   shed_steps_.fetch_add(1, std::memory_order_relaxed);
-  hub.add(hub.ids().gov_shed_steps, rank);
-  hub.gauge_set(hub.ids().gov_shed_level, 0, next);
+  hub.add(Metric::gov_shed_steps, rank);
+  hub.gauge_set(Metric::gov_shed_level, 0, next);
   set_mem_gauge_locked();
   telemetry::log(telemetry::LogLevel::warn, rank, "governor",
                  "memory budget pressure (" +
@@ -144,7 +146,7 @@ int Governor::reserve_frames(int rank, int want_frames,
   if (granted <= 0) {
     refusals_.fetch_add(1, std::memory_order_relaxed);
     telemetry::Hub& hub = engine_.telemetry();
-    hub.add(hub.ids().gov_refusals, rank);
+    hub.add(Metric::gov_refusals, rank);
     telemetry::log(telemetry::LogLevel::warn, rank, "governor",
                    "snapshot reservation refused: budget exhausted at "
                    "maximum shedding");
@@ -175,7 +177,7 @@ void Governor::report_overhead(int rank, double overhead_s, double span_s) {
   if (pct <= overhead_pct_) return;
   overhead_alarms_.fetch_add(1, std::memory_order_relaxed);
   telemetry::Hub& hub = engine_.telemetry();
-  hub.add(hub.ids().gov_overhead_alarms, rank);
+  hub.add(Metric::gov_overhead_alarms, rank);
   telemetry::log(
       telemetry::LogLevel::warn, rank, "governor",
       "modeled monitoring overhead " + std::to_string(pct) +

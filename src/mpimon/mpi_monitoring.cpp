@@ -31,6 +31,7 @@ using mpim::mpi::Comm;
 using mpim::mpi::CommKind;
 using mpim::mpi::Ctx;
 using mpim::mpi::Type;
+using mpim::telemetry::Metric;
 
 constexpr int kThreadLevelProvided = 3;  // MPI_THREAD_MULTIPLE
 
@@ -277,7 +278,7 @@ int MPI_M_start(Comm comm, MPI_M_msid* msid) {
     start_all_handles(s);
     st.sessions[static_cast<std::size_t>(slot)] = s;
     *msid = slot;
-    tele().add(tele().ids().mon_session_starts, tele_rank());
+    tele().add(Metric::mon_session_starts, tele_rank());
     return MPI_M_SUCCESS;
   });
 }
@@ -324,7 +325,7 @@ int MPI_M_suspend(MPI_M_msid msid) {
         }
         s.state = MonSession::St::suspended;
         mpim::telemetry::Hub& hub = tele();
-        hub.add(hub.ids().mon_session_suspends, tele_rank());
+        hub.add(Metric::mon_session_suspends, tele_rank());
         // Sessions do not nest LIFO with collectives, so the active period
         // is recorded as a closed interval rather than via the span stack.
         if (s.span_start_s >= 0.0)
@@ -376,7 +377,7 @@ int MPI_M_reset(MPI_M_msid msid) {
           std::lock_guard<std::mutex> lock(s.snap->mx);
           s.sampler->clear();
         }
-        tele().add(tele().ids().mon_session_resets, tele_rank());
+        tele().add(Metric::mon_session_resets, tele_rank());
       });
 }
 
@@ -463,7 +464,7 @@ int MPI_M_rebind(MPI_M_msid msid, Comm newcomm) {
                       static_cast<int>(n_new));
     }
     s->comm = newcomm;
-    tele().add(tele().ids().mon_rebinds, tele_rank());
+    tele().add(Metric::mon_rebinds, tele_rank());
     return MPI_M_SUCCESS;
   });
 }
@@ -555,9 +556,8 @@ void deinterleave_blob(const unsigned long* fused, std::size_t n,
 /// mpim_mon_gather_timeouts_total.
 void count_lost(Ctx::RecvWait rc) {
   if (rc == Ctx::RecvWait::ok) return;
-  const auto& ids = tele().ids();
-  tele().add(rc == Ctx::RecvWait::peer_dead ? ids.mon_dead_skips
-                                            : ids.mon_gather_timeouts,
+  tele().add(rc == Ctx::RecvWait::peer_dead ? Metric::mon_dead_skips
+                                            : Metric::mon_gather_timeouts,
              tele_rank());
 }
 
@@ -691,7 +691,7 @@ int gather_data_common(MPI_M_msid msid, int root, unsigned long* matrix_counts,
     if (receives)
       deinterleave_blob(fused.get(), n, matrix_counts, matrix_sizes);
     if (missing > 0) {
-      tele().add(tele().ids().mon_partial_data, tele_rank());
+      tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
     }
     return MPI_M_SUCCESS;
@@ -872,14 +872,13 @@ void refresh_derived_metrics(const MonSession& s,
   const double gain = mpim::introspect::treematch_gain(cum, placement,
                                                        engine.cost_model());
   const int rank = tele_rank();
-  const auto& ids = hub.ids();
-  hub.gauge_set(ids.introspect_imbalance_milli, rank,
+  hub.gauge_set(Metric::introspect_imbalance_milli, rank,
                 std::llround(imbalance * 1000.0));
-  hub.gauge_set(ids.introspect_neighbor_milli, rank,
+  hub.gauge_set(Metric::introspect_neighbor_milli, rank,
                 std::llround(neighbor * 1000.0));
-  hub.gauge_set(ids.introspect_mismatch_hops, rank,
+  hub.gauge_set(Metric::introspect_mismatch_hops, rank,
                 std::llround(mismatch));
-  hub.gauge_set(ids.introspect_gain_milli, rank,
+  hub.gauge_set(Metric::introspect_gain_milli, rank,
                 std::llround(gain * 1000.0));
 }
 
@@ -930,7 +929,7 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
     sampler->set_frame_callback(
         [hub, rank, raw, eng, phase_t0, dropped_seen](
             const mpim::introspect::Frame& f) {
-          hub->add(hub->ids().introspect_frames, rank);
+          hub->add(Metric::introspect_frames, rank);
           // Streaming plane: stage the closed frame's totals. The callback
           // may fire on a foreign thread (RMA attribution), which on_frame
           // tolerates (mutexed side queue, not the per-rank rings).
@@ -938,14 +937,14 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
             plane->on_frame(rank, f);
           if (*phase_t0 < 0.0) *phase_t0 = f.t0_s;
           if (f.boundary) {
-            hub->add(hub->ids().introspect_boundaries, rank);
+            hub->add(Metric::introspect_boundaries, rank);
             hub->span_complete(rank, "introspect.phase", 'P', *phase_t0,
                                f.t0_s);
             *phase_t0 = f.t0_s;
           }
           const std::uint64_t d = raw->frames_dropped();
           if (d > *dropped_seen) {
-            hub->add(hub->ids().introspect_frames_dropped, rank,
+            hub->add(Metric::introspect_frames_dropped, rank,
                      d - *dropped_seen);
             *dropped_seen = d;
           }
@@ -981,7 +980,7 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
     s->snap = std::move(snap);
     s->snapshot_running = true;
     s->snapshot_flags = flags;
-    hub->add(hub->ids().introspect_starts, rank);
+    hub->add(Metric::introspect_starts, rank);
     return MPI_M_SUCCESS;
   });
 }
@@ -1087,7 +1086,7 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     }
 
     if (missing > 0) {
-      tele().add(tele().ids().mon_partial_data, tele_rank());
+      tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
     }
     refresh_derived_metrics(*s, result, n);
@@ -1176,7 +1175,7 @@ int MPI_M_rootflush(MPI_M_msid msid, int root, const char* filename,
                      sizes);
     if (!ok) return MPI_M_INTERNAL_FAIL;
     if (missing > 0) {
-      tele().add(tele().ids().mon_partial_data, tele_rank());
+      tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
     }
     return MPI_M_SUCCESS;

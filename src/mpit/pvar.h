@@ -30,16 +30,18 @@ class MpitError : public Error {
 enum class PvarClass { peer_monitoring, telemetry };
 
 struct PvarInfo {
-  const char* name;
-  const char* description;
-  mpi::CommKind kind;  ///< traffic class this pvar accounts (peer class)
-  bool is_size;        ///< false: message count, true: cumulated bytes/ns
+  const char* name = nullptr;
+  const char* description = nullptr;
+  mpi::CommKind kind = mpi::CommKind::tool;  ///< peer class's traffic class
+  bool is_size = false;  ///< false: message count, true: cumulated bytes/ns
   PvarClass klass = PvarClass::peer_monitoring;
+  int metric = -1;  ///< telemetry class: backing registry metric id
 };
 
 /// Fixed registry, indexed 0..pvar_get_num()-1. Indices are stable across
-/// releases: the original peer-monitoring pvars keep indices 0..5 and new
-/// telemetry pvars are only ever appended.
+/// releases: the original peer-monitoring pvars keep indices 0..5, and the
+/// telemetry pvars 6.. are the telemetry catalog's rows in order
+/// (telemetry/catalog.h), which are only ever appended.
 int pvar_get_num();
 const PvarInfo& pvar_info(int index);
 /// -1 when unknown (MPI_T_ERR_INVALID_NAME equivalent).

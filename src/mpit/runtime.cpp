@@ -243,10 +243,7 @@ int Runtime::handle_alloc(int session, int pvar_index, const mpi::Comm& comm) {
   h.kind = info.kind;
   h.is_size = info.is_size;
   if (info.klass == PvarClass::telemetry) {
-    h.telemetry_metric = engine_.telemetry().registry().find(info.name);
-    if (h.telemetry_metric < 0)
-      throw MpitError(std::string("telemetry pvar has no backing metric: ") +
-                      info.name);
+    h.telemetry_metric = info.metric;
     h.values.assign(1, 0ul);  // [0] = reset baseline
   } else {
     h.acc = intern_acc(rs, comm, info.kind);

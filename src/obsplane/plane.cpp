@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <limits>
 #include <ostream>
 #include <sstream>
@@ -22,33 +23,36 @@ namespace mpim::obsplane {
 
 namespace {
 
-// Stream names of the metric slots, index == slot. The registry-backed
-// entries mirror hub StdIds counters (same order as Plane::slot_ids_); the
-// final entry counts depth-0 collective spans seen at the span sink.
-constexpr const char* kSlotNames[kAllSlots] = {
-    "engine_messages",
-    "engine_bytes",
-    "fault_retransmits",
-    "fault_drops",
-    "fault_lost",
-    "fault_backoff_ns",
-    "fault_crashes",
-    "mon_gather_timeouts",
-    "mon_dead_skips",
-    "mon_rebinds",
-    "reorder_applied",
-    "reorder_identity",
-    "introspect_boundaries",
-    "critpath_events",
-    "critpath_wait_ns",
-    "collectives",
-};
+using telemetry::kCatalog;
+using telemetry::Metric;
 
-constexpr int kSlotRetransmits = 2;
-constexpr int kSlotDeadSkips = 8;
-constexpr int kSlotRebinds = 9;
-constexpr int kSlotReorderApplied = 10;
-constexpr int kSlotReorderIdentity = 11;
+// Registry counter behind each metric slot, index == slot; a slot is named
+// by its metric's catalog key. The synthetic last slot (kSlotCollectives)
+// counts depth-0 collective spans seen at the span sink.
+constexpr Metric kSlotMetrics[] = {
+    Metric::engine_messages,    Metric::engine_bytes,
+    Metric::fault_retransmits,  Metric::fault_drops,
+    Metric::fault_lost,         Metric::fault_backoff_ns,
+    Metric::fault_crashes,      Metric::mon_gather_timeouts,
+    Metric::mon_dead_skips,     Metric::mon_rebinds,
+    Metric::reorder_applied,    Metric::reorder_identity,
+    Metric::introspect_boundaries,
+    Metric::critpath_events,    Metric::critpath_wait_ns};
+static_assert(std::size(kSlotMetrics) == kMetricSlots);
+
+/// Slot of `m`; a metric without a slot does not compile (the scan runs off
+/// the array in constant evaluation).
+constexpr int slot_of(Metric m) {
+  int s = 0;
+  while (kSlotMetrics[s] != m) ++s;
+  return s;
+}
+
+constexpr int kSlotRetransmits = slot_of(Metric::fault_retransmits);
+constexpr int kSlotDeadSkips = slot_of(Metric::mon_dead_skips);
+constexpr int kSlotRebinds = slot_of(Metric::mon_rebinds);
+constexpr int kSlotReorderApplied = slot_of(Metric::reorder_applied);
+constexpr int kSlotReorderIdentity = slot_of(Metric::reorder_identity);
 
 const char* derived_event_name(int slot) {
   switch (slot) {
@@ -73,23 +77,15 @@ constexpr std::size_t kStoreWindows = 256;
 
 const char* Plane::slot_name(int slot) {
   if (slot < 0 || slot >= kAllSlots) return "?";
-  return kSlotNames[slot];
+  if (slot == kSlotCollectives) return "collectives";
+  // Catalog keys view string literals, so data() is NUL-terminated.
+  return kCatalog[kSlotMetrics[slot]].key.data();
 }
 
 Plane::Plane(mpi::Engine& engine, PlaneConfig cfg)
     : engine_(engine), cfg_(std::move(cfg)), nranks_(engine.world_size()) {
   if (cfg_.epoch_s <= 0.0) cfg_.epoch_s = 1.0e-3;
   if (cfg_.ring_capacity < 2) cfg_.ring_capacity = 2;
-
-  const auto& ids = engine_.telemetry().ids();
-  slot_ids_ = {ids.engine_messages,  ids.engine_bytes,
-               ids.fault_retransmits, ids.fault_drops,
-               ids.fault_lost,        ids.fault_backoff_ns,
-               ids.fault_crashes,     ids.mon_gather_timeouts,
-               ids.mon_dead_skips,    ids.mon_rebinds,
-               ids.reorder_applied,   ids.reorder_identity,
-               ids.introspect_boundaries,
-               ids.critpath_events,   ids.critpath_wait_ns};
 
   producers_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r)
@@ -201,9 +197,7 @@ void Plane::on_epoch(int rank, double now_s, bool final_flush) {
 
   const auto& reg = engine_.telemetry().registry();
   for (int s = 0; s < kMetricSlots; ++s) {
-    const int id = slot_ids_[static_cast<std::size_t>(s)];
-    if (id < 0) continue;
-    const std::uint64_t v = reg.counter_value(id, rank);
+    const std::uint64_t v = reg.counter_value(kSlotMetrics[s], rank);
     const std::uint64_t d = v - p.shadow[static_cast<std::size_t>(s)];
     if (d == 0) continue;
     StreamEvent ev;
@@ -514,31 +508,24 @@ void Plane::stream_line_locked(const std::string& line) {
 
 void Plane::mirror_counters_locked() {
   auto& hub = engine_.telemetry();
-  const auto& ids = hub.ids();
-  if (ids.obsplane_events >= 0) {
-    const std::uint64_t ing = ingested_.load(std::memory_order_relaxed);
-    if (ing > mirrored_ingested_) {
-      hub.add(ids.obsplane_events, 0, ing - mirrored_ingested_);
-      mirrored_ingested_ = ing;
-    }
+  const std::uint64_t ing = ingested_.load(std::memory_order_relaxed);
+  if (ing > mirrored_ingested_) {
+    hub.add(Metric::obsplane_events, 0, ing - mirrored_ingested_);
+    mirrored_ingested_ = ing;
   }
-  if (ids.obsplane_drops >= 0) {
-    const std::uint64_t drp = events_dropped();
-    if (drp > mirrored_dropped_) {
-      hub.add(ids.obsplane_drops, 0, drp - mirrored_dropped_);
-      mirrored_dropped_ = drp;
-    }
+  const std::uint64_t drp = events_dropped();
+  if (drp > mirrored_dropped_) {
+    hub.add(Metric::obsplane_drops, 0, drp - mirrored_dropped_);
+    mirrored_dropped_ = drp;
   }
-  if (ids.obsplane_epochs >= 0) {
-    const std::uint64_t ep = epochs_emitted_.load(std::memory_order_relaxed);
-    if (ep > mirrored_epochs_) {
-      hub.add(ids.obsplane_epochs, 0, ep - mirrored_epochs_);
-      mirrored_epochs_ = ep;
-    }
+  const std::uint64_t ep = epochs_emitted_.load(std::memory_order_relaxed);
+  if (ep > mirrored_epochs_) {
+    hub.add(Metric::obsplane_epochs, 0, ep - mirrored_epochs_);
+    mirrored_epochs_ = ep;
   }
-  hub.gauge_set(ids.obsplane_series, 0,
+  hub.gauge_set(Metric::obsplane_series, 0,
                 static_cast<std::int64_t>(series_.size()));
-  hub.gauge_set(ids.obsplane_window_merge, 0,
+  hub.gauge_set(Metric::obsplane_window_merge, 0,
                 merge_.load(std::memory_order_relaxed));
 }
 
@@ -548,7 +535,7 @@ void Plane::update_mem_gauge_locked() {
           sizeof(StreamEvent) +
       series_bytes_ + pending_size_ * sizeof(StreamEvent);
   mem_bytes_.store(mem, std::memory_order_relaxed);
-  engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_mem_bytes, 0,
+  engine_.telemetry().gauge_set(Metric::obsplane_mem_bytes, 0,
                                 static_cast<std::int64_t>(mem));
 }
 
@@ -648,8 +635,8 @@ void Plane::finalize() {
       stream_line_locked(os.str());
     }
   }
-  if (hub.ids().obsplane_findings >= 0 && !findings_.empty())
-    hub.add(hub.ids().obsplane_findings, 0, findings_.size());
+  if (!findings_.empty())
+    hub.add(Metric::obsplane_findings, 0, findings_.size());
 
   if (stream_) {
     std::ostringstream os;
@@ -708,8 +695,7 @@ void Plane::widen_windows() {
     s.buckets.swap(rekeyed);
     series_bytes_ += series_bytes(s);
   }
-  engine_.telemetry().gauge_set(engine_.telemetry().ids().obsplane_window_merge,
-                                0, merge);
+  engine_.telemetry().gauge_set(Metric::obsplane_window_merge, 0, merge);
 }
 
 // ------------------------------------------------------------------ queries
@@ -738,7 +724,7 @@ std::size_t Plane::series_count() const {
 namespace {
 int slot_by_name(const std::string& metric) {
   for (int s = 0; s < kAllSlots; ++s)
-    if (metric == kSlotNames[s]) return s;
+    if (metric == Plane::slot_name(s)) return s;
   return -1;
 }
 }  // namespace
@@ -785,10 +771,10 @@ void Plane::write_prometheus_locked(std::ostream& os) const {
       const auto it = series_.find({r, s});
       if (it == series_.end()) continue;
       if (!any) {
-        os << "# TYPE mpim_stream_" << kSlotNames[s] << "_total counter\n";
+        os << "# TYPE mpim_stream_" << slot_name(s) << "_total counter\n";
         any = true;
       }
-      os << "mpim_stream_" << kSlotNames[s] << "_total{job=\"" << cfg_.job
+      os << "mpim_stream_" << slot_name(s) << "_total{job=\"" << cfg_.job
          << "\",rank=\"" << r << "\"} " << it->second.total << "\n";
     }
     if (!any) continue;
@@ -796,24 +782,26 @@ void Plane::write_prometheus_locked(std::ostream& os) const {
       const auto it = series_.find({r, s});
       if (it == series_.end()) continue;
       for (double q : {0.5, 0.99}) {
-        os << "mpim_stream_" << kSlotNames[s] << "_epoch_delta{job=\""
+        os << "mpim_stream_" << slot_name(s) << "_epoch_delta{job=\""
            << cfg_.job << "\",rank=\"" << r << "\",quantile=\"" << q << "\"} "
            << it->second.sketch.quantile(q) << "\n";
       }
     }
   }
-  os << "# TYPE mpim_obsplane_events_total counter\n";
-  os << "mpim_obsplane_events_total{job=\"" << cfg_.job << "\"} "
-     << ingested_.load(std::memory_order_relaxed) << "\n";
-  os << "# TYPE mpim_obsplane_drops_total counter\n";
-  os << "mpim_obsplane_drops_total{job=\"" << cfg_.job << "\"} "
-     << events_dropped() << "\n";
-  os << "# TYPE mpim_obsplane_epochs_total counter\n";
-  os << "mpim_obsplane_epochs_total{job=\"" << cfg_.job << "\"} "
-     << epochs_emitted_.load(std::memory_order_relaxed) << "\n";
-  os << "# TYPE mpim_obsplane_window_merge gauge\n";
-  os << "mpim_obsplane_window_merge{job=\"" << cfg_.job << "\"} "
-     << merge_.load(std::memory_order_relaxed) << "\n";
+  // The plane's own counters, under their catalog names.
+  const auto self = [&](Metric m, std::uint64_t v) {
+    const telemetry::MetricSpec& spec = kCatalog[m];
+    os << "# TYPE " << spec.name << " "
+       << (spec.kind == telemetry::MetricKind::counter ? "counter" : "gauge")
+       << "\n"
+       << spec.name << "{job=\"" << cfg_.job << "\"} " << v << "\n";
+  };
+  self(Metric::obsplane_events, ingested_.load(std::memory_order_relaxed));
+  self(Metric::obsplane_drops, events_dropped());
+  self(Metric::obsplane_epochs,
+       epochs_emitted_.load(std::memory_order_relaxed));
+  self(Metric::obsplane_window_merge,
+       static_cast<std::uint64_t>(merge_.load(std::memory_order_relaxed)));
 }
 
 }  // namespace mpim::obsplane

@@ -55,7 +55,7 @@ namespace mpim::obsplane {
 
 /// Number of registry-backed metric slots the plane tracks per rank, plus
 /// one synthetic slot (collective spans counted at the sink). Slot order is
-/// fixed; see kSlotNames in plane.cpp.
+/// fixed; see kSlotMetrics in plane.cpp.
 inline constexpr int kMetricSlots = 15;
 inline constexpr int kSlotCollectives = kMetricSlots;  // synthetic
 inline constexpr int kAllSlots = kMetricSlots + 1;
@@ -225,7 +225,6 @@ class Plane final : public mpi::EngineObserver {
   mpi::Engine& engine_;
   PlaneConfig cfg_;
   int nranks_;
-  std::array<int, kMetricSlots> slot_ids_{};  ///< hub registry metric ids
 
   std::vector<std::unique_ptr<Producer>> producers_;
 

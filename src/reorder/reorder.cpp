@@ -16,6 +16,8 @@
 
 namespace mpim::reorder {
 
+using telemetry::Metric;
+
 namespace {
 
 /// CPU time consumed by the calling thread (seconds).
@@ -162,7 +164,7 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
       out.fallback_reason = reason;
       telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
                      "falling back to identity permutation: " + reason);
-      hub.add(hub.ids().reorder_identity, wrank);
+      hub.add(Metric::reorder_identity, wrank);
       k = identity_k(static_cast<std::size_t>(n));
     } else {
       CommMatrix bytes = CommMatrix::square(static_cast<std::size_t>(n));
@@ -185,9 +187,9 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
       const double tm_cpu_s = thread_cpu_seconds() - host0;
       ctx.advance(tm_cpu_s);
       hub.span_complete(wrank, "reorder.treematch", 'R', tm_t0, ctx.now(), n);
-      hub.add(hub.ids().reorder_treematch_ns, wrank,
+      hub.add(Metric::reorder_treematch_ns, wrank,
               static_cast<std::uint64_t>(tm_cpu_s * 1e9));
-      hub.add(hub.ids().reorder_applied, wrank);
+      hub.add(Metric::reorder_applied, wrank);
     }
   }
 
@@ -215,7 +217,7 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
     telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
                    "falling back to identity permutation: " +
                        out.fallback_reason);
-    hub.add(hub.ids().reorder_identity, wrank);
+    hub.add(Metric::reorder_identity, wrank);
     msg[0] = 1;
     const std::vector<int> ident = identity_k(static_cast<std::size_t>(n));
     std::copy(ident.begin(), ident.end(), msg.begin() + 1);

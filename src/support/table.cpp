@@ -67,7 +67,7 @@ void Table::write_csv(std::ostream& os) const {
 
 void Table::write_csv_file(const std::string& path) const {
   std::ofstream os(path);
-  check(os.good(), "cannot open CSV output file");
+  check(os.good(), "cannot open CSV output file: " + path);
   write_csv(os);
 }
 

@@ -48,7 +48,7 @@ void write_chrome_trace(const Hub& hub, std::ostream& os) {
   const Registry& reg = hub.registry();
   for (int id = 0; id < reg.metric_count(); ++id) {
     if (id > 0) os << ",";
-    os << "\"" << json_escape(reg.desc(id).name)
+    os << "\"" << json_escape(std::string(reg.spec(id).name))
        << "\":" << reg.scalar_total(id);
   }
   os << "}}}\n";
@@ -63,7 +63,7 @@ void write_metrics_csv(const Hub& hub, std::ostream& os) {
   os << "metric,kind,rank,field,value\n";
   const Registry& reg = hub.registry();
   for (int id = 0; id < reg.metric_count(); ++id) {
-    const MetricDesc& d = reg.desc(id);
+    const MetricSpec& d = reg.spec(id);
     for (int r = 0; r < reg.nranks(); ++r) {
       switch (d.kind) {
         case MetricKind::counter:

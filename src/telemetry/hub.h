@@ -1,5 +1,6 @@
-// Telemetry hub: one per Engine. Owns the metrics registry, the per-rank
-// span rings, and the enabled flag that gates every recording site.
+// Telemetry hub: one per Engine. Owns the metrics registry (built from the
+// standard catalog, telemetry/catalog.h), the per-rank span rings, and the
+// enabled flag that gates every recording site.
 //
 // Disabled (the default) the entire subsystem costs one relaxed atomic
 // load per instrumentation site; virtual time is never charged either way,
@@ -19,6 +20,7 @@
 #include <mutex>
 #include <vector>
 
+#include "telemetry/catalog.h"
 #include "telemetry/registry.h"
 #include "telemetry/ring.h"
 
@@ -38,71 +40,6 @@ struct SpanRec {
   std::int64_t b = 0;
 };
 
-/// Ids of the standard metric catalog defined by the Hub constructor.
-/// Names match the MPI_T pvar names in src/mpit/pvar.cpp exactly.
-struct StdIds {
-  // engine internals
-  int engine_messages = -1;        ///< counter: p2p/coll/osc sends
-  int engine_bytes = -1;           ///< counter: payload bytes sent
-  int engine_inbox_depth = -1;     ///< histogram: pending-op queue depth
-  int engine_match_s = -1;         ///< histogram: arrival->match latency (s)
-  int engine_msg_bytes = -1;       ///< histogram: message size
-  int engine_bytes_in_flight = -1; ///< gauge: delivered but unmatched bytes
-  int engine_direct_deliveries = -1;  ///< counter: landed in a posted receive
-  // fault-plan outcomes
-  int fault_retransmits = -1;      ///< counter: extra attempts (attempts-1)
-  int fault_drops = -1;            ///< counter: on-wire transmissions lost
-  int fault_lost = -1;             ///< counter: messages lost for good
-  int fault_backoff_ns = -1;       ///< counter: retransmit backoff, virtual ns
-  int fault_stalls = -1;           ///< counter: stall faults taken
-  int fault_crashes = -1;          ///< counter: crash faults taken
-  // mpimon session lifecycle
-  int mon_session_starts = -1;
-  int mon_session_suspends = -1;
-  int mon_session_resets = -1;
-  int mon_gather_timeouts = -1;    ///< counter: ft receives timed out
-  int mon_partial_data = -1;       ///< counter: MPI_M_PARTIAL_DATA returns
-  // fault recovery (shrink/rebind) and the degradation governor
-  int mon_rebinds = -1;            ///< counter: MPI_M_rebind successes
-  int mon_dead_skips = -1;         ///< counter: ft receives, peer dead
-  int gov_shed_steps = -1;         ///< counter: governor fidelity-shed steps
-  int gov_refusals = -1;           ///< counter: reservations refused at max shed
-  int gov_overhead_alarms = -1;    ///< counter: MPIM_OVERHEAD_PCT violations
-  int gov_shed_level = -1;         ///< gauge: current shed level (0..4)
-  int gov_mem_bytes = -1;          ///< gauge: accounted monitoring bytes
-  // reorder decisions
-  int reorder_treematch_ns = -1;   ///< counter: TreeMatch CPU time, ns
-  int reorder_applied = -1;        ///< counter: TreeMatch decisions applied
-  int reorder_identity = -1;       ///< counter: identity fallbacks
-  // introspection snapshots (src/introspect)
-  int introspect_starts = -1;      ///< counter: MPI_M_snapshot_start calls
-  int introspect_frames = -1;      ///< counter: snapshot frames closed
-  int introspect_frames_dropped = -1;  ///< counter: frames evicted from ring
-  int introspect_boundaries = -1;  ///< counter: phase boundaries detected
-  int introspect_imbalance_milli = -1;   ///< gauge: load imbalance x1000
-  int introspect_neighbor_milli = -1;    ///< gauge: neighbor byte frac x1000
-  int introspect_mismatch_hops = -1;     ///< gauge: bytes x hop distance
-  int introspect_gain_milli = -1;        ///< gauge: est. TreeMatch gain x1000
-  // streaming aggregation plane (src/obsplane)
-  int obsplane_events = -1;        ///< counter: staged events drained
-  int obsplane_drops = -1;         ///< counter: staged events dropped (full)
-  int obsplane_epochs = -1;        ///< counter: epoch blocks emitted
-  int obsplane_findings = -1;      ///< counter: correlation findings
-  int obsplane_series = -1;        ///< gauge: live (rank, metric) series
-  int obsplane_mem_bytes = -1;     ///< gauge: plane working-set bytes
-  int obsplane_window_merge = -1;  ///< gauge: epochs merged per bucket
-  // causal critical-path profiler (src/critpath)
-  int critpath_events = -1;        ///< counter: happens-before events captured
-  int critpath_dropped = -1;       ///< counter: ring evictions
-  int critpath_wait_ns = -1;       ///< counter: classified wait, virtual ns
-  int critpath_late_sender_ns = -1;      ///< counter: late-sender wait ns
-  int critpath_late_receiver_ns = -1;    ///< counter: inbox dwell ns
-  int critpath_wait_collective_ns = -1;  ///< counter: wait-at-collective ns
-  int critpath_root_imbalance_ns = -1;   ///< counter: imbalance-at-root ns
-  int critpath_extractions = -1;   ///< counter: backward path extractions
-  int critpath_blame_only = -1;    ///< gauge: 1 when rings were refused
-};
-
 class Hub {
  public:
   explicit Hub(int nranks, std::size_t span_capacity = 1u << 14);
@@ -119,19 +56,18 @@ class Hub {
   int nranks() const { return nranks_; }
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
-  const StdIds& ids() const { return ids_; }
 
   // --- enabled-gated convenience recorders (cold-ish call sites) ---
-  void add(int id, int rank, std::uint64_t v = 1) {
+  void add(Metric id, int rank, std::uint64_t v = 1) {
     if (enabled()) registry_.add(id, rank, v);
   }
-  void observe(int id, int rank, double v) {
+  void observe(Metric id, int rank, double v) {
     if (enabled()) registry_.observe(id, rank, v);
   }
-  void gauge_add(int id, int rank, std::int64_t delta) {
+  void gauge_add(Metric id, int rank, std::int64_t delta) {
     if (enabled()) registry_.gauge_add(id, rank, delta);
   }
-  void gauge_set(int id, int rank, std::int64_t v) {
+  void gauge_set(Metric id, int rank, std::int64_t v) {
     if (enabled()) registry_.gauge_set(id, rank, v);
   }
 
@@ -219,7 +155,6 @@ class Hub {
   SpanSink span_sink_;
   std::atomic<bool> span_sink_armed_{false};
   Registry registry_;
-  StdIds ids_;
   mutable std::mutex spans_init_mutex_;
   std::vector<std::atomic<RankSpans*>> spans_;
 };

@@ -1,63 +1,41 @@
 #include "telemetry/registry.h"
 
 #include <algorithm>
+#include <string>
 
 #include "support/error.h"
 
 namespace mpim::telemetry {
 
-Registry::Registry(int nranks) : nranks_(nranks) {
+Registry::Registry(std::span<const MetricSpec> metrics, int nranks)
+    : specs_(metrics), nranks_(nranks) {
   check(nranks > 0, "telemetry::Registry needs at least one rank");
-}
-
-int Registry::define(MetricDesc d, std::size_t cells_per_rank) {
-  check(!d.name.empty(), "telemetry metric needs a name");
-  check(find(d.name) < 0, "telemetry metric redefined: " + d.name);
-  Metric m;
-  m.desc = std::move(d);
-  m.cells_per_rank = cells_per_rank;
-  m.rank_stride =
-      (cells_per_rank + kCellsPerLine - 1) / kCellsPerLine * kCellsPerLine;
-  const std::size_t total = m.rank_stride * static_cast<std::size_t>(nranks_);
+  first_cell_.reserve(specs_.size() + 1);
+  std::size_t cells = 0;
+  for (std::size_t i = 0; i < specs_.size(); ++i) {
+    const MetricSpec& m = specs_[i];
+    check(!m.name.empty(), "telemetry metric needs a name");
+    for (std::size_t j = 0; j < i; ++j)
+      if (specs_[j].name == m.name)
+        fail("telemetry metric redefined: " + std::string(m.name));
+    if (m.kind == MetricKind::histogram &&
+        (m.bounds.empty() ||
+         !std::is_sorted(m.bounds.begin(), m.bounds.end())))
+      fail("histogram bounds must be non-empty and ascending: " +
+           std::string(m.name));
+    first_cell_.push_back(cells);
+    cells += m.kind == MetricKind::histogram ? m.bounds.size() + 1 : 1;
+  }
+  first_cell_.push_back(cells);
+  lines_per_rank_ = (cells + kCellsPerLine - 1) / kCellsPerLine;
   // Value-initialized: every cell starts at 0 (C++20 atomics hold T()).
-  m.cells = std::make_unique<std::atomic<std::uint64_t>[]>(total);
-  metrics_.push_back(std::move(m));
-  return static_cast<int>(metrics_.size()) - 1;
-}
-
-int Registry::define_counter(std::string name, std::string help) {
-  MetricDesc d;
-  d.name = std::move(name);
-  d.help = std::move(help);
-  d.kind = MetricKind::counter;
-  return define(std::move(d), 1);
-}
-
-int Registry::define_gauge(std::string name, std::string help) {
-  MetricDesc d;
-  d.name = std::move(name);
-  d.help = std::move(help);
-  d.kind = MetricKind::gauge;
-  return define(std::move(d), 1);
-}
-
-int Registry::define_histogram(std::string name, std::string help,
-                               std::vector<double> bounds) {
-  check(!bounds.empty(), "histogram needs at least one bucket bound");
-  check(std::is_sorted(bounds.begin(), bounds.end()),
-        "histogram bounds must be ascending");
-  MetricDesc d;
-  d.name = std::move(name);
-  d.help = std::move(help);
-  d.kind = MetricKind::histogram;
-  d.bounds = std::move(bounds);
-  const std::size_t cells = d.bounds.size() + 1;  // + overflow
-  return define(std::move(d), cells);
+  lines_ = std::make_unique<Line[]>(lines_per_rank_ *
+                                    static_cast<std::size_t>(nranks_));
 }
 
 int Registry::find(std::string_view name) const {
-  for (std::size_t i = 0; i < metrics_.size(); ++i)
-    if (metrics_[i].desc.name == name) return static_cast<int>(i);
+  for (std::size_t i = 0; i < specs_.size(); ++i)
+    if (specs_[i].name == name) return static_cast<int>(i);
   return -1;
 }
 
@@ -68,9 +46,11 @@ std::size_t Registry::check_id(int id) const {
 
 std::atomic<std::uint64_t>& Registry::cell(int id, int rank,
                                            std::size_t idx) {
-  const Metric& m = metrics_[check_id(id)];
+  const std::size_t c = first_cell_[check_id(id)] + idx;
   check(rank >= 0 && rank < nranks_, "telemetry rank out of range");
-  return m.cells[static_cast<std::size_t>(rank) * m.rank_stride + idx];
+  Line& line = lines_[static_cast<std::size_t>(rank) * lines_per_rank_ +
+                      c / kCellsPerLine];
+  return line.cells[c % kCellsPerLine];
 }
 
 const std::atomic<std::uint64_t>& Registry::cell(int id, int rank,
@@ -93,8 +73,7 @@ void Registry::gauge_set(int id, int rank, std::int64_t v) {
 }
 
 void Registry::observe(int id, int rank, double v) {
-  const Metric& m = metrics_[check_id(id)];
-  const std::vector<double>& bounds = m.desc.bounds;
+  const std::span<const double> bounds = specs_[check_id(id)].bounds;
   std::size_t idx = bounds.size();  // overflow by default
   for (std::size_t i = 0; i < bounds.size(); ++i) {
     if (v <= bounds[i]) {
@@ -127,13 +106,13 @@ std::int64_t Registry::gauge_total(int id) const {
 }
 
 Registry::HistView Registry::histogram(int id, int rank) const {
-  const Metric& m = metrics_[check_id(id)];
-  check(m.desc.kind == MetricKind::histogram, "not a histogram: " +
-                                                  m.desc.name);
+  const MetricSpec& m = spec(id);
+  check(m.kind == MetricKind::histogram,
+        "not a histogram: " + std::string(m.name));
   HistView v;
-  v.bounds = m.desc.bounds;
-  v.buckets.resize(m.cells_per_rank);
-  for (std::size_t i = 0; i < m.cells_per_rank; ++i) {
+  v.bounds = m.bounds;
+  v.buckets.resize(m.bounds.size() + 1);
+  for (std::size_t i = 0; i < v.buckets.size(); ++i) {
     v.buckets[i] = cell(id, rank, i).load(std::memory_order_relaxed);
     v.count += v.buckets[i];
   }
@@ -152,8 +131,7 @@ Registry::HistView Registry::histogram_total(int id) const {
 }
 
 std::uint64_t Registry::scalar_value(int id, int rank) const {
-  const Metric& m = metrics_[check_id(id)];
-  if (m.desc.kind == MetricKind::histogram) return histogram(id, rank).count;
+  if (spec(id).kind == MetricKind::histogram) return histogram(id, rank).count;
   return counter_value(id, rank);
 }
 
@@ -164,12 +142,10 @@ std::uint64_t Registry::scalar_total(int id) const {
 }
 
 void Registry::reset() {
-  for (Metric& m : metrics_) {
-    const std::size_t total =
-        m.rank_stride * static_cast<std::size_t>(nranks_);
-    for (std::size_t i = 0; i < total; ++i)
-      m.cells[i].store(0, std::memory_order_relaxed);
-  }
+  const std::size_t lines = lines_per_rank_ * static_cast<std::size_t>(nranks_);
+  for (std::size_t l = 0; l < lines; ++l)
+    for (std::atomic<std::uint64_t>& c : lines_[l].cells)
+      c.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace mpim::telemetry

@@ -1,53 +1,41 @@
 // Metrics registry: counters, gauges, fixed-bucket histograms.
 //
-// Recording is per-rank sharded and lock-free: each metric owns one cache
-// line of atomic cells per rank, so the hot path is a single relaxed
-// fetch_add with no false sharing between rank threads. Reads merge the
-// shards on demand; they are exact once rank threads are quiescent and
-// monotone-approximate while they run.
-//
-// Metric definition is not thread-safe: define everything before rank
-// threads start recording (the engine defines its standard catalog at
-// construction).
+// The metric list is fixed at construction (the engine's Hub passes the
+// standard catalog, telemetry/catalog.h), so every cell lives in one
+// rank-major block: a rank's cells for all metrics are contiguous and padded
+// out to whole cache lines once per rank. Recording is lock-free: the hot
+// path is a single relaxed fetch_add, and ranks never share a line. Reads
+// merge the shards on demand; they are exact once rank threads are
+// quiescent and monotone-approximate while they run.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <span>
 #include <string_view>
 #include <vector>
 
+#include "telemetry/catalog.h"
+
 namespace mpim::telemetry {
-
-enum class MetricKind : std::uint8_t { counter, gauge, histogram };
-
-struct MetricDesc {
-  std::string name;
-  std::string help;
-  MetricKind kind = MetricKind::counter;
-  std::vector<double> bounds;  ///< histogram inclusive upper bounds, ascending
-};
 
 class Registry {
  public:
-  explicit Registry(int nranks);
+  /// Metric id i is `metrics[i]`. Names must be non-empty and unique, and a
+  /// histogram needs ascending bounds (an overflow bucket is appended). The
+  /// specs are not copied: `metrics`, and the strings and bounds they view,
+  /// must outlive the registry (the standard catalog is static).
+  Registry(std::span<const MetricSpec> metrics, int nranks);
 
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  int define_counter(std::string name, std::string help);
-  int define_gauge(std::string name, std::string help);
-  /// `bounds` are inclusive upper bucket edges; an overflow bucket is
-  /// appended automatically.
-  int define_histogram(std::string name, std::string help,
-                       std::vector<double> bounds);
-
-  /// Metric id for `name`, or -1 if not defined.
+  /// Metric id for `name`, or -1 if not in the list.
   int find(std::string_view name) const;
-  int metric_count() const { return static_cast<int>(metrics_.size()); }
-  const MetricDesc& desc(int id) const { return metrics_[check_id(id)].desc; }
+  int metric_count() const { return static_cast<int>(specs_.size()); }
+  const MetricSpec& spec(int id) const { return specs_[check_id(id)]; }
   int nranks() const { return nranks_; }
 
   // --- hot path (relaxed atomics, callable from any thread) ---
@@ -63,7 +51,7 @@ class Registry {
   std::int64_t gauge_total(int id) const;
 
   struct HistView {
-    std::vector<double> bounds;          ///< upper edges (no overflow edge)
+    std::span<const double> bounds;      ///< upper edges (no overflow edge)
     std::vector<std::uint64_t> buckets;  ///< bounds.size() + 1 (overflow last)
     std::uint64_t count = 0;
   };
@@ -78,24 +66,24 @@ class Registry {
   void reset();
 
  private:
-  // One rank's cells padded out to whole cache lines.
   static constexpr std::size_t kCellsPerLine = 8;
-
-  struct Metric {
-    MetricDesc desc;
-    std::size_t cells_per_rank = 0;  ///< logical cells (1, or buckets+1)
-    std::size_t rank_stride = 0;     ///< padded cells per rank
-    std::unique_ptr<std::atomic<std::uint64_t>[]> cells;
+  struct alignas(kCellsPerLine * sizeof(std::uint64_t)) Line {
+    std::atomic<std::uint64_t> cells[kCellsPerLine];
   };
 
-  int define(MetricDesc d, std::size_t cells_per_rank);
   std::size_t check_id(int id) const;
   std::atomic<std::uint64_t>& cell(int id, int rank, std::size_t idx);
   const std::atomic<std::uint64_t>& cell(int id, int rank,
                                          std::size_t idx) const;
 
+  std::span<const MetricSpec> specs_;
   int nranks_;
-  std::vector<Metric> metrics_;
+  /// first_cell_[id]: offset of metric id's first cell in a rank's block;
+  /// first_cell_.back() is the cells used per rank.
+  std::vector<std::size_t> first_cell_;
+  std::size_t lines_per_rank_ = 0;
+  /// nranks_ x lines_per_rank_ lines, rank-major, zero-initialized.
+  std::unique_ptr<Line[]> lines_;
 };
 
 }  // namespace mpim::telemetry

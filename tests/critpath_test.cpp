@@ -40,6 +40,7 @@ using mpi::Comm;
 using mpi::Ctx;
 using mpi::Engine;
 using mpi::Type;
+using telemetry::Metric;
 
 std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
@@ -268,7 +269,7 @@ TEST(CritpathGovernor, RefusalDegradesToBlameOnlyMode) {
   EXPECT_EQ(rep.path[0].rank, 1);
   // The refusal is visible as a gauge.
   const telemetry::Hub& hub = eng.telemetry();
-  EXPECT_EQ(hub.registry().scalar_value(hub.ids().critpath_blame_only, 0), 1u);
+  EXPECT_EQ(hub.registry().scalar_value(Metric::critpath_blame_only, 0), 1u);
 }
 
 TEST(CritpathGovernor, UngovernedRunsKeepTheirRings) {

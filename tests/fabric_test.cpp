@@ -36,6 +36,7 @@ using topo::FatTreeFabric;
 using topo::parse_fabric_spec;
 using topo::Topology;
 using topo::TreeFabric;
+using telemetry::Metric;
 
 // --- spec parsing ------------------------------------------------------------
 
@@ -420,7 +421,7 @@ TEST(FabricMismatch, SnapshotGaugeCountsFabricByteHops) {
   });
   ASSERT_GT(summed.sum(), 0u);
   const telemetry::Hub& hub = sim.engine().telemetry();
-  EXPECT_EQ(hub.registry().gauge_value(hub.ids().introspect_mismatch_hops, 0),
+  EXPECT_EQ(hub.registry().gauge_value(Metric::introspect_mismatch_hops, 0),
             std::llround(introspect::mismatch_byte_hops(summed, *fab, place)));
 }
 

@@ -35,6 +35,7 @@ using introspect::WindowSampler;
 using mpi::Comm;
 using mpi::Ctx;
 using mpi::Type;
+using telemetry::Metric;
 
 Sim make_sim(int nranks = 4) {
   topo::Topology t({2, 1, 2}, {"node", "socket", "core"});
@@ -373,17 +374,16 @@ TEST(Snapshot, EndToEndFramesAlignAndSumToSessionTotals) {
   });
 
   // Host side: the counters and gauges the run left in the registry.
-  const auto& ids = hub.ids();
   const auto& reg = hub.registry();
-  EXPECT_EQ(reg.counter_total(ids.introspect_starts),
+  EXPECT_EQ(reg.counter_total(Metric::introspect_starts),
             static_cast<std::uint64_t>(nranks));
-  EXPECT_GT(reg.counter_total(ids.introspect_frames), 0u);
-  EXPECT_GE(reg.counter_total(ids.introspect_boundaries),
+  EXPECT_GT(reg.counter_total(Metric::introspect_frames), 0u);
+  EXPECT_GE(reg.counter_total(Metric::introspect_boundaries),
             2u * static_cast<std::uint64_t>(nranks));
-  EXPECT_EQ(reg.counter_total(ids.introspect_frames_dropped), 0u);
+  EXPECT_EQ(reg.counter_total(Metric::introspect_frames_dropped), 0u);
   // get_frames refreshed the derived gauges; a symmetric ring is balanced.
-  EXPECT_EQ(reg.gauge_value(ids.introspect_imbalance_milli, 0), 1000);
-  EXPECT_GE(reg.gauge_value(ids.introspect_mismatch_hops, 0), 0);
+  EXPECT_EQ(reg.gauge_value(Metric::introspect_imbalance_milli, 0), 1000);
+  EXPECT_GE(reg.gauge_value(Metric::introspect_mismatch_hops, 0), 0);
   // Phase spans were emitted for every detected boundary.
   bool phase_span = false;
   for (const telemetry::SpanRec& s : hub.spans(0))

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -16,6 +17,7 @@ namespace {
 using mpi::Comm;
 using mpi::Ctx;
 using mpi::Type;
+using telemetry::Metric;
 
 mpi::EngineConfig make_cfg(int nranks) {
   topo::Topology t({2, 1, 2}, {"node", "socket", "core"});
@@ -78,6 +80,86 @@ TEST(Pvar, TelemetryPvarsAreAppendedAndResolvable) {
       pvar_info(pvar_index_by_name("mpim_engine_messages_total")).is_size);
 }
 
+// Golden of the whole frozen table -- name, class and is_size per index --
+// captured before the telemetry pvars were derived from the telemetry
+// catalog. It is the check, independent of that catalog and of the docs,
+// that no index, name or class moved.
+TEST(Pvar, FrozenTableMatchesItsGolden) {
+  constexpr PvarClass kPeer = PvarClass::peer_monitoring;
+  constexpr PvarClass kTele = PvarClass::telemetry;
+  struct Row {
+    const char* name;
+    PvarClass klass;
+    bool is_size;
+  };
+  const Row golden[] = {
+      {"pml_monitoring_messages_count", kPeer, false},
+      {"pml_monitoring_messages_size", kPeer, true},
+      {"coll_monitoring_messages_count", kPeer, false},
+      {"coll_monitoring_messages_size", kPeer, true},
+      {"osc_monitoring_messages_count", kPeer, false},
+      {"osc_monitoring_messages_size", kPeer, true},
+      {"mpim_engine_messages_total", kTele, false},
+      {"mpim_engine_bytes_total", kTele, true},
+      {"mpim_engine_inbox_depth", kTele, false},
+      {"mpim_engine_match_seconds", kTele, false},
+      {"mpim_engine_message_bytes", kTele, false},
+      {"mpim_fault_retransmits_total", kTele, false},
+      {"mpim_fault_drops_total", kTele, false},
+      {"mpim_fault_messages_lost_total", kTele, false},
+      {"mpim_fault_backoff_ns_total", kTele, true},
+      {"mpim_fault_stalls_total", kTele, false},
+      {"mpim_fault_crashes_total", kTele, false},
+      {"mpim_mon_session_starts_total", kTele, false},
+      {"mpim_mon_session_suspends_total", kTele, false},
+      {"mpim_mon_session_resets_total", kTele, false},
+      {"mpim_mon_gather_timeouts_total", kTele, false},
+      {"mpim_mon_partial_data_total", kTele, false},
+      {"mpim_reorder_treematch_ns_total", kTele, true},
+      {"mpim_reorder_applied_total", kTele, false},
+      {"mpim_reorder_identity_fallback_total", kTele, false},
+      {"mpim_introspect_snapshot_starts_total", kTele, false},
+      {"mpim_introspect_frames_total", kTele, false},
+      {"mpim_introspect_frames_dropped_total", kTele, false},
+      {"mpim_introspect_phase_boundaries_total", kTele, false},
+      {"mpim_introspect_load_imbalance_milli", kTele, false},
+      {"mpim_introspect_neighbor_fraction_milli", kTele, false},
+      {"mpim_introspect_mismatch_byte_hops", kTele, true},
+      {"mpim_introspect_treematch_gain_milli", kTele, false},
+      {"mpim_mon_rebinds_total", kTele, false},
+      {"mpim_mon_dead_skips_total", kTele, false},
+      {"mpim_governor_shed_steps_total", kTele, false},
+      {"mpim_governor_refusals_total", kTele, false},
+      {"mpim_governor_overhead_alarms_total", kTele, false},
+      {"mpim_governor_shed_level", kTele, false},
+      {"mpim_governor_mem_bytes", kTele, true},
+      {"mpim_obsplane_events_total", kTele, false},
+      {"mpim_obsplane_drops_total", kTele, false},
+      {"mpim_obsplane_epochs_total", kTele, false},
+      {"mpim_obsplane_findings_total", kTele, false},
+      {"mpim_obsplane_series", kTele, false},
+      {"mpim_obsplane_mem_bytes", kTele, true},
+      {"mpim_obsplane_window_merge", kTele, false},
+      {"mpim_critpath_events_total", kTele, false},
+      {"mpim_critpath_events_dropped_total", kTele, false},
+      {"mpim_critpath_wait_ns_total", kTele, true},
+      {"mpim_critpath_late_sender_ns_total", kTele, true},
+      {"mpim_critpath_late_receiver_ns_total", kTele, true},
+      {"mpim_critpath_wait_collective_ns_total", kTele, true},
+      {"mpim_critpath_root_imbalance_ns_total", kTele, true},
+      {"mpim_critpath_extractions_total", kTele, false},
+      {"mpim_critpath_blame_only", kTele, false},
+  };
+  ASSERT_EQ(pvar_get_num(), static_cast<int>(std::size(golden)));
+  for (int i = 0; i < pvar_get_num(); ++i) {
+    const Row& want = golden[i];
+    EXPECT_STREQ(pvar_info(i).name, want.name) << "index " << i;
+    EXPECT_EQ(pvar_info(i).klass, want.klass) << want.name;
+    EXPECT_EQ(pvar_info(i).is_size, want.is_size) << want.name;
+    EXPECT_EQ(pvar_index_by_name(want.name), i);
+  }
+}
+
 TEST(Runtime, TelemetryPvarReadsThroughRegistry) {
   Sim sim = make_sim(2);
   sim.engine().telemetry().set_enabled(true);
@@ -115,21 +197,35 @@ TEST(Runtime, TelemetryPvarReadsThroughRegistry) {
     rt.handle_read(sid, h, &sent, 1);
     EXPECT_EQ(sent, 0u);
     EXPECT_GT(ctx.engine().telemetry().registry().counter_total(
-                  ctx.engine().telemetry().ids().engine_messages),
+                  Metric::engine_messages),
               0u);
     rt.session_free(sid);
   });
 }
 
 TEST(Runtime, TelemetryPvarAllocFailsWhenMetricMissing) {
-  // Guards the name contract between pvar.cpp and the hub catalog: every
-  // telemetry pvar must resolve to a live registry metric.
+  // Every telemetry pvar is backed by a live registry metric of the same
+  // name; pvar.cpp derives those pvars from the telemetry catalog, so this
+  // holds by construction. Each handle reads exactly its own metric.
   Sim sim = make_sim(1);
+  sim.engine().telemetry().set_enabled(true);
   sim.run([&](Ctx& ctx) {
     Runtime& rt = Runtime::of(ctx.engine());
+    auto& reg = ctx.engine().telemetry().registry();
     const int sid = rt.session_create();
-    for (int i = 6; i < pvar_get_num(); ++i)
-      EXPECT_NO_THROW(rt.handle_alloc(sid, i, ctx.world())) << i;
+    for (int i = 6; i < pvar_get_num(); ++i) {
+      const int h = rt.handle_alloc(sid, i, ctx.world());
+      const int id = reg.find(pvar_info(i).name);
+      ASSERT_GE(id, 0) << pvar_info(i).name;
+      const std::uint64_t before = reg.scalar_value(id, 0);
+      if (reg.spec(id).kind == telemetry::MetricKind::histogram)
+        reg.observe(id, 0, 0.0);
+      else
+        reg.add(id, 0, 1);
+      unsigned long v = 0;
+      ASSERT_EQ(rt.handle_read(sid, h, &v, 1), 1);
+      EXPECT_EQ(v, before + 1) << pvar_info(i).name;
+    }
     rt.session_free(sid);
   });
 }

@@ -31,6 +31,7 @@ namespace fs = std::filesystem;
 using mpi::Comm;
 using mpi::Ctx;
 using mpi::Type;
+using telemetry::Metric;
 
 std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / name).string();
@@ -198,7 +199,7 @@ TEST(ObsplanePlane, IngestsMetricsAndReconcilesDropAccounting) {
   std::uint64_t sum = 0;
   for (const auto& [e, d] : buckets) sum += d;
   const auto& hub = eng.telemetry();
-  EXPECT_EQ(sum, hub.registry().counter_value(hub.ids().engine_bytes, 0));
+  EXPECT_EQ(sum, hub.registry().counter_value(Metric::engine_bytes, 0));
   EXPECT_GT(plane->series_quantile(0, "engine_bytes", 1.0), 0u);
 
   const auto lines = read_lines(path);
@@ -247,8 +248,8 @@ TEST(ObsplanePlane, SmallRingsWrapManyTimesWithoutDropsAndReconcile) {
   const auto& hub = eng.telemetry();
   for (int r = 0; r < 4; ++r)
     for (const auto& [metric, id] :
-         {std::pair{"engine_bytes", hub.ids().engine_bytes},
-          std::pair{"engine_messages", hub.ids().engine_messages}}) {
+         {std::pair{"engine_bytes", Metric::engine_bytes},
+          std::pair{"engine_messages", Metric::engine_messages}}) {
       std::uint64_t sum = 0;
       for (const auto& [e, d] : plane->series_buckets(r, metric)) sum += d;
       EXPECT_EQ(sum, hub.registry().counter_value(id, r))
@@ -295,7 +296,7 @@ TEST(ObsplanePlane, StoreBytesKeepTheirGoldenValues) {
             (std::vector<std::uint64_t>{2638208, 2641824, 2644352}));
   EXPECT_EQ(plane->store_bytes(), 2643552u);
   const auto& hub = eng.telemetry();
-  EXPECT_EQ(hub.registry().gauge_value(hub.ids().obsplane_mem_bytes, 0),
+  EXPECT_EQ(hub.registry().gauge_value(Metric::obsplane_mem_bytes, 0),
             static_cast<std::int64_t>(plane->store_bytes()));
   std::remove(path.c_str());
 }
@@ -471,6 +472,79 @@ TEST(ObsplanePlane, PrometheusSnapshotExposesSeriesAndSelfMetrics) {
   EXPECT_NE(text.find("mpim_stream_engine_bytes_total"), std::string::npos);
   EXPECT_NE(text.find("quantile=\"0.5\""), std::string::npos);
   EXPECT_NE(text.find("mpim_obsplane_events_total"), std::string::npos);
+}
+
+// Golden of the slot names as the stream and the exposition write them,
+// captured before the slots were named from the telemetry catalog. One
+// unit on every registry counter of rank 0, plus one collective span,
+// gives every slot a series.
+TEST(ObsplanePlane, SlotNamesInStreamAndPrometheusMatchTheGolden) {
+  const std::vector<std::string> golden = {
+      "engine_messages",  "engine_bytes",        "fault_retransmits",
+      "fault_drops",      "fault_lost",          "fault_backoff_ns",
+      "fault_crashes",    "mon_gather_timeouts", "mon_dead_skips",
+      "mon_rebinds",      "reorder_applied",     "reorder_identity",
+      "introspect_boundaries", "critpath_events", "critpath_wait_ns",
+      "collectives"};
+  ASSERT_EQ(golden.size(), static_cast<std::size_t>(kAllSlots));
+  const std::string path = temp_path("obsplane_slot_names.jsonl");
+  std::remove(path.c_str());
+  mpi::Engine eng(small_cfg(2));
+  PlaneConfig cfg;
+  cfg.stream_path = path;
+  auto plane = Plane::attach(eng, cfg);
+  ASSERT_NE(plane, nullptr);
+  auto& reg = eng.telemetry().registry();
+  for (int id = 0; id < reg.metric_count(); ++id)
+    if (reg.spec(id).kind == telemetry::MetricKind::counter) reg.add(id, 0, 1);
+  telemetry::SpanRec coll;
+  coll.cat = 'C';
+  plane->on_span(0, coll);
+  plane->on_epoch(1, 5e-4, /*final_flush=*/true);
+  plane->on_epoch(0, 5e-4, /*final_flush=*/true);
+  plane->finalize();
+
+  std::vector<std::string> streamed;
+  for (const std::string& line : read_lines(path)) {
+    if (line.find("\"type\":\"metric\"") == std::string::npos) continue;
+    const std::size_t k = line.find("\"name\":\"") + 8;
+    streamed.push_back(line.substr(k, line.find('"', k) - k));
+  }
+  EXPECT_EQ(streamed, golden);
+  for (int s = 0; s < kAllSlots; ++s)
+    EXPECT_EQ(Plane::slot_name(s), golden[static_cast<std::size_t>(s)]);
+
+  // Series and TYPE lines in order of appearance.
+  std::vector<std::string> want_series, want_types;
+  for (const std::string& g : golden) {
+    want_types.push_back("mpim_stream_" + g + "_total counter");
+    want_series.push_back("mpim_stream_" + g + "_total");
+    want_series.push_back("mpim_stream_" + g + "_epoch_delta");
+  }
+  for (const std::string self :
+       {"mpim_obsplane_events_total counter",
+        "mpim_obsplane_drops_total counter",
+        "mpim_obsplane_epochs_total counter",
+        "mpim_obsplane_window_merge gauge"}) {
+    want_types.push_back(self);
+    want_series.push_back(self.substr(0, self.find(' ')));
+  }
+  std::ostringstream os;
+  plane->write_prometheus(os);
+  std::istringstream is(os.str());
+  std::vector<std::string> series, types;
+  std::string line;
+  while (std::getline(is, line)) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      types.push_back(line.substr(7));
+    } else if (line.rfind('#', 0) != 0) {
+      const std::string name = line.substr(0, line.find('{'));
+      if (series.empty() || series.back() != name) series.push_back(name);
+    }
+  }
+  EXPECT_EQ(types, want_types);
+  EXPECT_EQ(series, want_series);
+  std::remove(path.c_str());
 }
 
 // --- satellite: pvar table docs cannot drift ---------------------------------

@@ -29,6 +29,8 @@
 namespace mpim::mpi {
 namespace {
 
+using telemetry::Metric;
+
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
@@ -420,7 +422,7 @@ TEST(RecoveryRebind, CarriesSurvivorHistoryAndTombstonesTheDead) {
   const auto& hub = eng.telemetry();
   std::uint64_t rebinds = 0;
   for (int r = 0; r < 4; ++r)
-    rebinds += hub.registry().scalar_value(hub.ids().mon_rebinds, r);
+    rebinds += hub.registry().scalar_value(Metric::mon_rebinds, r);
   EXPECT_EQ(rebinds, 3u);
 }
 
@@ -647,8 +649,8 @@ TEST(RecoveryGatherCounters, ContributorDyingMidWaitIsADeadSkipNotATimeout) {
     EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
   });
   const auto& hub = eng.telemetry();
-  EXPECT_EQ(hub.registry().counter_total(hub.ids().mon_dead_skips), 1u);
-  EXPECT_EQ(hub.registry().counter_total(hub.ids().mon_gather_timeouts), 0u);
+  EXPECT_EQ(hub.registry().counter_total(Metric::mon_dead_skips), 1u);
+  EXPECT_EQ(hub.registry().counter_total(Metric::mon_gather_timeouts), 0u);
 }
 
 // --- reorder under a fault plan ----------------------------------------------
@@ -851,7 +853,7 @@ TEST(RecoveryGovernor, ShedsFidelityUnderMemoryBudgetWithoutClockDrift) {
   const auto& hub = budgeted.telemetry();
   std::uint64_t steps = 0;
   for (int r = 0; r < 4; ++r)
-    steps += hub.registry().scalar_value(hub.ids().gov_shed_steps, r);
+    steps += hub.registry().scalar_value(Metric::gov_shed_steps, r);
   EXPECT_GE(steps, 3u);
   // ...and the virtual clocks never moved: all shedding is host-side.
   EXPECT_EQ(plain_clocks, budgeted.final_clocks());

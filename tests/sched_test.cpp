@@ -46,6 +46,8 @@
 namespace mpim::mpi {
 namespace {
 
+using telemetry::Metric;
+
 bool contains(const std::string& haystack, const std::string& needle) {
   return haystack.find(needle) != std::string::npos;
 }
@@ -599,7 +601,7 @@ DeliveryRun run_delivery(EngineConfig cfg, SchedMode sched,
   const telemetry::Hub& hub = eng.telemetry();
   for (int r = 0; r < eng.world_size(); ++r)
     out.landed += hub.registry().counter_value(
-        hub.ids().engine_direct_deliveries, r);
+        Metric::engine_direct_deliveries, r);
   return out;
 }
 

@@ -2,7 +2,12 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <sstream>
+#include <string>
+#include <vector>
+
+#include "bench_common.h"
 
 #include "support/env.h"
 #include "support/matrix.h"
@@ -190,6 +195,44 @@ TEST(Table, CsvEscapesSpecials) {
 TEST(Table, RowArityMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), Error);
+}
+
+// --- bench options ------------------------------------------------------------
+
+/// A path under the temp directory that does not exist.
+std::string missing_dir() {
+  const auto dir =
+      std::filesystem::temp_directory_path() / "mpim_no_such_csv_dir";
+  std::filesystem::remove_all(dir);
+  return dir.string();
+}
+
+TEST(Table, CsvFileErrorNamesThePath) {
+  Table t({"a"});
+  const std::string path = missing_dir() + "/table.csv";
+  try {
+    t.write_csv_file(path);
+    ADD_FAILURE() << "wrote into a directory that does not exist";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BenchOptions, MissingCsvDirectoryExitsTwoBeforeAnyWork) {
+  std::string prog = "bench_fig5_collectives";
+  std::string flag = "--csv";
+  std::string dir = missing_dir();
+  std::vector<char*> argv = {prog.data(), flag.data(), dir.data()};
+  EXPECT_EXIT(bench::parse_options(3, argv.data()),
+              testing::ExitedWithCode(2), "not a directory: " + dir);
+
+  // An existing directory is accepted as given.
+  dir = std::filesystem::temp_directory_path().string();
+  argv = {prog.data(), flag.data(), dir.data()};
+  const bench::Options opt = bench::parse_options(3, argv.data());
+  EXPECT_EQ(opt.csv_dir, dir);
+  EXPECT_EQ(opt.prog, "fig5_collectives");
 }
 
 TEST(Formatting, HumanReadableHelpers) {

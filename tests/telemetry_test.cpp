@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -181,9 +182,19 @@ TEST(Ring, ZeroCapacityIsCoercedToOne) {
 
 // --- Registry ---------------------------------------------------------------
 
+constexpr double kLatBounds[] = {1.0, 10.0, 100.0};
+constexpr double kSizeEdge[] = {8.0};
+constexpr MetricSpec kTestMetrics[] = {
+    {"msgs", "msgs", MetricKind::counter, {}, false, "messages"},
+    {"in_flight", "in_flight", MetricKind::gauge, {}, true, "bytes in flight"},
+    {"lat", "lat", MetricKind::histogram, kLatBounds, false, "latency"},
+    {"sz", "sz", MetricKind::histogram, kSizeEdge, false, "sizes"},
+};
+constexpr int kMsgs = 0, kInFlight = 1, kLat = 2, kSz = 3;
+
 TEST(Registry, CountersMergeAcrossRanks) {
-  Registry reg(4);
-  const int id = reg.define_counter("msgs", "messages");
+  Registry reg(kTestMetrics, 4);
+  const int id = kMsgs;
   reg.add(id, 0, 3);
   reg.add(id, 2, 5);
   reg.add(id, 2);  // default increment
@@ -198,8 +209,8 @@ TEST(Registry, CountersMergeAcrossRanks) {
 }
 
 TEST(Registry, GaugesGoNegativeAndMerge) {
-  Registry reg(2);
-  const int id = reg.define_gauge("in_flight", "bytes in flight");
+  Registry reg(kTestMetrics, 2);
+  const int id = kInFlight;
   reg.gauge_add(id, 0, 100);
   reg.gauge_add(id, 0, -140);
   reg.gauge_add(id, 1, 25);
@@ -211,8 +222,8 @@ TEST(Registry, GaugesGoNegativeAndMerge) {
 }
 
 TEST(Registry, HistogramBucketEdgesAreInclusiveUpperBounds) {
-  Registry reg(1);
-  const int id = reg.define_histogram("lat", "latency", {1.0, 10.0, 100.0});
+  Registry reg(kTestMetrics, 1);
+  const int id = kLat;
   reg.observe(id, 0, 0.5);     // bucket 0
   reg.observe(id, 0, 1.0);     // bucket 0: bounds are inclusive
   reg.observe(id, 0, 1.0001);  // bucket 1
@@ -231,8 +242,8 @@ TEST(Registry, HistogramBucketEdgesAreInclusiveUpperBounds) {
 }
 
 TEST(Registry, HistogramTotalsMergeRanks) {
-  Registry reg(3);
-  const int id = reg.define_histogram("sz", "sizes", {8.0});
+  Registry reg(kTestMetrics, 3);
+  const int id = kSz;
   reg.observe(id, 0, 4.0);
   reg.observe(id, 1, 4.0);
   reg.observe(id, 2, 99.0);
@@ -243,10 +254,106 @@ TEST(Registry, HistogramTotalsMergeRanks) {
 }
 
 TEST(Registry, RejectsDuplicateAndEmptyNames) {
-  Registry reg(1);
-  reg.define_counter("a", "first");
-  EXPECT_THROW(reg.define_counter("a", "again"), Error);
-  EXPECT_THROW(reg.define_gauge("", "anonymous"), Error);
+  static constexpr MetricSpec kDuplicate[] = {
+      {"a", "a", MetricKind::counter, {}, false, "first"},
+      {"b", "a", MetricKind::counter, {}, false, "again"}};
+  static constexpr MetricSpec kAnonymous[] = {
+      {"x", "", MetricKind::gauge, {}, false, "anonymous"}};
+  static constexpr double kDescending[] = {10.0, 1.0};
+  static constexpr MetricSpec kBadBounds[] = {
+      {"h", "h", MetricKind::histogram, {}, false, "no bounds"},
+      {"d", "d", MetricKind::histogram, kDescending, false, "descending"}};
+  EXPECT_THROW(Registry(kDuplicate, 1), Error);
+  EXPECT_THROW(Registry(kAnonymous, 1), Error);
+  EXPECT_THROW(Registry(std::span(kBadBounds).first(1), 1), Error);
+  EXPECT_THROW(Registry(std::span(kBadBounds).last(1), 1), Error);
+}
+
+// Every (metric, rank, bucket) cell of the standard catalog is its own
+// storage: a distinct value written into each reads back exactly, per rank
+// and merged, and reset() zeroes them all. Guards the per-metric offsets
+// and the rank stride of the rank-major block.
+TEST(Registry, EveryCatalogCellHoldsItsOwnValueAndResets) {
+  for (const int np : {1, 3, 7}) {
+    Registry reg(kCatalog, np);
+    const int metrics = reg.metric_count();
+    ASSERT_EQ(metrics, static_cast<int>(std::size(kCatalog)));
+    // cells[id][rank][bucket]: the value written there.
+    std::vector<std::vector<std::vector<std::uint64_t>>> cells(
+        static_cast<std::size_t>(metrics));
+    std::uint64_t next = 1;
+    for (int id = 0; id < metrics; ++id) {
+      const MetricSpec& m = kCatalog[id];
+      const std::size_t buckets =
+          m.kind == MetricKind::histogram ? m.bounds.size() + 1 : 1;
+      for (int r = 0; r < np; ++r) {
+        auto& mine = cells[static_cast<std::size_t>(id)].emplace_back();
+        for (std::size_t b = 0; b < buckets; ++b) {
+          const std::uint64_t v = next++;
+          mine.push_back(v);
+          if (m.kind == MetricKind::counter) {
+            reg.add(id, r, v);
+          } else if (m.kind == MetricKind::gauge) {
+            reg.gauge_set(id, r, static_cast<std::int64_t>(v));
+          } else {
+            // An edge lands in its own bucket; overflow sits past the last.
+            const double x =
+                b < m.bounds.size() ? m.bounds[b] : 2 * m.bounds.back();
+            for (std::uint64_t k = 0; k < v; ++k) reg.observe(id, r, x);
+          }
+        }
+      }
+    }
+    for (int id = 0; id < metrics; ++id) {
+      const MetricSpec& m = kCatalog[id];
+      const auto& written = cells[static_cast<std::size_t>(id)];
+      std::vector<std::uint64_t> bucket_totals(written[0].size(), 0);
+      std::uint64_t total = 0;
+      for (int r = 0; r < np; ++r) {
+        const auto& want = written[static_cast<std::size_t>(r)];
+        std::uint64_t count = 0;
+        for (std::size_t b = 0; b < want.size(); ++b) {
+          bucket_totals[b] += want[b];
+          count += want[b];
+        }
+        total += count;
+        SCOPED_TRACE(std::string(m.name) + " rank " + std::to_string(r) +
+                     " np " + std::to_string(np));
+        if (m.kind == MetricKind::counter) {
+          EXPECT_EQ(reg.counter_value(id, r), want[0]);
+        } else if (m.kind == MetricKind::gauge) {
+          EXPECT_EQ(reg.gauge_value(id, r),
+                    static_cast<std::int64_t>(want[0]));
+        } else {
+          const Registry::HistView v = reg.histogram(id, r);
+          EXPECT_EQ(v.buckets, want);
+          EXPECT_EQ(v.count, count);
+        }
+        EXPECT_EQ(reg.scalar_value(id, r), count);
+      }
+      SCOPED_TRACE(std::string(m.name) + " total np " + std::to_string(np));
+      if (m.kind == MetricKind::counter) {
+        EXPECT_EQ(reg.counter_total(id), total);
+      } else if (m.kind == MetricKind::gauge) {
+        EXPECT_EQ(reg.gauge_total(id), static_cast<std::int64_t>(total));
+      } else {
+        const Registry::HistView v = reg.histogram_total(id);
+        EXPECT_EQ(v.buckets, bucket_totals);
+        EXPECT_EQ(v.count, total);
+      }
+      EXPECT_EQ(reg.scalar_total(id), total);
+    }
+    reg.reset();
+    for (int id = 0; id < metrics; ++id) {
+      for (int r = 0; r < np; ++r) {
+        EXPECT_EQ(reg.scalar_value(id, r), 0u) << kCatalog[id].name;
+        if (kCatalog[id].kind == MetricKind::histogram) {
+          for (const std::uint64_t b : reg.histogram(id, r).buckets)
+            EXPECT_EQ(b, 0u) << kCatalog[id].name;
+        }
+      }
+    }
+  }
 }
 
 // --- Hub spans --------------------------------------------------------------
@@ -254,10 +361,10 @@ TEST(Registry, RejectsDuplicateAndEmptyNames) {
 TEST(Hub, DisabledHubRecordsNothing) {
   Hub hub(2);
   EXPECT_FALSE(hub.enabled());
-  hub.add(hub.ids().engine_messages, 0);
+  hub.add(Metric::engine_messages, 0);
   EXPECT_FALSE(hub.span_begin(0, "bcast", 'C', 0.0));
   hub.span_complete(0, "mon.session", 'S', 0.0, 1.0);
-  EXPECT_EQ(hub.registry().counter_total(hub.ids().engine_messages), 0u);
+  EXPECT_EQ(hub.registry().counter_total(Metric::engine_messages), 0u);
   EXPECT_EQ(hub.spans_recorded(), 0u);
 }
 
@@ -312,7 +419,7 @@ TEST(Export, ChromeTraceIsWellFormedJson) {
   hub.span_complete(0, "p2p.send", 'M', 0.1, 0.2, 1, 1024);
   hub.span_end(0, 0.5);
   hub.span_complete(1, "mon.session", 'S', 0.0, 0.4);
-  hub.add(hub.ids().engine_messages, 0, 2);
+  hub.add(Metric::engine_messages, 0, 2);
   std::ostringstream os;
   write_chrome_trace(hub, os);
   const std::string json = os.str();
@@ -325,8 +432,8 @@ TEST(Export, ChromeTraceIsWellFormedJson) {
 TEST(Export, MetricsCsvHasHeaderAndHistogramRows) {
   Hub hub(2);
   hub.set_enabled(true);
-  hub.add(hub.ids().engine_messages, 1, 7);
-  hub.observe(hub.ids().engine_msg_bytes, 0, 100.0);
+  hub.add(Metric::engine_messages, 1, 7);
+  hub.observe(Metric::engine_msg_bytes, 0, 100.0);
   std::ostringstream os;
   write_metrics_csv(hub, os);
   std::istringstream is(os.str());
@@ -574,10 +681,10 @@ TEST(EndToEnd, FaultInjectedRunExportsSpansAndPvars) {
 
   // Registry side: 2 retransmits, then the message is lost for good.
   const Registry& reg = hub.registry();
-  EXPECT_EQ(reg.counter_total(hub.ids().fault_retransmits), 2u);
-  EXPECT_EQ(reg.counter_total(hub.ids().fault_lost), 1u);
-  EXPECT_EQ(reg.counter_total(hub.ids().fault_drops), 3u);
-  EXPECT_GT(reg.counter_total(hub.ids().engine_messages), 0u);
+  EXPECT_EQ(reg.counter_total(Metric::fault_retransmits), 2u);
+  EXPECT_EQ(reg.counter_total(Metric::fault_lost), 1u);
+  EXPECT_EQ(reg.counter_total(Metric::fault_drops), 3u);
+  EXPECT_GT(reg.counter_total(Metric::engine_messages), 0u);
   // MPI_T side: the same counter, read through the pvar handle.
   EXPECT_EQ(pvar_retransmits, 2u);
 
