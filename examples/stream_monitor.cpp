@@ -154,8 +154,9 @@ int main() {
   const std::vector<double> base_clocks = bare.engine().final_clocks();
 
   Sim checked(make_cfg());
-  auto check_plane = obsplane::Plane::attach(checked.engine(),
-                                             {.epoch_s = kEpochS});
+  auto check_plane = obsplane::Plane::attach(
+      checked.engine(),
+      {.epoch_s = kEpochS, .stream_path = "", .prom_path = ""});
   checked.run([](mpi::Ctx& ctx) { workload(ctx, false); });
   const bool clocks_match = checked.engine().final_clocks() == base_clocks;
 

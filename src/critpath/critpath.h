@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "minimpi/engine.h"
+#include "support/pages.h"
 
 namespace mpim::critpath {
 
@@ -224,7 +225,9 @@ class Profiler final : public mpi::EngineObserver {
   /// contend on, so a lane's hot fields must not false-share with its
   /// neighbours'.
   struct alignas(64) Lane {
-    std::vector<Event> ring;
+    // On pages of its own (support/pages.h): a reserved ring keeps no heap
+    // pages resident for the events a run never records.
+    std::vector<Event, support::PageAllocator<Event>> ring;
     std::size_t cap = 0;
     std::size_t head = 0;       ///< next slot; equals pushed % cap
     std::uint64_t pushed = 0;

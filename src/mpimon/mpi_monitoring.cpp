@@ -389,9 +389,9 @@ int MPI_M_free(MPI_M_msid msid) {
       },
       [](MonSession& s) {
         if (s.snap) s.snap->live.store(false, std::memory_order_release);
-        runtime().session_free(s.tsession);  // also detaches the observer
-        // The observer closure keeps its own sampler/snap refs alive until
-        // the next grace period; dropping ours here is safe.
+        // Also detaches and destroys the observer: once this returns, no
+        // thread calls it again, so dropping our sampler/snap refs is safe.
+        runtime().session_free(s.tsession);
         s.sampler.reset();
         s.snap.reset();
         s.snapshot_running = false;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <new>
 
 #include "obsplane/plane.h"
@@ -53,10 +54,7 @@ Runtime::Runtime(mpi::Engine& engine) : engine_(engine) {
   obsplane::Plane::attach_from_env(engine_);
 }
 
-Runtime::~Runtime() {
-  engine_.detach(*this);
-  reclaim_retired();
-}
+Runtime::~Runtime() { engine_.detach(*this); }
 
 Runtime& Runtime::of(mpi::Engine& engine) {
   auto* rt = engine.find_observer<Runtime>();
@@ -74,51 +72,60 @@ int Runtime::on_send_record(const mpi::PktInfo& pkt, int caller_world) {
     for (const EventListener& listener : listeners_) listener(pkt);
   if (pkt.kind == mpi::CommKind::tool) return 0;
   RankState& rs = *ranks_[static_cast<std::size_t>(pkt.src_world)];
-  const RecordingPlan* plan = rs.plan.load(std::memory_order_acquire);
-  if (plan == nullptr) return 0;
-
-  int recorded = 0;
-  const auto& entries = plan->by_kind[static_cast<std::size_t>(pkt.kind)];
-  if (!entries.empty()) {
-    // Plain single-writer slots when this is the sender's own thread; the
-    // atomic foreign slots when a peer thread attributes RMA traffic here.
-    const bool own = caller_world == pkt.src_world;
-    const auto bytes = static_cast<unsigned long>(pkt.bytes);
-    for (const RecordingPlan::Entry& e : entries) {
-      const int dst = e.world_to_group[pkt.dst_world];
-      if (dst < 0) continue;
-      if (own) {
-        e.own_counts[dst] += 1;
-        e.own_sizes[dst] += bytes;
-      } else {
-        e.foreign_counts[dst].fetch_add(1, std::memory_order_relaxed);
-        e.foreign_sizes[dst].fetch_add(bytes, std::memory_order_relaxed);
-      }
-      recorded += e.weight;
-    }
+  if (caller_world == pkt.src_world) {
+    // The owner rebuilds its plan only between its own sends.
+    return rs.plan ? record(*rs.plan, pkt, /*own=*/true) : 0;
   }
-  for (const auto& slot : plan->observers) {
+  // RMA traffic attributed from a peer's thread: the owner may be
+  // rebuilding right now, and holds this mutex while it does.
+  std::lock_guard lock(rs.mutex);
+  return rs.plan ? record(*rs.plan, pkt, /*own=*/false) : 0;
+}
+
+int Runtime::record(const RecordingPlan& plan, const mpi::PktInfo& pkt,
+                    bool own) {
+  int recorded = 0;
+  const auto& entries = plan.by_kind[static_cast<std::size_t>(pkt.kind)];
+  const auto bytes = static_cast<unsigned long>(pkt.bytes);
+  for (const RecordingPlan::Entry& e : entries) {
+    const int dst = e.world_to_group[pkt.dst_world];
+    if (dst < 0) continue;
+    // Plain single-writer slots on the sender's own thread; the atomic
+    // foreign slots when a peer thread attributes RMA traffic here.
+    if (own) {
+      e.own_counts[dst] += 1;
+      e.own_sizes[dst] += bytes;
+    } else {
+      e.foreign_counts[dst].fetch_add(1, std::memory_order_relaxed);
+      e.foreign_sizes[dst].fetch_add(bytes, std::memory_order_relaxed);
+    }
+    recorded += e.weight;
+  }
+  for (ObserverSlot* slot : plan.observers) {
     std::lock_guard lock(slot->mutex);
-    if (slot->fn) slot->fn(pkt);
+    slot->fn(pkt);
   }
   return recorded;
 }
 
 void Runtime::rebuild_plan(RankState& rs) {
-  auto plan = std::make_unique<RecordingPlan>();
-  bool empty = true;
-  for (Session& s : rs.sessions) {
-    if (s.freed) continue;
-    if (s.observer) {
-      plan->observers.push_back(s.observer);
-      empty = false;
+  const bool was_recording = rs.plan != nullptr;
+  if (!was_recording) rs.plan = std::make_unique<RecordingPlan>();
+  RecordingPlan& plan = *rs.plan;
+  for (auto& bucket : plan.by_kind) bucket.clear();
+  plan.observers.clear();
+  bool recording = false;
+  for (auto& [id, s] : rs.sessions) {
+    if (s.observer.fn) {
+      plan.observers.push_back(&s.observer);
+      recording = true;
     }
     for (Handle& h : s.handles) {
       if (h.freed || !h.started || h.telemetry_metric >= 0) continue;
       // The sender-membership test moves from the per-packet path to here:
       // this plan belongs to one fixed sender rank.
       if (!h.comm.contains_world(rs.rank)) continue;
-      auto& bucket = plan->by_kind[static_cast<std::size_t>(h.kind)];
+      auto& bucket = plan.by_kind[static_cast<std::size_t>(h.kind)];
       auto it = std::find_if(bucket.begin(), bucket.end(),
                              [&](const RecordingPlan::Entry& e) {
                                return e.own_counts == h.acc->own_counts;
@@ -129,22 +136,15 @@ void Runtime::rebuild_plan(RankState& rs) {
         bucket.push_back({h.comm.world_to_group_table().data(),
                           h.acc->own_counts, h.acc->own_sizes,
                           h.acc->foreign_counts, h.acc->foreign_sizes, 1});
-        plan->acc_refs.push_back(h.acc);
-        plan->comm_refs.push_back(h.comm);
-        empty = false;
+        recording = true;
       }
     }
   }
-
-  const RecordingPlan* prev = rs.plan.load(std::memory_order_relaxed);
-  const RecordingPlan* next = empty ? nullptr : plan.get();
-  rs.plan.store(next, std::memory_order_release);
-  if (rs.plan_owner) rs.retired.push_back(std::move(rs.plan_owner));
-  if (!empty) rs.plan_owner = std::move(plan);
-  if ((prev != nullptr) != (next != nullptr))
-    nonempty_plans_.fetch_add(next != nullptr ? 1 : -1,
-                              std::memory_order_relaxed);
-  update_armed();
+  if (!recording) rs.plan.reset();
+  if (recording != was_recording) {
+    nonempty_plans_.fetch_add(recording ? 1 : -1, std::memory_order_relaxed);
+    update_armed();
+  }
 }
 
 void Runtime::update_armed() {
@@ -154,13 +154,6 @@ void Runtime::update_armed() {
   const bool record = !listeners_.empty() ||
                       nonempty_plans_.load(std::memory_order_relaxed) > 0;
   engine_.arm(*this, record ? mpi::EngineObserver::kSendRecord : 0u);
-}
-
-void Runtime::reclaim_retired() {
-  for (auto& rs : ranks_) {
-    std::lock_guard lock(rs->mutex);
-    rs->retired.clear();
-  }
 }
 
 std::shared_ptr<Runtime::AccBlock> Runtime::intern_acc(RankState& rs,
@@ -183,45 +176,39 @@ std::shared_ptr<Runtime::AccBlock> Runtime::intern_acc(RankState& rs,
 int Runtime::session_create() {
   RankState& rs = my_rank_state();
   std::lock_guard lock(rs.mutex);
-  rs.sessions.emplace_back();
-  return static_cast<int>(rs.sessions.size()) - 1;
+  if (rs.next_session == std::numeric_limits<int>::max())
+    throw MpitError("pvar session ids exhausted");
+  const int id = rs.next_session++;
+  rs.sessions.try_emplace(id);
+  return id;
 }
 
 void Runtime::session_free(int session) {
   RankState& rs = my_rank_state();
   std::lock_guard lock(rs.mutex);
-  if (session < 0 || session >= static_cast<int>(rs.sessions.size()) ||
-      rs.sessions[static_cast<std::size_t>(session)].freed)
-    throw MpitError("invalid pvar session");
-  auto& s = rs.sessions[static_cast<std::size_t>(session)];
-  s.freed = true;
-  s.handles.clear();
-  s.observer = nullptr;
+  auto it = rs.sessions.find(session);
+  if (it == rs.sessions.end()) throw MpitError("invalid pvar session");
+  rs.sessions.erase(it);
   rebuild_plan(rs);
 }
 
 void Runtime::set_session_observer(int session, PktObserver observer) {
   RankState& rs = my_rank_state();
   std::lock_guard lock(rs.mutex);
-  if (session < 0 || session >= static_cast<int>(rs.sessions.size()) ||
-      rs.sessions[static_cast<std::size_t>(session)].freed)
-    throw MpitError("invalid pvar session");
-  auto& s = rs.sessions[static_cast<std::size_t>(session)];
-  if (observer) {
-    auto slot = std::make_shared<ObserverSlot>();
-    slot->fn = std::move(observer);
-    s.observer = std::move(slot);
-  } else {
-    s.observer = nullptr;
-  }
+  // No call is in flight: a peer's thread calls observers only under
+  // rs.mutex, and this rank's own sends are not running.
+  live_session(rs, session).observer.fn = std::move(observer);
   rebuild_plan(rs);
 }
 
+Runtime::Session& Runtime::live_session(RankState& rs, int session) {
+  auto it = rs.sessions.find(session);
+  if (it == rs.sessions.end()) throw MpitError("invalid pvar session");
+  return it->second;
+}
+
 Runtime::Handle& Runtime::resolve(RankState& rs, int session, int handle) {
-  if (session < 0 || session >= static_cast<int>(rs.sessions.size()))
-    throw MpitError("invalid pvar session");
-  Session& s = rs.sessions[static_cast<std::size_t>(session)];
-  if (s.freed) throw MpitError("pvar session already freed");
+  Session& s = live_session(rs, session);
   if (handle < 0 || handle >= static_cast<int>(s.handles.size()))
     throw MpitError("invalid pvar handle");
   Handle& h = s.handles[static_cast<std::size_t>(handle)];
@@ -234,10 +221,7 @@ int Runtime::handle_alloc(int session, int pvar_index, const mpi::Comm& comm) {
   if (comm.is_null()) throw MpitError("handle_alloc on null communicator");
   RankState& rs = my_rank_state();
   std::lock_guard lock(rs.mutex);
-  if (session < 0 || session >= static_cast<int>(rs.sessions.size()) ||
-      rs.sessions[static_cast<std::size_t>(session)].freed)
-    throw MpitError("invalid pvar session");
-  Session& s = rs.sessions[static_cast<std::size_t>(session)];
+  Session& s = live_session(rs, session);
   Handle h;
   h.comm = comm;
   h.kind = info.kind;
@@ -343,7 +327,7 @@ void Runtime::handle_write(int session, int handle,
   if (count != static_cast<int>(h.values.size()))
     throw MpitError("pvar handle_write value count mismatch");
   // A stopped handle's value IS its bias, so seeding is a plain copy; no
-  // plan rebuild (stopped handles are not in the published plan).
+  // plan rebuild (stopped handles are not in the plan).
   for (int d = 0; d < count; ++d)
     h.values[static_cast<std::size_t>(d)] =
         values[static_cast<std::size_t>(d)];

@@ -9,31 +9,35 @@
 // as both endpoints belong to the bound one (the paper's Section 4.1
 // even/odd example).
 //
-// Recording fast path (see docs/PERF.md). The per-packet side is lock-free:
-// control-plane operations compile, per rank, an immutable RecordingPlan --
-// flat per-traffic-class entry arrays of {dense world->group table, slot
-// pointers, record weight} plus the attached packet observers -- and publish
-// it RCU-style with a release store into an atomic pointer. on_send_record
-// does one acquire load, returns on an empty (null) plan, and otherwise
+// Recording fast path (see docs/PERF.md). Control-plane operations compile,
+// per rank, a RecordingPlan -- flat per-traffic-class entry arrays of {dense
+// world->group table, slot pointers, record weight} plus the attached packet
+// observers. on_send_record returns on an empty (null) plan and otherwise
 // walks only the entries of the packet's traffic class: one indexed table
-// load, two slot increments, no locks, no hash lookups, no virtual calls.
-// Handles that bind the same (communicator, class) pair share one
-// accumulator block, so a packet costs the same whether one or sixteen
-// overlapping sessions watch it; each handle keeps its private view via a
-// bias vector updated at start/stop/reset (value = bias + shared
-// accumulator while started).
-// Accumulator slots are split into a plain array written only by the owning
-// rank's thread and an atomic array for RMA traffic attributed from peer
-// threads (the on_send_record contract in minimpi/engine.h). Writers rebuild
-// and swap under the per-rank control mutex and retire the old plan to a
-// graveyard reclaimed at engine-quiescent points (run begin, Runtime
-// destruction), the grace period that keeps readers safe without per-packet
-// fences.
+// load, two slot increments, no hash lookups, no virtual calls. Handles
+// that bind the same (communicator, class) pair share one accumulator
+// block, so a packet costs the same whether one or sixteen overlapping
+// sessions watch it; each handle keeps its private view via a bias vector
+// updated at start/stop/reset (value = bias + shared accumulator while
+// started).
+//
+// One owner per plan. Every control operation acts on the calling rank's
+// state, so a rank's plan is only ever rebuilt -- in place, under the rank's
+// control mutex -- on that rank's own thread, between its own sends. The
+// owner's send path therefore reads the plan with no lock and no fence. The
+// one reader on another thread is RMA traffic a peer attributes to this
+// rank (Win::get, see the on_send_record contract in minimpi/engine.h); it
+// takes the control mutex, so it never sees a half-built plan. Accumulator
+// slots are split into a plain array written only by the owning rank's
+// thread and an atomic array for that foreign RMA traffic. Sessions are
+// stored only while they live, so a control operation costs O(live
+// sessions), not O(sessions ever created).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -61,7 +65,8 @@ class Runtime final : public mpi::EngineObserver {
   // All calls below act on the state of the *calling rank* (Ctx::current())
   // like MPI_T, which is process-local.
 
-  /// MPI_T_pvar_session_create.
+  /// MPI_T_pvar_session_create. Ids are never reissued within a Runtime,
+  /// so a freed session's id stays invalid for good.
   int session_create();
   void session_free(int session);
 
@@ -101,10 +106,10 @@ class Runtime final : public mpi::EngineObserver {
   /// the control mutex). Unlike the pvar handles, an observation is NOT
   /// counted in the send record's count, so it never charges the monitoring
   /// overhead cost model -- virtual clocks stay bit-identical with or
-  /// without an observer. Pass nullptr to detach; a peer thread mid-call
-  /// through a retired plan may deliver one final observation after the
-  /// detach returns (the closure must tolerate that, and the closure's
-  /// captures stay alive until the next grace period).
+  /// without an observer. Pass nullptr to detach. Once this call (or
+  /// session_free) returns, the replaced observer is never called again,
+  /// not even from a peer's thread attributing RMA traffic, and it has been
+  /// destroyed.
   using PktObserver = std::function<void(const mpi::PktInfo&)>;
   void set_session_observer(int session, PktObserver observer);
 
@@ -139,19 +144,18 @@ class Runtime final : public mpi::EngineObserver {
     void* raw_ = nullptr;
   };
 
-  /// An attached packet observer. The slot (not the Runtime) carries the
-  /// mutex so a retired plan can still deliver safely from a peer thread
-  /// while the control plane swaps in a replacement.
+  /// An attached packet observer. Its mutex serializes the owner's calls
+  /// against a peer thread's RMA-attribution calls into the same closure.
   struct ObserverSlot {
     std::mutex mutex;
     PktObserver fn;
   };
 
-  /// Immutable compiled form of one rank's recording state. Published via
-  /// RankState::plan (release store / acquire load); never mutated after
-  /// publication. Holds shared_ptr keepalives for everything its raw
-  /// pointers reference, so a reader that loaded the plan before a swap
-  /// stays safe until the grace-period reclamation.
+  /// Compiled form of one rank's recording state, rebuilt in place by its
+  /// owner (see the header comment). Its raw pointers reference storage
+  /// held by the started handles and observer slots of live sessions; every
+  /// operation that releases such storage rebuilds the plan before it
+  /// drops the control mutex.
   struct RecordingPlan {
     struct Entry {
       const int* world_to_group;  ///< dense, world-sized, -1 = non-member
@@ -166,9 +170,7 @@ class Runtime final : public mpi::EngineObserver {
     };
     /// Indexed by CommKind p2p/coll/osc.
     std::array<std::vector<Entry>, 3> by_kind;
-    std::vector<std::shared_ptr<ObserverSlot>> observers;
-    std::vector<std::shared_ptr<AccBlock>> acc_refs;
-    std::vector<mpi::Comm> comm_refs;
+    std::vector<ObserverSlot*> observers;
   };
 
   struct Handle {
@@ -193,9 +195,8 @@ class Runtime final : public mpi::EngineObserver {
     std::vector<unsigned long> values;
   };
   struct Session {
-    bool freed = false;
     std::vector<Handle> handles;
-    std::shared_ptr<ObserverSlot> observer;  ///< null when none attached
+    ObserverSlot observer;  ///< fn empty when none attached
   };
   /// Interning table for accumulator blocks, keyed by communicator
   /// identity + traffic class. Expired entries are pruned on allocation.
@@ -206,36 +207,34 @@ class Runtime final : public mpi::EngineObserver {
   };
   struct RankState {
     int rank = -1;
-    std::mutex mutex;  ///< control plane only: the fast path never locks
-    std::vector<Session> sessions;
+    int next_session = 0;
+    /// Held by every control operation (owner thread) and by a peer thread
+    /// reading `plan` for RMA attribution; the owner's send path reads
+    /// `plan` without it.
+    std::mutex mutex;
+    std::map<int, Session> sessions;  ///< live sessions only
     std::vector<AccKey> acc_registry;
-    /// The published plan; null when this rank records nothing. Storage is
-    /// owned by plan_owner / retired below, never by readers.
-    std::atomic<const RecordingPlan*> plan{nullptr};
-    std::unique_ptr<const RecordingPlan> plan_owner;
-    /// Retired plans awaiting the grace period (engine quiescence). Plans
-    /// are small -- slot storage is shared across versions -- so the
-    /// graveyard grows O(control-plane ops) within a run.
-    std::vector<std::unique_ptr<const RecordingPlan>> retired;
+    std::unique_ptr<RecordingPlan> plan;  ///< null while nothing records
   };
 
   /// Returns the number of records made (overhead model).
   int on_send_record(const mpi::PktInfo& pkt, int caller_world) override;
-  /// Engine quiescence: the grace period that reclaims retired plans.
-  void on_run_begin() override { reclaim_retired(); }
+  /// Records one packet through `plan`: into the plain slots when `own`
+  /// (the sender's thread), else into the atomic foreign slots.
+  static int record(const RecordingPlan& plan, const mpi::PktInfo& pkt,
+                    bool own);
 
-  /// Recompiles and publishes rs's plan. Caller holds rs.mutex.
+  /// Recompiles rs's plan in place. Caller holds rs.mutex on rs's thread.
   void rebuild_plan(RankState& rs);
   /// Re-arms the send record from the nonempty-plan count and the listener
   /// list (serialized so the final state always reflects the latest
   /// transitions).
   void update_armed();
-  /// Frees every retired plan; only called when no rank threads run.
-  void reclaim_retired();
 
   std::shared_ptr<AccBlock> intern_acc(RankState& rs, const mpi::Comm& comm,
                                        mpi::CommKind kind);
 
+  Session& live_session(RankState& rs, int session);
   Handle& resolve(RankState& rs, int session, int handle);
   RankState& my_rank_state();
 

@@ -87,9 +87,13 @@ Plane::Plane(mpi::Engine& engine, PlaneConfig cfg)
   if (cfg_.epoch_s <= 0.0) cfg_.epoch_s = 1.0e-3;
   if (cfg_.ring_capacity < 2) cfg_.ring_capacity = 2;
 
+  const std::size_t ring_bytes = cfg_.ring_capacity * sizeof(StreamEvent);
+  rings_ = support::map_pages(static_cast<std::size_t>(nranks_) * ring_bytes);
   producers_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r)
-    producers_.push_back(std::make_unique<Producer>(cfg_.ring_capacity));
+    producers_.push_back(std::make_unique<Producer>(
+        cfg_.ring_capacity,
+        rings_.get() + static_cast<std::size_t>(r) * ring_bytes));
   node_tx_cum_.assign(static_cast<std::size_t>(engine_.nic().num_nodes()), 0);
 
   if (!cfg_.stream_path.empty()) {

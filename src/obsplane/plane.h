@@ -46,6 +46,7 @@
 #include "minimpi/engine.h"
 #include "obsplane/correlate.h"
 #include "obsplane/sketch.h"
+#include "support/pages.h"
 
 namespace mpim::introspect {
 struct Frame;
@@ -172,19 +173,17 @@ class Plane final : public mpi::EngineObserver {
 
  private:
   struct Producer {
-    explicit Producer(std::size_t capacity)
-        : cap(capacity),
-          buf(std::make_unique_for_overwrite<std::byte[]>(
-              capacity * sizeof(StreamEvent))) {}
+    Producer(std::size_t capacity, std::byte* storage)
+        : cap(capacity), buf(storage) {}
     /// Address of the slot ring position `pos` maps to.
     std::byte* slot(std::uint64_t pos) {
-      return buf.get() + (pos % cap) * sizeof(StreamEvent);
+      return buf + (pos % cap) * sizeof(StreamEvent);
     }
     // SPSC ring of StreamEvents: the rank thread pushes, the draining
-    // consumer pops. Slots are raw bytes, memcpy'd in and out, so attaching
-    // does not value-initialize nranks x capacity events it may never use.
+    // consumer pops. Slots are raw bytes, memcpy'd in and out, in the
+    // plane's ring mapping (rings_).
     std::size_t cap;
-    std::unique_ptr<std::byte[]> buf;
+    std::byte* buf;
     std::atomic<std::uint64_t> head{0};  ///< producer-advanced
     std::atomic<std::uint64_t> tail{0};  ///< consumer-advanced
     std::atomic<std::uint64_t> dropped{0};
@@ -226,6 +225,10 @@ class Plane final : public mpi::EngineObserver {
   PlaneConfig cfg_;
   int nranks_;
 
+  // Every producer's ring in one page mapping (support/pages.h): attaching
+  // maps it with one call, value-initializes none of its nranks x capacity
+  // events, and the slots a run never writes are never resident.
+  support::PageBytes rings_;
   std::vector<std::unique_ptr<Producer>> producers_;
 
   // Frame side queue (frames can arrive on foreign threads; see on_frame).

@@ -10,8 +10,9 @@
 // joined; a mid-run snapshot may miss or tear the record currently being
 // overwritten, which is acceptable for monitoring reads.
 //
-// Slots are raw bytes that records are memcpy'd into and out of, so a new
-// ring does not value-initialize capacity records it may never hold.
+// Slots are raw bytes that records are memcpy'd into and out of, on pages
+// of their own (support/pages.h): a new ring neither value-initializes
+// capacity records it may never hold nor keeps heap pages resident for them.
 #pragma once
 
 #include <algorithm>
@@ -23,6 +24,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "support/pages.h"
+
 namespace mpim::telemetry {
 
 template <typename T>
@@ -33,7 +36,7 @@ class Ring {
  public:
   explicit Ring(std::size_t capacity)
       : cap_(capacity == 0 ? 1 : capacity),
-        buf_(std::make_unique_for_overwrite<std::byte[]>(cap_ * sizeof(T))),
+        buf_(support::map_pages(cap_ * sizeof(T))),
         limit_(cap_) {}
 
   std::size_t capacity() const { return cap_; }
@@ -102,7 +105,7 @@ class Ring {
   }
 
   std::size_t cap_;
-  std::unique_ptr<std::byte[]> buf_;
+  support::PageBytes buf_;
   std::atomic<std::size_t> limit_;
   std::atomic<std::uint64_t> pushed_{0};
 };

@@ -60,9 +60,16 @@ bool json_num(const std::string& line, const char* key, double* out) {
   return true;
 }
 
+/// Thrown for an integer field whose text strtod accepts but long long
+/// cannot hold (nan, inf, 1e300): the whole line is corrupt.
+struct BadNumber {};
+
 bool json_i64(const std::string& line, const char* key, long long* out) {
   double v = 0.0;
   if (!json_num(line, key, &v)) return false;
+  // [-2^63, 2^63) is exactly the doubles that truncate into long long;
+  // the negated test also rejects NaN.
+  if (!(v >= -0x1p63 && v < 0x1p63)) throw BadNumber{};
   *out = static_cast<long long>(v);
   return true;
 }
@@ -85,7 +92,7 @@ std::string bar(std::uint64_t value, std::uint64_t max) {
 
 }  // namespace
 
-bool LiveState::apply_line(const std::string& line) {
+bool LiveState::apply_line(const std::string& line) try {
   std::string type;
   if (line.empty() || line[0] != '{' || line.back() != '}' ||
       !json_str(line, "type", &type)) {
@@ -97,9 +104,9 @@ bool LiveState::apply_line(const std::string& line) {
   if (e > max_epoch) max_epoch = e;
 
   if (type == "run_start") {
-    json_str(line, "job", &job);
     long long r = -1;
     if (json_i64(line, "ranks", &r)) ranks = static_cast<int>(r);
+    json_str(line, "job", &job);
     json_num(line, "epoch_s", &epoch_s);
   } else if (type == "epoch") {
     last_epoch = e;
@@ -157,17 +164,20 @@ bool LiveState::apply_line(const std::string& line) {
     std::string text;
     if (json_str(line, "text", &text)) findings.push_back(std::move(text));
   } else if (type == "run_end") {
-    run_ended = true;
     long long ep = 0, d = 0;
-    if (json_i64(line, "epochs", &ep))
-      run_end_epochs = static_cast<std::uint64_t>(ep);
+    const bool has_epochs = json_i64(line, "epochs", &ep);
     if (json_i64(line, "drops", &d)) drops = static_cast<std::uint64_t>(d);
+    if (has_epochs) run_end_epochs = static_cast<std::uint64_t>(ep);
+    run_ended = true;
   } else {
     ++parse_errors;
     return false;
   }
   ++lines;
   return true;
+} catch (const BadNumber&) {
+  ++parse_errors;
+  return false;
 }
 
 StreamTail::StreamTail(std::string path) : path_(std::move(path)) {}

@@ -38,7 +38,9 @@ struct LiveState {
   std::vector<std::string> findings;
 
   /// Applies one complete stream line. False (and a parse_errors bump)
-  /// for anything unrecognized.
+  /// for anything unrecognized, including an integer field that is not a
+  /// finite number within long long range; a rejected line changes nothing
+  /// but max_epoch.
   bool apply_line(const std::string& line);
 };
 

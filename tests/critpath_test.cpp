@@ -106,8 +106,11 @@ TEST(CritpathBlame, SumsExactlyToCommTimeAndNamesTheStraggler) {
   // The injected straggler is the dominant cause, as a late sender.
   EXPECT_EQ(rep.dominant_rank, 3);
   EXPECT_EQ(rep.dominant_class, WaitClass::late_sender);
-  for (const RankBlame& r : rep.ranks)
-    if (r.rank != 3) EXPECT_GT(rep.ranks[3].caused_ns, r.caused_ns);
+  for (const RankBlame& r : rep.ranks) {
+    if (r.rank != 3) {
+      EXPECT_GT(rep.ranks[3].caused_ns, r.caused_ns);
+    }
+  }
 
   // Links are sorted by descending charged wait; the critical link leaves
   // the straggler.
@@ -124,7 +127,9 @@ TEST(CritpathBlame, SumsExactlyToCommTimeAndNamesTheStraggler) {
   bool straggler_on_path = false;
   for (std::size_t i = 0; i < rep.path.size(); ++i) {
     EXPECT_LE(rep.path[i].t0, rep.path[i].t1);
-    if (i > 0) EXPECT_LE(rep.path[i - 1].t1, rep.path[i].t0 + 1e-12);
+    if (i > 0) {
+      EXPECT_LE(rep.path[i - 1].t1, rep.path[i].t0 + 1e-12);
+    }
     if (rep.path[i].rank == 3) straggler_on_path = true;
     EXPECT_FALSE(rep.path[i].tombstoned);  // nobody died
   }

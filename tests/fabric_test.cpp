@@ -272,8 +272,9 @@ TEST(FabricCostModel, RoutePlanConservesLatencyAndDrainsFully) {
           EXPECT_GT(plan.drain_frac[i], 0.0);
           EXPECT_LE(plan.drain_frac[i], 1.0);
           if (plan.drain_frac[i] == 1.0) full_rate_somewhere = true;
-          if (fab->kind() == FabricKind::tree)
+          if (fab->kind() == FabricKind::tree) {
             EXPECT_EQ(plan.drain_frac[i], 1.0);  // bit-identity with seed
+          }
         }
         // The slowest link on the path drains at the full serialization
         // rate and the per-hop gaps add up to the whole path latency, so

@@ -413,6 +413,27 @@ TEST(Runtime, MisuseThrowsMpitError) {
   });
 }
 
+TEST(Runtime, FreedSessionIdsAreNeverReissued) {
+  Sim sim = make_sim(1);
+  sim.run([&](Ctx& ctx) {
+    Runtime& rt = Runtime::of(ctx.engine());
+    const int stale = rt.session_create();
+    const int h = rt.handle_alloc(stale, 0, ctx.world());
+    rt.session_free(stale);
+    const int live = rt.session_create();
+    EXPECT_NE(live, stale);
+    EXPECT_EQ(rt.handle_alloc(live, 0, ctx.world()), h);
+
+    unsigned long v[1];
+    EXPECT_THROW(rt.session_free(stale), MpitError);
+    EXPECT_THROW(rt.handle_alloc(stale, 0, ctx.world()), MpitError);
+    EXPECT_THROW(rt.set_session_observer(stale, nullptr), MpitError);
+    EXPECT_THROW(rt.handle_read(stale, h, v, 1), MpitError);
+    EXPECT_EQ(rt.handle_read(live, h, v, 1), 1);
+    rt.session_free(live);
+  });
+}
+
 TEST(Runtime, ToolTrafficIsInvisible) {
   Sim sim = make_sim(4);
   sim.run([&](Ctx& ctx) {

@@ -409,7 +409,9 @@ TEST(ObsplaneGovernor, WidenRungDoublesMergeAndRekeysBuckets) {
   std::uint64_t mass2 = 0;
   for (std::size_t i = 0; i < after.size(); ++i) {
     mass2 += after[i].second;
-    if (i > 0) EXPECT_LT(after[i - 1].first, after[i].first);
+    if (i > 0) {
+      EXPECT_LT(after[i - 1].first, after[i].first);
+    }
   }
   EXPECT_EQ(mass, mass2);  // widening never loses counted mass
 }
@@ -618,6 +620,29 @@ TEST(ObsplaneLive, TailerToleratesTornLinesOutOfOrderEpochsAndMissingRanks) {
   ASSERT_EQ(st.event_lane.size(), 1u);
   EXPECT_NE(st.event_lane.back().find("crash"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ObsplaneLive, NonFiniteAndOutOfRangeIntegersRejectTheLine) {
+  // strtod accepts all three, and none fits a long long: converting one
+  // would be undefined behaviour, so each line is a parse error, whole.
+  for (const std::string v : {"nan", "inf", "1e300"}) {
+    tools::LiveState st;
+    EXPECT_FALSE(st.apply_line(
+        "{\"type\":\"metric\",\"e\":0,\"rank\":0,"
+        "\"name\":\"engine_bytes\",\"delta\":" + v + "}"));
+    EXPECT_FALSE(
+        st.apply_line("{\"type\":\"link\",\"e\":0,\"node\":" + v +
+                      ",\"tx\":512}"));
+    EXPECT_FALSE(st.apply_line("{\"type\":\"run_end\",\"epochs\":2,"
+                               "\"drops\":" + v + "}"));
+    EXPECT_FALSE(st.apply_line("{\"type\":\"epoch\",\"e\":" + v + "}"));
+    EXPECT_EQ(st.parse_errors, 4u) << v;
+    EXPECT_EQ(st.lines, 0u) << v;
+    EXPECT_TRUE(st.metric_totals.empty()) << v;
+    EXPECT_TRUE(st.node_tx.empty()) << v;
+    EXPECT_FALSE(st.run_ended) << v;
+    EXPECT_EQ(st.max_epoch, 0) << v;
+  }
 }
 
 TEST(ObsplaneLive, RenderShowsTalkersLinksEventsAndFindings) {

@@ -2,7 +2,10 @@
 // randomized (but seeded, deterministic) inputs.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <map>
+#include <optional>
+#include <string>
 
 #include "minimpi/api.h"
 #include "mpimon/mpi_monitoring.h"
@@ -10,6 +13,8 @@
 #include "mpimon/sim.h"
 #include "reorder/reorder.h"
 #include "support/rng.h"
+#include "tools/liveview.h"
+#include "topo/fabric.h"
 #include "treematch/treematch.h"
 
 namespace mpim {
@@ -351,6 +356,89 @@ TEST(SessionStateMachine, RandomOpSequencesMatchModel) {
     EXPECT_EQ(MPI_M_free(MPI_M_ALL_MSID), MPI_M_SUCCESS);
     EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
   });
+}
+
+// ---------------------------------------------------------------------------
+// Malformed input: seeded mutations of well-formed stream lines and fabric
+// specs (MPIM_TOPO). Neither parser throws, a stream line counts exactly
+// once (applied or a parse error), and an accepted spec round-trips through
+// describe().
+
+/// One to three edits: drop, insert or replace a byte, truncate, or splice
+/// in a token a parser may half-accept (numbers strtod takes but no integer
+/// holds, separators, keywords).
+std::string mutate(std::string s, Rng& rng) {
+  static const char* const kTokens[] = {
+      "nan", "inf", "-inf", "1e300", "-1e300", "9223372036854775808", "-0",
+      "0", "7", "64", ",", ":", "\"", "}", "{", "valiant", "minimal"};
+  const int edits = rng.uniform_int(1, 3);
+  for (int i = 0; i < edits; ++i) {
+    const std::size_t at = s.empty() ? 0 : rng.uniform_u64(0, s.size() - 1);
+    switch (rng.uniform_int(0, 4)) {
+      case 0:
+        if (!s.empty()) s.erase(at, 1);
+        break;
+      case 1:
+        s.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        break;
+      case 2:
+        if (!s.empty()) s[at] = static_cast<char>(rng.uniform_int(32, 126));
+        break;
+      case 3:
+        s.insert(at, kTokens[rng.uniform_u64(0, std::size(kTokens) - 1)]);
+        break;
+      default:
+        s.resize(at);
+        break;
+    }
+  }
+  return s;
+}
+
+TEST(MalformedInput, MutatedStreamLinesNeverThrowAndCountOnce) {
+  const std::string seeds[] = {
+      R"({"type":"run_start","job":"j","ranks":4,"epoch_s":0.001,"version":1})",
+      R"({"type":"epoch","e":1,"t0":0.001,"t1":0.002})",
+      R"({"type":"metric","e":1,"rank":0,"name":"engine_bytes","delta":100})",
+      R"({"type":"frame","e":2,"rank":1,"t0":0.002,"t1":0.003,"bytes":64,)"
+      R"("msgs":2,"top_peer":3,"boundary":1})",
+      R"({"type":"span","e":2,"rank":3,"cat":"P","name":"gather",)"
+      R"("t0":0.002,"t1":0.0025})",
+      R"({"type":"event","e":1,"rank":2,"what":"crash","t":0.0015})",
+      R"({"type":"link","e":1,"node":0,"tx":4096})",
+      R"({"type":"epoch_end","e":1,"n":5,"drops":0})",
+      R"({"type":"finding","kind":"degraded_link","text":"link 0-1 degraded"})",
+      R"({"type":"run_end","epochs":2,"events":3,"drops":0,"findings":0})",
+  };
+  tools::LiveState st;
+  for (const std::string& seed : seeds) ASSERT_TRUE(st.apply_line(seed));
+  Rng rng(0x11fe);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string line = mutate(seeds[i % std::size(seeds)], rng);
+    const std::uint64_t before = st.lines + st.parse_errors;
+    EXPECT_NO_THROW(st.apply_line(line)) << line;
+    ASSERT_EQ(st.lines + st.parse_errors, before + 1) << line;
+  }
+  EXPECT_GT(st.parse_errors, 0u);
+}
+
+TEST(MalformedInput, MutatedFabricSpecsNeverThrowAndAcceptedOnesRoundTrip) {
+  const std::string seeds[] = {"tree", "fattree:4,2,1", "fattree:8,3,2",
+                               "dragonfly:4,9,2", "dragonfly:2,5,2,valiant",
+                               "dragonfly:4,9,2,minimal"};
+  Rng rng(0xfab);
+  int accepted = 0;
+  for (int i = 0; i < 3000; ++i) {
+    const std::string text = mutate(seeds[i % std::size(seeds)], rng);
+    std::optional<topo::FabricSpec> spec;
+    EXPECT_NO_THROW(spec = topo::parse_fabric_spec(text)) << text;
+    if (!spec) continue;
+    ++accepted;
+    const auto again = topo::parse_fabric_spec(spec->describe());
+    ASSERT_TRUE(again.has_value()) << text << " -> " << spec->describe();
+    EXPECT_EQ(*again, *spec) << text << " -> " << spec->describe();
+  }
+  EXPECT_GT(accepted, 0);  // the loop reached the accept path too
 }
 
 }  // namespace

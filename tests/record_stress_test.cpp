@@ -1,17 +1,20 @@
-// Concurrent-recording stress: rank threads hammer the lock-free send path
-// (including cross-thread RMA attribution into a peer's accumulators) while
-// other ranks churn the control plane -- session create/free, snapshot
-// observer attach/detach -- forcing constant RecordingPlan rebuilds under
-// live readers. Built for the tsan preset (label "sanitize-thread"): any
-// missing synchronization in the RCU publication, the foreign slot
-// fetch_adds, or the observer slots shows up as a data race. The final
-// phase makes a deterministic correctness check: after a barrier quiesces
-// all cross-rank attribution, a fresh session must count this rank's own
-// traffic exactly.
+// Concurrent-recording stress: rank threads hammer the send path (including
+// cross-thread RMA attribution into a peer's accumulators) while other
+// ranks churn the control plane -- session create/free, snapshot observer
+// attach/detach -- forcing constant RecordingPlan rebuilds under live
+// readers. Built for the tsan preset (label "sanitize-thread"): any missing
+// synchronization between a rank's in-place plan rebuilds and a peer
+// thread's RMA-attribution read, in the foreign slot fetch_adds, or in the
+// observer slots shows up as a data race. The final phases make
+// deterministic correctness checks: after a barrier quiesces all cross-rank
+// attribution, a fresh session must count this rank's own traffic exactly,
+// and a detached observer is never called again.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <memory>
+#include <thread>
 
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
@@ -218,6 +221,75 @@ TEST(RecordStress, CrashShrinkAndRebindUnderPlanChurnStaysExact) {
     MPI_M_finalize();
   });
   EXPECT_TRUE(engine.rank_dead(7));
+}
+
+TEST(RecordStress, DetachedObserverIsNeverCalledAgain) {
+  // Even ranks attribute RMA traffic to their odd neighbour from their own
+  // threads while the neighbour attaches and detaches session observers.
+  // Each closure carries its epoch, and the neighbour publishes "detached
+  // up to epoch k" only after epoch k's detach returned, so a closure that
+  // reads its own epoch there was called after its detach. Odd epochs
+  // detach with set_session_observer(nullptr), even ones by session_free.
+  constexpr int kRanks = 4;
+  constexpr long kEpochs = 200;
+  // Bounds that keep the run finite without true concurrency (fibers).
+  constexpr long kMaxHammerIters = 200000;
+  constexpr int kMaxSpins = 20000;
+
+  topo::Topology t({2, 2, 2}, {"node", "socket", "core"});
+  std::vector<net::LinkParams> params = {
+      {1e-5, 1e8}, {1e-6, 1e9}, {1e-7, 1e10}, {0.0, 1e12}};
+  net::CostModel cost(t, params, 1e-7);
+  mpi::EngineConfig cfg{.cost_model = cost,
+                        .placement = topo::round_robin_placement(kRanks, t)};
+  cfg.watchdog_wall_timeout_s = 120.0;
+  mpi::Engine engine(std::move(cfg));
+  mpit::Runtime tool(engine);
+
+  std::array<std::atomic<long>, kRanks> detached_upto{};
+  std::array<std::atomic<long>, kRanks> calls{};
+  std::array<std::atomic<bool>, kRanks> done{};
+  std::atomic<long> late_calls{0};
+
+  engine.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    if (me % 2 == 0) {
+      for (long i = 0; i < kMaxHammerIters && !done[me + 1].load(); ++i)
+        ctx.rma_transfer(me + 1, me, world, 8);
+      return;
+    }
+    std::atomic<long>* upto = &detached_upto[me];
+    std::atomic<long>* seen = &calls[me];
+    int sid = tool.session_create();
+    for (long epoch = 1; epoch <= kEpochs; ++epoch) {
+      const long before = seen->load();
+      tool.set_session_observer(
+          sid, [upto, seen, epoch, &late_calls](const mpi::PktInfo&) {
+            if (upto->load() >= epoch) late_calls.fetch_add(1);
+            seen->fetch_add(1);
+          });
+      // Let the neighbour's attribution reach this epoch's closure, so the
+      // detach below races a live caller.
+      for (int s = 0; s < kMaxSpins && seen->load() == before; ++s)
+        std::this_thread::yield();
+      if (epoch % 2 == 1) {
+        tool.set_session_observer(sid, nullptr);
+      } else {
+        tool.session_free(sid);
+        sid = tool.session_create();
+      }
+      upto->store(epoch);
+    }
+    tool.session_free(sid);
+    done[me].store(true);
+  });
+
+  EXPECT_EQ(late_calls.load(), 0);
+  if (engine.sched_mode() == mpi::SchedMode::threads) {
+    for (int r = 1; r < kRanks; r += 2)
+      EXPECT_GT(calls[r].load(), 0) << "rank " << r;
+  }
 }
 
 }  // namespace

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <sstream>
@@ -11,6 +15,7 @@
 
 #include "support/env.h"
 #include "support/matrix.h"
+#include "support/pages.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -323,6 +328,56 @@ TEST(EnvNonemptyString, RejectsBlankPathsKeepsEverythingElseVerbatim) {
   EXPECT_EQ(parse(" padded.txt ").value, " padded.txt ");
   EXPECT_EQ(parse("-").value, "-");
   ::unsetenv("MPIM_TEST_ENV_S");
+}
+
+// --- pages -------------------------------------------------------------------
+
+/// Keeps transparent huge pages off [p, p + bytes), so that a write makes
+/// exactly its own page resident even where THP is enabled system-wide.
+void no_huge_pages(void* p, std::size_t bytes) {
+  EXPECT_EQ(::madvise(p, bytes, MADV_NOHUGEPAGE), 0);
+}
+
+/// Pages of [p, p + bytes) that are resident, by mincore(2).
+std::size_t resident_pages(const void* p, std::size_t bytes) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((bytes + page - 1) / page);
+  EXPECT_EQ(::mincore(const_cast<void*>(p), bytes, vec.data()), 0);
+  std::size_t n = 0;
+  for (unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+TEST(Pages, OnlyWrittenPagesBecomeResident) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t bytes = 64 * page;
+  support::PageBytes buf = support::map_pages(bytes);
+  ASSERT_NE(buf.get(), nullptr);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.get()) % page, 0u);
+  no_huge_pages(buf.get(), bytes);
+  EXPECT_EQ(resident_pages(buf.get(), bytes), 0u);
+  buf[0] = std::byte{1};
+  buf[40 * page + 7] = std::byte{2};
+  EXPECT_EQ(resident_pages(buf.get(), bytes), 2u);
+  // Zero-filled: written bytes read back, their neighbours are zero.
+  EXPECT_EQ(buf[0], std::byte{1});
+  EXPECT_EQ(buf[1], std::byte{0});
+  EXPECT_EQ(buf[40 * page + 7], std::byte{2});
+}
+
+TEST(Pages, ReservedVectorTouchesOnlyTheEventsItHolds) {
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<std::uint64_t, support::PageAllocator<std::uint64_t>> v;
+  const std::size_t cap = 32 * page / sizeof(std::uint64_t);
+  v.reserve(cap);
+  no_huge_pages(v.data(), cap * sizeof(std::uint64_t));
+  EXPECT_EQ(resident_pages(v.data(), cap * sizeof(std::uint64_t)), 0u);
+  for (std::uint64_t i = 0; i < 10; ++i) v.push_back(i);
+  EXPECT_EQ(resident_pages(v.data(), cap * sizeof(std::uint64_t)), 1u);
+  // Growing past the reservation moves the elements to a new mapping.
+  v.resize(cap + 1, 7);
+  EXPECT_EQ(v[9], 9u);
+  EXPECT_EQ(v[cap], 7u);
 }
 
 }  // namespace
