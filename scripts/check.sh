@@ -9,8 +9,11 @@
 #      which every test carries in that tree (tests/CMakeLists.txt)
 #   3. tsan preset:    configure, build, ctest filtered to label
 #      "sanitize-thread": the record_stress (rank threads hammer the
-#      lock-free send path while the control plane churns RecordingPlans),
-#      recovery, sched and telemetry suites
+#      lock-free send path while the control plane churns RecordingPlans,
+#      and fault-free mpimon gathers run ahead of slow readers), recovery,
+#      sched and telemetry suites; then the record_stress suite again until
+#      it has passed 10 times in a row, since its races show only in some
+#      interleavings
 #
 # The --<lane>-only flags run one focused lane instead (the `lanes` table
 # below): the tests labeled with the lane's suite label under BOTH sanitizer
@@ -171,6 +174,8 @@ if [ "$run_tsan" = 1 ]; then
   cmake --preset tsan
   cmake --build --preset tsan -j "$jobs"
   ctest --preset tsan --output-on-failure -j "$jobs"
+  ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
+    -L '^record_stress$' --repeat until-fail:10
 fi
 
 # --test-dir instead of the ctest presets: the preset label filters

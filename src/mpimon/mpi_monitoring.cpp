@@ -7,9 +7,12 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "critpath/critpath.h"
@@ -87,15 +90,82 @@ double default_gather_timeout() {
 struct MonState {
   bool initialized = false;
   std::vector<MonSession> sessions;
-  double gather_timeout_s = default_gather_timeout();
+  double gather_timeout_s = 5.0;
+  /// Fault-free mpimon collectives this rank has entered, per communicator
+  /// context id: the second half of an exchange slot's key. Never reset
+  /// within a run, so a key is never reused while a slow rank may still
+  /// read the slot it names.
+  std::unordered_map<int, std::uint64_t> collectives;
 };
 
+/// One fault-free mpimon collective's data, shared by its participants
+/// instead of carried by its messages (docs/PERF.md "Exchange slots").
+/// Every contributor writes its rows into `words` before its first send,
+/// get_frames' root writes `result` before its broadcast, and a receiver
+/// reads only after its collective completes, which causally follows all
+/// of those writes: no lock covers the contents.
+struct Exchange {
+  std::pair<int, std::uint64_t> key;  ///< (context id, collective count)
+  std::unique_ptr<unsigned long[]> words;
+  std::vector<unsigned long> result;
+  int readers_left = 0;  ///< guarded by MonWorld::mx
+};
+
+/// Engine-wide mpimon state, one tool object per run: every rank's
+/// MonState, indexed by world rank, and the live exchange slots.
+struct MonWorld {
+  explicit MonWorld(int nranks) : ranks(static_cast<std::size_t>(nranks)) {
+    const double timeout = default_gather_timeout();
+    for (MonState& st : ranks) st.gather_timeout_s = timeout;
+  }
+  std::vector<MonState> ranks;
+  std::mutex mx;
+  std::map<std::pair<int, std::uint64_t>, Exchange> exchanges;  ///< by mx
+};
+
+MonWorld& mon_world() {
+  static const std::string kKey = "mpimon";
+  mpim::mpi::Engine& engine = Ctx::current().engine();
+  auto obj = engine.get_or_create_tool_object(
+      kKey, [&engine]() -> std::shared_ptr<void> {
+        return std::make_shared<MonWorld>(engine.world_size());
+      });
+  return *static_cast<MonWorld*>(obj.get());
+}
+
 MonState& mon_state() {
-  Ctx& ctx = Ctx::current();
-  auto obj = ctx.engine().get_or_create_tool_object(
-      "mpimon:rank:" + std::to_string(ctx.world_rank()),
-      [] { return std::make_shared<MonState>(); });
-  return *static_cast<MonState*>(obj.get());
+  return mon_world()
+      .ranks[static_cast<std::size_t>(Ctx::current().world_rank())];
+}
+
+/// Enters the calling rank's next fault-free mpimon collective on `comm`
+/// and returns its exchange slot: whichever participant arrives first
+/// creates it with `words` uninitialized words and `readers` receivers.
+/// Call it right before the collective, so the rank's count advances only
+/// for calls that reach theirs.
+Exchange& enter_exchange(const Comm& comm, std::size_t words, int readers) {
+  MonWorld& world = mon_world();
+  MonState& st =
+      world.ranks[static_cast<std::size_t>(Ctx::current().world_rank())];
+  const int context = comm.context_id();
+  const std::uint64_t seq = st.collectives[context]++;
+  std::lock_guard lock(world.mx);
+  auto [it, fresh] = world.exchanges.try_emplace({context, seq});
+  if (fresh) {
+    it->second.key = it->first;
+    it->second.words = std::make_unique_for_overwrite<unsigned long[]>(words);
+    it->second.readers_left = readers;
+  }
+  return it->second;
+}
+
+/// A receiver is done reading `slot`; the last one erases it. Not called
+/// when a collective throws: the slot then lives until the run's tool
+/// objects go, since a contributor may still be writing into it.
+void leave_exchange(Exchange& slot) {
+  MonWorld& world = mon_world();
+  std::lock_guard lock(world.mx);
+  if (--slot.readers_left == 0) world.exchanges.erase(slot.key);
 }
 
 /// Maps exceptions of the layers below to the paper's error codes. Engine
@@ -158,13 +228,12 @@ void start_all_handles(MonSession& s) {
   for (int h : s.handles) rt.handle_start(s.tsession, h);
 }
 
-/// Accumulates the selected traffic classes of one metric into `out`
-/// (length n). metric 0 = counts, 1 = sizes.
-void read_metric(MonSession& s, int flags, int metric,
-                 std::vector<unsigned long>& out) {
+/// Accumulates the selected traffic classes of one metric into the n
+/// words at `out`. metric 0 = counts, 1 = sizes.
+void read_metric(MonSession& s, int flags, int metric, unsigned long* out) {
   auto& rt = runtime();
   const std::size_t n = static_cast<std::size_t>(s.comm.size());
-  out.assign(n, 0ul);
+  std::fill_n(out, n, 0ul);
   std::vector<unsigned long> tmp(n);
   for (int bit = 0; bit < 3; ++bit) {
     if (!(flags & (1 << bit))) continue;
@@ -336,8 +405,9 @@ int MPI_M_suspend(MPI_M_msid msid) {
         // so the alarm decision is deterministic per rank.
         auto& gov = mpim::mon::Governor::of(Ctx::current().engine());
         if (gov.overhead_budget_pct() > 0.0 && s.span_start_s >= 0.0) {
-          std::vector<unsigned long> row;
-          read_metric(s, MPI_M_ALL_COMM, 0, row);
+          std::vector<unsigned long> row(
+              static_cast<std::size_t>(s.comm.size()));
+          read_metric(s, MPI_M_ALL_COMM, 0, row.data());
           unsigned long events = 0;
           for (unsigned long v : row) events += v;
           gov.report_overhead(
@@ -505,15 +575,8 @@ int MPI_M_get_data(MPI_M_msid msid, unsigned long* msg_counts,
       return MPI_M_SESSION_NOT_SUSPENDED;
     if (!flags_valid(flags)) return MPI_M_INVALID_FLAGS;
 
-    std::vector<unsigned long> row;
-    if (msg_counts != MPI_M_DATA_IGNORE) {
-      read_metric(*s, flags, 0, row);
-      std::copy(row.begin(), row.end(), msg_counts);
-    }
-    if (msg_sizes != MPI_M_DATA_IGNORE) {
-      read_metric(*s, flags, 1, row);
-      std::copy(row.begin(), row.end(), msg_sizes);
-    }
+    if (msg_counts != MPI_M_DATA_IGNORE) read_metric(*s, flags, 0, msg_counts);
+    if (msg_sizes != MPI_M_DATA_IGNORE) read_metric(*s, flags, 1, msg_sizes);
     return MPI_M_SUCCESS;
   });
 }
@@ -521,19 +584,15 @@ int MPI_M_get_data(MPI_M_msid msid, unsigned long* msg_counts,
 namespace {
 
 /// Reads the selected traffic classes of BOTH metrics as one interleaved
-/// row blob of 2n words: [counts row | sizes row]. Gathering the blob
-/// instead of two separate metric rows lets every gather/allgather/flush
-/// pay one collective instead of two (docs/PERF.md, "fused gather blob").
-void read_row_blob(MonSession& s, int flags,
-                   std::vector<unsigned long>& blob) {
+/// row blob of 2n words, [counts row | sizes row]: the failure-aware
+/// gathers' wire format, so they too pay one collective per call
+/// (docs/PERF.md, "One collective per gather").
+std::vector<unsigned long> read_row_blob(MonSession& s, int flags) {
   const std::size_t n = static_cast<std::size_t>(s.comm.size());
-  blob.assign(2 * n, 0ul);
-  std::vector<unsigned long> row;
-  read_metric(s, flags, 0, row);
-  std::copy(row.begin(), row.end(), blob.begin());
-  read_metric(s, flags, 1, row);
-  std::copy(row.begin(), row.end(),
-            blob.begin() + static_cast<std::ptrdiff_t>(n));
+  std::vector<unsigned long> blob(2 * n);
+  read_metric(s, flags, 0, blob.data());
+  read_metric(s, flags, 1, blob.data() + n);
+  return blob;
 }
 
 /// Splits a gathered rows x 2n blob matrix back into the caller's count
@@ -592,11 +651,12 @@ bool ft_bcast_words(MonSession& s, unsigned long* words, std::size_t count) {
   return rc == Ctx::RecvWait::ok;
 }
 
-/// Failure-aware gather_rows: ft_gather_rows to the root (group rank 0 for
-/// an allgather, which then ft_bcasts the matrix with its missing-row
-/// count appended). A crashed or stalled rank costs at most one timeout
-/// and a sentinel row, not a hang. Returns the missing rows on receiving
-/// ranks.
+/// Failure-aware gather of every member's `row` into the rows x w `recv`
+/// at `root`, or at everyone when root < 0: ft_gather_rows to the root
+/// (group rank 0 for an allgather, which then ft_bcasts the matrix with
+/// its missing-row count appended). A crashed or stalled rank costs at
+/// most one timeout and a sentinel row, not a hang. Returns the missing
+/// rows on receiving ranks.
 int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
                    int root, unsigned long* recv) {
   const std::size_t rows = static_cast<std::size_t>(s.comm.size());
@@ -625,43 +685,58 @@ int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
   return static_cast<int>(missing);
 }
 
-/// Gathers each contributor's row (any width) into a comm-size x width
-/// matrix at `root` (or at everyone when root < 0) with exactly ONE
-/// collective, wrapped in a "mon.gather" telemetry span per participant so
-/// the single-collective contract is observable in span counts. Traffic is
-/// independent of the output pointer: a process that ignores the result
-/// still contributes its row through scratch space. Returns the number of
-/// contributors whose row could not be gathered (always 0 when the engine
-/// runs without a fault plan).
-int gather_rows(MonSession& s, const std::vector<unsigned long>& row,
-                int root, unsigned long* out) {
+/// Gathers every member's counts and sizes rows (kind filter `flags`) into
+/// the n x n `counts` and `sizes` matrices at group rank `root`, or at
+/// every member when root < 0, with exactly ONE tool collective, wrapped
+/// in a "mon.gather" telemetry span per participant so the
+/// single-collective contract is observable in span counts. Either output
+/// may be MPI_M_DATA_IGNORE, and non-receivers' outputs are never written;
+/// traffic does not depend on them. Returns the number of contributors
+/// whose rows could not be gathered (always 0 when the engine runs
+/// without a fault plan).
+int gather_matrices(MonSession& s, int flags, int root, unsigned long* counts,
+                    unsigned long* sizes) {
   Ctx& ctx = Ctx::current();
-  const std::size_t rows = static_cast<std::size_t>(s.comm.size());
-  const std::size_t w = row.size();
+  const std::size_t n = static_cast<std::size_t>(s.comm.size());
+  const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
+  const bool receives = (root < 0) || (myrank == root);
   const double t0 = ctx.now();
   int missing = 0;
   if (ctx.engine().config().fault_plan != nullptr) {
-    missing = gather_rows_ft(s, row, root, out);
+    const std::vector<unsigned long> blob = read_row_blob(s, flags);
+    // Uninitialized: gather_rows_ft writes all n x 2n words before they
+    // are read.
+    std::unique_ptr<unsigned long[]> fused;
+    if (receives)
+      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
+    missing = gather_rows_ft(s, blob, root, fused.get());
+    if (receives) deinterleave_blob(fused.get(), n, counts, sizes);
   } else {
-    std::unique_ptr<unsigned long[]> scratch;
-    unsigned long* recv = out;
-    const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
-    const bool receives = (root < 0) || (myrank == root);
-    if (receives && recv == nullptr) {
-      // Uninitialized: the collective writes every word.
-      scratch = std::make_unique_for_overwrite<unsigned long[]>(rows * w);
-      recv = scratch.get();
-    }
+    // The rows meet in the call's exchange slot, [counts | sizes] as two
+    // n x n matrices; the collective carries only their sizes.
+    Exchange& slot = enter_exchange(s.comm, 2 * n * n,
+                                    root < 0 ? static_cast<int>(n) : 1);
+    unsigned long* all_counts = slot.words.get();
+    unsigned long* all_sizes = all_counts + n * n;
+    const std::size_t mine = static_cast<std::size_t>(myrank) * n;
+    read_metric(s, flags, 0, all_counts + mine);
+    read_metric(s, flags, 1, all_sizes + mine);
     if (root < 0) {
-      mpim::mpi::coll::allgather(ctx, row.data(), w, Type::UnsignedLong,
-                                 recv, s.comm, CommKind::tool);
+      mpim::mpi::coll::allgather(ctx, nullptr, 2 * n, Type::UnsignedLong,
+                                 nullptr, s.comm, CommKind::tool);
     } else {
-      mpim::mpi::coll::gather(ctx, row.data(), w, Type::UnsignedLong, recv,
-                              root, s.comm, CommKind::tool);
+      mpim::mpi::coll::gather(ctx, nullptr, 2 * n, Type::UnsignedLong,
+                              nullptr, root, s.comm, CommKind::tool);
+    }
+    if (receives) {
+      if (counts != MPI_M_DATA_IGNORE)
+        std::copy_n(all_counts, n * n, counts);
+      if (sizes != MPI_M_DATA_IGNORE) std::copy_n(all_sizes, n * n, sizes);
+      leave_exchange(slot);
     }
   }
   tele().span_complete(tele_rank(), "mon.gather", 'S', t0,
-                       Ctx::current().now(), static_cast<std::int64_t>(w),
+                       Ctx::current().now(), static_cast<std::int64_t>(2 * n),
                        static_cast<std::int64_t>(missing));
   return missing;
 }
@@ -677,19 +752,8 @@ int gather_data_common(MPI_M_msid msid, int root, unsigned long* matrix_counts,
     if (!flags_valid(flags)) return MPI_M_INVALID_FLAGS;
     if (root >= s->comm.size()) return MPI_M_INVALID_ROOT;
 
-    const std::size_t n = static_cast<std::size_t>(s->comm.size());
-    std::vector<unsigned long> blob;
-    read_row_blob(*s, flags, blob);
-    const int myrank =
-        s->comm.group_rank_of_world(Ctx::current().world_rank());
-    const bool receives = (root < 0) || (myrank == root);
-    // Uninitialized: gather_rows writes all n x 2n words before they are read.
-    std::unique_ptr<unsigned long[]> fused;
-    if (receives)
-      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
-    const int missing = gather_rows(*s, blob, root, fused.get());
-    if (receives)
-      deinterleave_blob(fused.get(), n, matrix_counts, matrix_sizes);
+    const int missing =
+        gather_matrices(*s, flags, root, matrix_counts, matrix_sizes);
     if (missing > 0) {
       tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
@@ -743,23 +807,29 @@ int kind_bit(CommKind kind) {
   }
 }
 
-/// Per-rank frames blob exchanged by MPI_M_get_frames, in unsigned longs:
+/// Words in the per-rank frames blob of MPI_M_get_frames.
+std::size_t frames_blob_words(std::size_t n, int max_frames) {
+  return 1 + static_cast<std::size_t>(max_frames) * (1 + 2 * n);
+}
+
+/// Writes the per-rank frames blob exchanged by MPI_M_get_frames to
+/// `blob`, frames_blob_words(n, max_frames) unsigned longs:
 ///   [0]              nwin (<= K)
 ///   then nwin entries of (1 + 2n) words: window index, counts row, bytes
-///   row (dense, kind-filtered). Fixed size 1 + K*(1+2n) so the fault-free
-///   path can ride the tree collectives.
-std::vector<unsigned long> build_frames_blob(const MonSession& s,
-                                             int max_frames, int flags) {
+///   row (dense, kind-filtered). Fixed size 1 + K*(1+2n) so every rank
+///   sends the same tree collective; unused entries are zero.
+void build_frames_blob(const MonSession& s, int max_frames, int flags,
+                       unsigned long* blob) {
   const std::size_t n = static_cast<std::size_t>(s.comm.size());
   const std::size_t K = static_cast<std::size_t>(max_frames);
-  std::vector<unsigned long> blob(1 + K * (1 + 2 * n), 0ul);
+  std::fill_n(blob, frames_blob_words(n, max_frames), 0ul);
   const auto& frames = s.sampler->frames();
   const std::size_t take = std::min(frames.size(), K);
   const std::size_t first = frames.size() - take;
   blob[0] = static_cast<unsigned long>(take);
   for (std::size_t i = 0; i < take; ++i) {
     const mpim::introspect::Frame& f = frames[first + i];
-    unsigned long* entry = blob.data() + 1 + i * (1 + 2 * n);
+    unsigned long* entry = blob + 1 + i * (1 + 2 * n);
     entry[0] = static_cast<unsigned long>(f.window);
     unsigned long* counts = entry + 1;
     unsigned long* bytes = entry + 1 + n;
@@ -772,7 +842,6 @@ std::vector<unsigned long> build_frames_blob(const MonSession& s,
       }
     }
   }
-  return blob;
 }
 
 /// Result blob, in unsigned longs:
@@ -781,13 +850,13 @@ std::vector<unsigned long> build_frames_blob(const MonSession& s,
 ///   bytes matrix (rows of missing contributors = MPI_M_DATA_MISSING).
 /// `gathered` holds the n contributors' frames blobs back to back.
 std::vector<unsigned long> assemble_frames_result(
-    const std::vector<unsigned long>& gathered,
-    const std::vector<bool>& missing_rank, int max_frames, std::size_t n) {
+    const unsigned long* gathered, const std::vector<bool>& missing_rank,
+    int max_frames, std::size_t n) {
   const std::size_t K = static_cast<std::size_t>(max_frames);
   const std::size_t stride = 1 + 2 * n;
-  const std::size_t blob_words = gathered.size() / n;
+  const std::size_t blob_words = frames_blob_words(n, max_frames);
   const auto blob_of = [&](std::size_t r) {
-    return gathered.data() + r * blob_words;
+    return gathered + r * blob_words;
   };
   // Union of window indices, ascending; keep the last K.
   std::vector<long> windows;
@@ -844,8 +913,7 @@ std::vector<unsigned long> assemble_frames_result(
 /// rank from a complete (no missing rows) get_frames result. Host-side
 /// analytics only: no virtual time, skipped entirely while telemetry is
 /// disabled (the gauges would not record anyway).
-void refresh_derived_metrics(const MonSession& s,
-                             const std::vector<unsigned long>& result,
+void refresh_derived_metrics(const MonSession& s, const unsigned long* result,
                              std::size_t n) {
   mpim::telemetry::Hub& hub = tele();
   if (!hub.enabled()) return;
@@ -854,7 +922,7 @@ void refresh_derived_metrics(const MonSession& s,
   mpim::CommMatrix cum = mpim::CommMatrix::square(n);
   for (std::size_t w = 0; w < W; ++w) {
     const unsigned long* bytes =
-        result.data() + 2 + w * (1 + 2 * n * n) + 1 + n * n;
+        result + 2 + w * (1 + 2 * n * n) + 1 + n * n;
     for (std::size_t i = 0; i < n * n; ++i) cum.flat()[i] += bytes[i];
   }
   const mpim::mpi::Engine& engine = Ctx::current().engine();
@@ -1038,34 +1106,48 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     Ctx& ctx = Ctx::current();
     const std::size_t n = static_cast<std::size_t>(s->comm.size());
     const std::size_t K = static_cast<std::size_t>(max_frames);
-    const std::vector<unsigned long> blob =
-        build_frames_blob(*s, max_frames, flags);
-    std::vector<unsigned long> result(2 + K * (1 + 2 * n * n), 0ul);
+    const std::size_t blob_words = frames_blob_words(n, max_frames);
+    const std::size_t result_words = 2 + K * (1 + 2 * n * n);
+    const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
 
     // Gather every blob to rank 0, which aligns the windows, then
-    // redistribute the result. Under a fault plan both steps are the
+    // redistribute the result. Without a fault plan the blobs and the
+    // result meet in the call's exchange slot and both collectives carry
+    // only their sizes. Under a fault plan both steps are the
     // failure-aware tool collectives, and a lost result reads as every
     // contributor missing.
-    const bool faulty = ctx.engine().config().fault_plan != nullptr;
-    const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
-    std::vector<unsigned long> gathered(myrank == 0 ? n * blob.size() : 0);
-    std::vector<bool> lost(n, false);
-    if (faulty)
-      lost = ft_gather_rows(*s, blob, 0, gathered.data());
-    else
-      mpim::mpi::coll::gather(ctx, blob.data(), blob.size(),
-                              Type::UnsignedLong,
-                              myrank == 0 ? gathered.data() : nullptr, 0,
-                              s->comm, CommKind::tool);
-    if (myrank == 0)
-      result = assemble_frames_result(gathered, lost, max_frames, n);
-    if (!faulty) {
-      mpim::mpi::coll::bcast(ctx, result.data(),
-                             result.size() * sizeof(unsigned long),
-                             Type::Byte, 0, s->comm, CommKind::tool);
-    } else if (!ft_bcast_words(*s, result.data(), result.size())) {
-      result[0] = 0;  // no windows, every contributor missing
-      result[1] = static_cast<unsigned long>(n);
+    Exchange* slot = nullptr;
+    std::vector<unsigned long> ft_result;
+    const unsigned long* result = nullptr;
+    if (ctx.engine().config().fault_plan == nullptr) {
+      slot = &enter_exchange(s->comm, n * blob_words, static_cast<int>(n));
+      build_frames_blob(*s, max_frames, flags,
+                        slot->words.get() +
+                            static_cast<std::size_t>(myrank) * blob_words);
+      mpim::mpi::coll::gather(ctx, nullptr, blob_words, Type::UnsignedLong,
+                              nullptr, 0, s->comm, CommKind::tool);
+      if (myrank == 0)
+        slot->result = assemble_frames_result(
+            slot->words.get(), std::vector<bool>(n, false), max_frames, n);
+      mpim::mpi::coll::bcast(ctx, nullptr,
+                             result_words * sizeof(unsigned long), Type::Byte,
+                             0, s->comm, CommKind::tool);
+      result = slot->result.data();
+    } else {
+      std::vector<unsigned long> blob(blob_words);
+      build_frames_blob(*s, max_frames, flags, blob.data());
+      ft_result.assign(result_words, 0ul);
+      std::vector<unsigned long> gathered(myrank == 0 ? n * blob_words : 0);
+      const std::vector<bool> lost =
+          ft_gather_rows(*s, blob, 0, gathered.data());
+      if (myrank == 0)
+        ft_result = assemble_frames_result(gathered.data(), lost, max_frames,
+                                           n);
+      if (!ft_bcast_words(*s, ft_result.data(), ft_result.size())) {
+        ft_result[0] = 0;  // no windows, every contributor missing
+        ft_result[1] = static_cast<unsigned long>(n);
+      }
+      result = ft_result.data();
     }
     const int missing = static_cast<int>(result[1]);
 
@@ -1073,7 +1155,7 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     const double window_s = s->sampler->window_s();
     if (nframes != MPI_M_INT_IGNORE) *nframes = static_cast<int>(W);
     for (std::size_t w = 0; w < W; ++w) {
-      const unsigned long* entry = result.data() + 2 + w * (1 + 2 * n * n);
+      const unsigned long* entry = result + 2 + w * (1 + 2 * n * n);
       const long window = static_cast<long>(entry[0]);
       if (t0_s != nullptr) t0_s[w] = static_cast<double>(window) * window_s;
       if (t1_s != nullptr)
@@ -1085,11 +1167,12 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
                   matrix_sizes + w * n * n);
     }
 
+    if (missing == 0) refresh_derived_metrics(*s, result, n);
+    if (slot != nullptr) leave_exchange(*slot);
     if (missing > 0) {
       tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;
     }
-    refresh_derived_metrics(*s, result, n);
     return MPI_M_SUCCESS;
   });
 }
@@ -1106,9 +1189,10 @@ int MPI_M_flush(MPI_M_msid msid, const char* filename, int flags) {
 
     const int myrank =
         s->comm.group_rank_of_world(Ctx::current().world_rank());
-    std::vector<unsigned long> counts, sizes;
-    read_metric(*s, flags, 0, counts);
-    read_metric(*s, flags, 1, sizes);
+    const std::size_t n = static_cast<std::size_t>(s->comm.size());
+    std::vector<unsigned long> counts(n), sizes(n);
+    read_metric(*s, flags, 0, counts.data());
+    read_metric(*s, flags, 1, sizes.data());
 
     std::ofstream os(std::string(filename) + "." + std::to_string(myrank) +
                      ".prof");
@@ -1139,16 +1223,11 @@ int MPI_M_rootflush(MPI_M_msid msid, int root, const char* filename,
     Ctx& ctx = Ctx::current();
     const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
     const std::size_t n = static_cast<std::size_t>(s->comm.size());
-    std::vector<unsigned long> blob;
-    read_row_blob(*s, flags, blob);
-    // Uninitialized: gather_rows writes all n x 2n words before they are read.
-    std::unique_ptr<unsigned long[]> fused;
-    if (myrank == root)
-      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
-    const int missing = gather_rows(*s, blob, root, fused.get());
+    std::vector<unsigned long> counts(myrank == root ? n * n : 0),
+        sizes(counts.size());
+    const int missing =
+        gather_matrices(*s, flags, root, counts.data(), sizes.data());
     if (myrank != root) return MPI_M_SUCCESS;
-    std::vector<unsigned long> counts(n * n), sizes(n * n);
-    deinterleave_blob(fused.get(), n, counts.data(), sizes.data());
 
     // [rank] in the file names is the root's rank in MPI_COMM_WORLD.
     const std::string world_rank = std::to_string(ctx.world_rank());

@@ -1,14 +1,22 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
+#include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/osc.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "mpimon/sim.h"
+#include "support/rng.h"
 
 namespace mpim {
 namespace {
@@ -898,6 +906,228 @@ TEST(MpiMon, GathersEmitExactlyOneCollectiveSpanPerCall) {
   }
   std::remove((prof + "_counts.0.prof").c_str());
   std::remove((prof + "_sizes.0.prof").c_str());
+}
+
+// --- the fault-free data path against the failure-aware one -----------------
+
+/// What one rank reads back through the data-access calls of
+/// `exchange_program`: every output buffer as it stood after its call
+/// (fill values included), the return codes, get_frames' window times,
+/// and the root's two rootflush files.
+struct Readback {
+  std::vector<int> rcs;
+  std::vector<std::vector<unsigned long>> bufs;
+  std::vector<double> times;
+  std::string files;
+};
+
+constexpr unsigned long kFill = 0x5a5a5a5a5a5a5a5aul;
+constexpr int kFrames = 4;
+
+std::string slurp_and_remove(const std::string& path) {
+  std::ifstream is(path);
+  std::string text((std::istreambuf_iterator<char>(is)),
+                   std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Seeded traffic on the world and a duplicate: each round every rank
+/// sends a message of its own seeded size to one seeded ring offset, on
+/// one of the two communicators, with rank-skewed compute and an
+/// allreduce on the duplicate every third round.
+void seeded_traffic(const Comm& world, const Comm& dup, std::uint64_t seed) {
+  const int n = mpi::comm_size(world);
+  const int r = mpi::comm_rank(world);
+  std::vector<std::byte> sbuf(4096), rbuf(4096);
+  for (int round = 0; round < 12; ++round) {
+    const std::uint64_t key = seed * 1000 + static_cast<std::uint64_t>(round);
+    Rng shared(key);  // same draws on every rank
+    const int off = n > 1 ? shared.uniform_int(1, n - 1) : 0;
+    const Comm& comm = shared.uniform() < 0.5 ? world : dup;
+    const auto bytes = [&](int rank) {
+      Rng own(key * 131 + static_cast<std::uint64_t>(rank));
+      return static_cast<std::size_t>(own.uniform_u64(1, sbuf.size()));
+    };
+    if (n > 1) {
+      const int from = (r - off + n) % n;
+      mpi::sendrecv(sbuf.data(), bytes(r), Type::Byte, (r + off) % n, round,
+                    rbuf.data(), bytes(from), from, round, comm);
+    }
+    mpi::compute(1e-5 * (1 + r % 3));
+    if (round % 3 == 0) {
+      unsigned long mine = static_cast<unsigned long>(r), sum = 0;
+      mpi::allreduce(&mine, &sum, 1, Type::UnsignedLong, mpi::Op::Sum, dup);
+    }
+  }
+}
+
+/// Two sessions (world with a snapshot, and a duplicate) watch the seeded
+/// traffic, then every data-access collective reads them back into
+/// kFill-filled buffers: allgather of both matrices and of sizes only,
+/// rootgather at group rank n-1 (non-roots pass buffers too) of both and
+/// of counts only, rootflush at n-1, and get_frames.
+void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
+                      Readback& out) {
+  const Comm world = ctx.world();
+  const Comm dup = mpi::comm_dup(world);
+  const int n = mpi::comm_size(world);
+  const std::size_t nn = static_cast<std::size_t>(n) * n;
+  ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+  // The empty-plan reference takes the wall-clock-timed failure-aware
+  // path: never let a slow host turn it into partial data.
+  ASSERT_EQ(MPI_M_set_gather_timeout(60.0), MPI_M_SUCCESS);
+  MPI_M_msid a = -1, b = -1;
+  ASSERT_EQ(MPI_M_start(world, &a), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_start(dup, &b), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_snapshot_start(a, 3e-5, kFrames, MPI_M_ALL_COMM),
+            MPI_M_SUCCESS);
+  seeded_traffic(world, dup, seed);
+  ASSERT_EQ(MPI_M_suspend(a), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_suspend(b), MPI_M_SUCCESS);
+
+  std::vector<unsigned long> counts(nn, kFill), sizes(nn, kFill);
+  const auto take = [&](int rc) {
+    out.rcs.push_back(rc);
+    out.bufs.push_back(counts);
+    out.bufs.push_back(sizes);
+    std::fill(counts.begin(), counts.end(), kFill);
+    std::fill(sizes.begin(), sizes.end(), kFill);
+  };
+  take(MPI_M_allgather_data(a, counts.data(), sizes.data(), MPI_M_ALL_COMM));
+  take(MPI_M_allgather_data(b, MPI_M_DATA_IGNORE, sizes.data(),
+                            MPI_M_P2P_ONLY));
+  take(MPI_M_rootgather_data(a, n - 1, counts.data(), sizes.data(),
+                             MPI_M_COLL_ONLY | MPI_M_P2P_ONLY));
+  take(MPI_M_rootgather_data(b, n - 1, counts.data(), MPI_M_DATA_IGNORE,
+                             MPI_M_ALL_COMM));
+  out.rcs.push_back(MPI_M_rootflush(a, n - 1, prefix.c_str(), MPI_M_ALL_COMM));
+
+  std::vector<unsigned long> frame_counts(kFrames * nn, kFill),
+      frame_sizes(kFrames * nn, kFill);
+  std::vector<double> t0(kFrames, -1.0), t1(kFrames, -1.0);
+  int nframes = -1;
+  out.rcs.push_back(MPI_M_get_frames(a, kFrames, &nframes, t0.data(),
+                                     t1.data(), frame_counts.data(),
+                                     frame_sizes.data(), MPI_M_ALL_COMM));
+  out.rcs.push_back(nframes);
+  out.bufs.push_back(frame_counts);
+  out.bufs.push_back(frame_sizes);
+  out.times = t0;
+  out.times.insert(out.times.end(), t1.begin(), t1.end());
+
+  EXPECT_EQ(MPI_M_free(a), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_free(b), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  // Only the root writes files; [rank] in their names is its world rank.
+  const std::string me = std::to_string(ctx.world_rank());
+  out.files = slurp_and_remove(prefix + "_counts." + me + ".prof") +
+              slurp_and_remove(prefix + "_sizes." + me + ".prof");
+}
+
+bool all_fill(const std::vector<unsigned long>& buf, std::size_t from = 0) {
+  return std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(from),
+                     buf.end(), [](unsigned long v) { return v == kFill; });
+}
+
+std::uint64_t clock_bits_hash(const std::vector<double>& clocks) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double c : clocks) {
+    const auto bits = std::bit_cast<std::uint64_t>(c);
+    for (int shift = 0; shift < 64; shift += 8) {
+      h ^= (bits >> shift) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
+  // An empty fault plan switches every data-access collective to the
+  // failure-aware path, which carries real payloads: the reference. The
+  // fault-free path must read back the same words, leave every buffer it
+  // must not write at its fill value, and keep the virtual clocks it had
+  // when its collectives carried the payloads too (goldens captured then;
+  // contention on, so tool traffic crosses the NIC gate).
+  struct Golden {
+    int np;
+    double max_clock;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {1, 0x1.f75550584be02p-14, 0x9cdef4701022ee32ull},
+      {5, 0x1.990bb83ba176fp-12, 0xfef42376be404e58ull},
+      {37, 0x1.23fe861ec2787p-11, 0x752be664a622fce3ull},
+      {64, 0x1.aabfecc7dacd3p-11, 0xaf7600827a8b8666ull},
+  };
+  const std::string dir = std::filesystem::temp_directory_path();
+  for (const Golden& g : goldens) {
+    for (mpi::SchedMode sched :
+         {mpi::SchedMode::threads, mpi::SchedMode::fibers}) {
+      const std::string where = "np=" + std::to_string(g.np) + " " +
+                                mpi::sched_mode_name(sched);
+      std::vector<Readback> got[2];
+      std::vector<double> clocks;
+      for (const bool plan : {false, true}) {
+        auto cost = net::CostModel::plafrim_like(3);
+        mpi::EngineConfig cfg{
+            .cost_model = cost,
+            .placement = topo::round_robin_placement(g.np, cost.topology())};
+        cfg.nic_contention = true;
+        cfg.watchdog_wall_timeout_s = 60.0;
+        cfg.sched = sched;
+        if (plan) cfg.fault_plan = std::make_shared<fault::FaultPlan>(1);
+        Sim sim(std::move(cfg));
+        std::vector<Readback>& mine = got[plan];
+        mine.assign(static_cast<std::size_t>(g.np), Readback{});
+        const std::string prefix = dir + "/mpim_exchange_" +
+                                   std::to_string(::getpid()) + "_" +
+                                   std::to_string(plan);
+        sim.run([&](Ctx& ctx) {
+          exchange_program(ctx, 0x5eed + static_cast<std::uint64_t>(g.np),
+                           prefix,
+                           mine[static_cast<std::size_t>(ctx.world_rank())]);
+        });
+        if (!plan) clocks = sim.engine().final_clocks();
+      }
+      const double max_clock = *std::max_element(clocks.begin(), clocks.end());
+      EXPECT_EQ(max_clock, g.max_clock)
+          << where << ": " << std::hexfloat << max_clock;
+      EXPECT_EQ(clock_bits_hash(clocks), g.hash)
+          << where << ": 0x" << std::hex << clock_bits_hash(clocks);
+
+      const std::size_t nn = static_cast<std::size_t>(g.np) * g.np;
+      for (int r = 0; r < g.np; ++r) {
+        const Readback& ff = got[0][static_cast<std::size_t>(r)];
+        const Readback& ref = got[1][static_cast<std::size_t>(r)];
+        const std::string who = where + " rank " + std::to_string(r);
+        ASSERT_EQ(ff.rcs.size(), 7u) << who;
+        ASSERT_EQ(ff.bufs.size(), 10u) << who;
+        EXPECT_EQ(ff.rcs, ref.rcs) << who;
+        for (std::size_t i = 0; i < ff.bufs.size(); ++i)
+          EXPECT_EQ(ff.bufs[i], ref.bufs[i]) << who << " buffer " << i;
+        EXPECT_EQ(ff.times, ref.times) << who;
+        EXPECT_EQ(ff.files, ref.files) << who;
+        for (std::size_t call = 0; call < 6; ++call)
+          EXPECT_EQ(ff.rcs[call], MPI_M_SUCCESS) << who << " call " << call;
+        const bool root = r == g.np - 1;
+        EXPECT_FALSE(all_fill(ff.bufs[0])) << who;  // allgather counts
+        EXPECT_TRUE(all_fill(ff.bufs[2])) << who;   // ignored counts
+        EXPECT_NE(root, all_fill(ff.bufs[4])) << who;
+        EXPECT_NE(root, all_fill(ff.bufs[5])) << who;
+        EXPECT_NE(root, all_fill(ff.bufs[6])) << who;
+        EXPECT_TRUE(all_fill(ff.bufs[7])) << who;   // ignored sizes
+        EXPECT_EQ(root, !ff.files.empty()) << who;
+        // Windows past nframes are never written.
+        const auto written = static_cast<std::size_t>(ff.rcs[6]) * nn;
+        EXPECT_TRUE(all_fill(ff.bufs[8], written)) << who;
+        EXPECT_TRUE(all_fill(ff.bufs[9], written)) << who;
+        if (g.np > 1) {
+          EXPECT_GT(ff.rcs[6], 0) << who;
+        }
+      }
+    }
+  }
 }
 
 TEST(MpiMon, GatherTimeoutSetterValidatesAndSticks) {

@@ -8,13 +8,18 @@
 // observer slots shows up as a data race. The final phases make
 // deterministic correctness checks: after a barrier quiesces all cross-rank
 // attribution, a fresh session must count this rank's own traffic exactly,
-// and a detached observer is never called again.
+// and a detached observer is never called again. The last test races
+// fault-free mpimon gathers whose fast ranks run ahead of a slow reader
+// through their per-call exchange slots.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
@@ -289,6 +294,106 @@ TEST(RecordStress, DetachedObserverIsNeverCalledAgain) {
   if (engine.sched_mode() == mpi::SchedMode::threads) {
     for (int r = 1; r < kRanks; r += 2)
       EXPECT_GT(calls[r].load(), 0) << "rank " << r;
+  }
+}
+
+TEST(RecordStress, GathersRunningAheadReadOnlyTheirOwnCall) {
+  // Fault-free mpimon gathers meet in one exchange slot per call. A
+  // rootgather leaf returns after its one send, so with rank-skewed
+  // compute under the NIC gate fast ranks publish the rows of the next
+  // calls while a slow root still reads this one; a slot reused two calls
+  // later (per-rank double buffering) hands that root rows from the wrong
+  // call. Every received matrix must hold exactly the rows each
+  // contributor read with MPI_M_get_data just before the call, and TSan
+  // must see every slot write ordered before its reads.
+  constexpr int kRanks = 16;
+  constexpr int kRounds = 100;
+  constexpr std::size_t n = kRanks;
+  constexpr std::size_t nn = n * n;
+
+  auto cost = net::CostModel::plafrim_like(2);
+  mpi::EngineConfig cfg{
+      .cost_model = cost,
+      .placement = topo::round_robin_placement(kRanks, cost.topology())};
+  cfg.nic_contention = true;
+  cfg.sched = mpi::SchedMode::threads;
+  cfg.watchdog_wall_timeout_s = 120.0;
+  mpi::Engine engine(std::move(cfg));
+  mpit::Runtime tool(engine);
+
+  // rows[k][r]: rank r's [counts | sizes] row before round k's gathers;
+  // allgathered[k][r] and rootgathered[k]: [counts | sizes] matrices.
+  std::vector<std::vector<std::vector<unsigned long>>> rows(
+      kRounds, std::vector<std::vector<unsigned long>>(kRanks)),
+      allgathered = rows;
+  std::vector<std::vector<unsigned long>> rootgathered(kRounds);
+
+  engine.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    std::vector<std::byte> buf(4096);
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    for (int k = 0; k < kRounds; ++k) {
+      // Self traffic of a size that differs per rank and round, so no two
+      // calls gather the same rows; only the gathers synchronize ranks.
+      const std::size_t bytes = 1 + (static_cast<std::size_t>(me) * 131 +
+                                     static_cast<std::size_t>(k) * 17) %
+                                        buf.size();
+      ctx.send_bytes(me, world, 1, mpi::CommKind::p2p, buf.data(), bytes);
+      ctx.recv_bytes(me, world, 1, mpi::CommKind::p2p, buf.data(), bytes);
+      mpi::compute(1e-6 * (me % 4));
+      ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+      std::vector<unsigned long>& mine = rows[k][me];
+      mine.assign(2 * n, 0);
+      ASSERT_EQ(MPI_M_get_data(id, mine.data(), mine.data() + n,
+                               MPI_M_ALL_COMM),
+                MPI_M_SUCCESS);
+      const int root = k % kRanks;
+      unsigned long* at_root = MPI_M_DATA_IGNORE;
+      if (me == root) {
+        rootgathered[k].assign(2 * nn, 0);
+        at_root = rootgathered[k].data();
+      }
+      ASSERT_EQ(MPI_M_rootgather_data(id, root, at_root,
+                                      me == root ? at_root + nn
+                                                 : MPI_M_DATA_IGNORE,
+                                      MPI_M_ALL_COMM),
+                MPI_M_SUCCESS);
+      if (k % 3 == 2) {
+        std::vector<unsigned long>& all = allgathered[k][me];
+        all.assign(2 * nn, 0);
+        ASSERT_EQ(MPI_M_allgather_data(id, all.data(), all.data() + nn,
+                                       MPI_M_ALL_COMM),
+                  MPI_M_SUCCESS);
+      }
+      ASSERT_EQ(MPI_M_continue(id), MPI_M_SUCCESS);
+    }
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    MPI_M_finalize();
+  });
+
+  const auto expect_rows = [&](const std::vector<unsigned long>& got, int k,
+                               const std::string& what) {
+    ASSERT_EQ(got.size(), 2 * nn) << what;
+    for (std::size_t r = 0; r < n; ++r) {
+      const std::vector<unsigned long>& want = rows[k][r];
+      EXPECT_TRUE(std::equal(want.begin(), want.begin() + n,
+                             got.begin() + r * n) &&
+                  std::equal(want.begin() + n, want.end(),
+                             got.begin() + nn + r * n))
+          << what << ": row " << r;
+    }
+  };
+  for (int k = 0; k < kRounds; ++k) {
+    const std::string round = "round " + std::to_string(k);
+    expect_rows(rootgathered[k], k, round + " rootgather");
+    if (k % 3 == 2)
+      for (int r = 0; r < kRanks; ++r)
+        expect_rows(allgathered[k][r], k,
+                    round + " allgather at rank " + std::to_string(r));
   }
 }
 
