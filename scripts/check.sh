@@ -2,7 +2,10 @@
 # Tier-1 gate, runnable locally and in CI:
 #   1. default preset: configure, build, full ctest suite, then a focused
 #      re-run of the "introspect" label (snapshot/phase-detection suite),
-#      a stencil_reorder smoke run, and the bench trajectory gate
+#      a stencil_reorder smoke run, the figure goldens (quick
+#      bench_fig4_overhead, bench_fig5_collectives and bench_ablation
+#      stdout, every MPIM_* variable unset, byte-identical to
+#      tests/golden/<bench>.txt), and the bench trajectory gate
 #      (bench_introspect --quick + scripts/bench_trend.py vs the committed
 #      results/BENCH_*.json baselines)
 #   2. asan preset:    configure, build, ctest filtered to label "sanitize",
@@ -90,6 +93,19 @@ case "${1:-}" in
     run_default=0; run_asan=0; run_tsan=0 ;;
 esac
 
+# Quick figure stdout is deterministic: it must match the committed copy
+# byte for byte, with no MPIM_* knob inherited from the caller.
+figure_goldens() {
+  (
+    for var in $(compgen -e); do
+      case "$var" in MPIM_*) unset "$var" ;; esac
+    done
+    for bench in bench_fig4_overhead bench_fig5_collectives bench_ablation; do
+      ./build/bench/"$bench" --quick | cmp - "tests/golden/$bench.txt"
+    done
+  )
+}
+
 trend_gate() {
   if command -v python3 >/dev/null 2>&1; then
     python3 scripts/bench_trend.py
@@ -151,6 +167,9 @@ if [ "$run_default" = 1 ]; then
 
   echo "== smoke: stencil_reorder =="
   ./build/examples/stencil_reorder >/dev/null
+
+  echo "== figure goldens =="
+  figure_goldens
 
   echo "== bench trajectory =="
   mkdir -p results

@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "apps/halo.h"  // BlockHalo
 #include "minimpi/api.h"
 
 namespace mpim::apps {
@@ -35,11 +36,16 @@ struct CgResult {
   double comm_time_s = 0.0;     ///< virtual time spent inside MPI calls
 };
 
-/// Distributed CG instance bound to a communicator. All members of `comm`
-/// must construct it collectively with the same config.
-class CgSolver {
+/// The CG recurrence both solvers share: per iteration an allreduce for
+/// rho = r.r, q = A p, an allreduce for p.q, the x/r update, an allreduce
+/// for the new rho and the p update. A solver derives from it, lays out
+/// its pieces of b/x/r/p/q and supplies apply_operator(). All members of
+/// `comm` must construct a solver collectively with the same config.
+class CgRecurrence {
  public:
-  CgSolver(const mpi::Comm& comm, const CgConfig& cfg);
+  virtual ~CgRecurrence() = default;
+  CgRecurrence(const CgRecurrence&) = delete;
+  CgRecurrence& operator=(const CgRecurrence&) = delete;
 
   /// One CG iteration (the communication pattern the monitoring sees).
   /// Returns rho = r.r after the step.
@@ -52,27 +58,52 @@ class CgSolver {
   int grid_rows() const { return pr_; }
   int grid_cols() const { return pc_; }
 
- private:
-  void reset_state();
-  /// y = A x for the local block, after refreshing the halos of x.
-  void apply_operator(const std::vector<double>& x, std::vector<double>& y);
-  void exchange_halos(const std::vector<double>& x);
-  double dot(const std::vector<double>& a, const std::vector<double>& b);
+ protected:
+  /// `grid` factorizes comm.size() into the pr x pc process grid, on
+  /// which ranks are numbered row-major.
+  CgRecurrence(const mpi::Comm& comm, const CgConfig& cfg,
+               void (*grid)(int nprocs, int* pr, int* pc));
 
+  /// q = A p over this rank's pieces.
+  virtual void apply_operator() = 0;
+
+  /// x = 0, r = p = b and q sized like b; zeroes the comm time.
+  void reset_state();
+
+  /// Runs the MPI calls in `fn`, adding their virtual time to comm_time_s.
   template <typename Fn>
-  auto timed(Fn&& fn);
+  void timed(Fn&& fn) {
+    const double t0 = mpi::wtime();
+    fn();
+    comm_time_s_ += mpi::wtime() - t0;
+  }
 
   mpi::Comm comm_;
   CgConfig cfg_;
   int pr_ = 0, pc_ = 0;      ///< process grid
   int prow_ = 0, pcol_ = 0;  ///< my coordinates
-  int local_rows_ = 0, local_cols_ = 0;
-  int row0_ = 0, col0_ = 0;  ///< global offset of my block
-
+  /// This rank's pieces: the solver fills b, reset_state sizes the rest.
   std::vector<double> b_, x_, r_, p_, q_;
-  std::vector<double> halo_n_, halo_s_, halo_w_, halo_e_;
+
+ private:
+  double dot(const std::vector<double>& a, const std::vector<double>& b);
 
   double comm_time_s_ = 0.0;
+};
+
+/// Distributed CG instance bound to a communicator: 2-D blocks of the
+/// grid, the operator applied as a 5-point stencil after a BlockHalo
+/// exchange.
+class CgSolver : public CgRecurrence {
+ public:
+  CgSolver(const mpi::Comm& comm, const CgConfig& cfg);
+
+ private:
+  /// q = A p for the local block, after refreshing the halos of p.
+  void apply_operator() override;
+
+  int local_rows_ = 0, local_cols_ = 0;
+  BlockHalo halo_;
 };
 
 /// Process-grid factorization used by the solver (pr x pc, pr <= pc,

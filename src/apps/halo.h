@@ -5,11 +5,38 @@
 // reorder, iterate.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "minimpi/api.h"
 
 namespace mpim::apps {
+
+/// The ghost exchange of one rows x cols row-major block on a pr x pc
+/// process grid (ranks row-major on the grid), shared by run_halo and
+/// CgSolver. Each exchange posts four eager sends (first row north with
+/// tag 0, last row south with tag 1, first column west with tag 2, last
+/// column east with tag 3), then receives the four ghost vectors. Ghosts
+/// with no neighbour (the grid edge) stay zero.
+class BlockHalo {
+ public:
+  BlockHalo() = default;
+  BlockHalo(int pr, int pc, int rank, int rows, int cols);
+
+  /// Refreshes the ghosts from the neighbours' edges; sends v's edges.
+  void exchange(const double* v, const mpi::Comm& comm);
+
+  const std::vector<double>& north() const { return north_; }
+  const std::vector<double>& south() const { return south_; }
+  const std::vector<double>& west() const { return west_; }
+  const std::vector<double>& east() const { return east_; }
+
+ private:
+  std::size_t rows_ = 0, cols_ = 0;
+  int up_ = -1, down_ = -1, left_ = -1, right_ = -1;
+  std::vector<double> north_, south_, west_, east_;  ///< ghosts
+  std::vector<double> edge_w_, edge_e_;  ///< packed send columns
+};
 
 struct HaloConfig {
   int local_n = 64;   ///< local block is local_n x local_n doubles

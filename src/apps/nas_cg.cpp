@@ -21,20 +21,8 @@ constexpr int kTransposeTag = 21;
 constexpr int kAllgatherTag = 22;
 }  // namespace
 
-template <typename Fn>
-void NasCgSolver::timed(Fn&& fn) {
-  const double t0 = mpi::wtime();
-  fn();
-  comm_time_s_ += mpi::wtime() - t0;
-}
-
 NasCgSolver::NasCgSolver(const mpi::Comm& comm, const CgConfig& cfg)
-    : comm_(comm), cfg_(cfg) {
-  nas_process_grid(comm.size(), &pr_, &pc_);
-  const int myrank = mpi::comm_rank(comm);
-  prow_ = myrank / pc_;
-  pcol_ = myrank % pc_;
-
+    : CgRecurrence(comm, cfg, nas_process_grid) {
   check(cfg_.grid_n % 48 == 0,
         "NAS CG grid_n must be a multiple of 48 (partition divisibility)");
   n_ = static_cast<long>(cfg_.grid_n) * cfg_.grid_n;
@@ -50,19 +38,13 @@ NasCgSolver::NasCgSolver(const mpi::Comm& comm, const CgConfig& cfg)
 
   build_matrix_block();
 
-  const auto plen = static_cast<std::size_t>(piece_len_);
-  b_.resize(plen);
-  x_.resize(plen);
-  r_.resize(plen);
-  p_.resize(plen);
-  q_.resize(plen);
-  p_full_.resize(static_cast<std::size_t>(cols_));
-  w_.resize(static_cast<std::size_t>(rows_));
-  halves_.resize(static_cast<std::size_t>(rows_ / 2 + 1));
-
+  b_.resize(static_cast<std::size_t>(piece_len_));
   for (long i = 0; i < piece_len_; ++i)
     b_[static_cast<std::size_t>(i)] = cg_rhs_value(cfg_.seed, piece0_ + i);
   reset_state();
+  p_full_.resize(static_cast<std::size_t>(cols_));
+  w_.resize(static_cast<std::size_t>(rows_));
+  halves_.resize(static_cast<std::size_t>(rows_ / 2 + 1));
 }
 
 void NasCgSolver::build_matrix_block() {
@@ -88,26 +70,6 @@ void NasCgSolver::build_matrix_block() {
   }
   for (std::size_t i = 1; i < csr_row_ptr_.size(); ++i)
     csr_row_ptr_[i] += csr_row_ptr_[i - 1];
-}
-
-void NasCgSolver::reset_state() {
-  std::fill(x_.begin(), x_.end(), 0.0);
-  r_ = b_;
-  p_ = r_;
-  comm_time_s_ = 0.0;
-}
-
-double NasCgSolver::dot_pieces(const std::vector<double>& a,
-                               const std::vector<double>& b) {
-  double local = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) local += a[i] * b[i];
-  mpi::compute_flops(2.0 * static_cast<double>(a.size()));
-  double global = 0.0;
-  timed([&] {
-    mpi::allreduce(&local, &global, 1, mpi::Type::Double, mpi::Op::Sum,
-                   comm_);
-  });
-  return global;
 }
 
 void NasCgSolver::apply_operator() {
@@ -193,44 +155,6 @@ void NasCgSolver::apply_operator() {
                 comm_);
     });
   }
-}
-
-double NasCgSolver::iteration() {
-  const double rho = dot_pieces(r_, r_);
-  apply_operator();  // q = A p (pieces)
-  const double pq = dot_pieces(p_, q_);
-  const double alpha = rho / pq;
-  for (std::size_t i = 0; i < x_.size(); ++i) {
-    x_[i] += alpha * p_[i];
-    r_[i] -= alpha * q_[i];
-  }
-  double rho_local = 0.0;
-  for (double v : r_) rho_local += v * v;
-  mpi::compute_flops(6.0 * static_cast<double>(x_.size()));
-  double rho_global = 0.0;
-  timed([&] {
-    mpi::allreduce(&rho_local, &rho_global, 1, mpi::Type::Double,
-                   mpi::Op::Sum, comm_);
-  });
-  const double beta = rho_global / rho;
-  for (std::size_t i = 0; i < p_.size(); ++i) p_[i] = r_[i] + beta * p_[i];
-  mpi::compute_flops(2.0 * static_cast<double>(p_.size()));
-  return rho_global;
-}
-
-CgResult NasCgSolver::solve() {
-  reset_state();
-  const double t0 = mpi::wtime();
-  CgResult out;
-  double rho = 0.0;
-  for (int it = 0; it < cfg_.max_iters; ++it) {
-    rho = iteration();
-    ++out.iterations;
-  }
-  out.residual_norm2 = rho;
-  out.total_time_s = mpi::wtime() - t0;
-  out.comm_time_s = comm_time_s_;
-  return out;
 }
 
 }  // namespace mpim::apps

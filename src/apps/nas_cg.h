@@ -20,9 +20,10 @@
 // up to floating-point summation order.
 #pragma once
 
+#include <utility>
 #include <vector>
 
-#include "apps/cg.h"  // CgConfig / CgResult
+#include "apps/cg.h"  // CgRecurrence, CgConfig
 #include "minimpi/api.h"
 
 namespace mpim::apps {
@@ -31,42 +32,23 @@ namespace mpim::apps {
 /// square (pr == pc) or 1:2 rectangular (pc == 2 pr).
 void nas_process_grid(int nprocs, int* pr, int* pc);
 
-class NasCgSolver {
+class NasCgSolver : public CgRecurrence {
  public:
   /// Collective over `comm`. Requires comm.size() to be a power of two
   /// and grid_n to be a multiple of 48 (divisibility of all partitions).
   NasCgSolver(const mpi::Comm& comm, const CgConfig& cfg);
 
-  /// One CG iteration; returns the new rho = r.r.
-  double iteration();
-
-  /// Reinitializes the state and runs max_iters iterations.
-  CgResult solve();
-
-  const mpi::Comm& comm() const { return comm_; }
-  int grid_rows() const { return pr_; }
-  int grid_cols() const { return pc_; }
   /// Global [begin, end) of this rank's disjoint vector piece.
   std::pair<long, long> piece_range() const {
     return {piece0_, piece0_ + piece_len_};
   }
 
  private:
-  void reset_state();
   void build_matrix_block();
   /// Steps 1-4 above: q_piece = (A p)_piece from the current p pieces.
-  void apply_operator();
-  double dot_pieces(const std::vector<double>& a,
-                    const std::vector<double>& b);
+  void apply_operator() override;
 
-  template <typename Fn>
-  void timed(Fn&& fn);
-
-  mpi::Comm comm_;
-  CgConfig cfg_;
   long n_ = 0;  ///< matrix order = grid_n^2
-  int pr_ = 0, pc_ = 0;
-  int prow_ = 0, pcol_ = 0;
 
   long row0_ = 0, rows_ = 0;  ///< matrix rows of my block (range Ri)
   long col0_ = 0, cols_ = 0;  ///< matrix cols of my block (range Cj)
@@ -77,14 +59,10 @@ class NasCgSolver {
   std::vector<int> csr_col_;
   std::vector<double> csr_val_;
 
-  // Vector pieces (length piece_len_).
-  std::vector<double> b_, x_, r_, p_, q_;
   // Work buffers.
   std::vector<double> p_full_;  ///< assembled p over Cj (length cols_)
   std::vector<double> w_;       ///< SpMV partial over Ri (length rows_)
   std::vector<double> halves_;  ///< reduce-scatter exchange buffer
-
-  double comm_time_s_ = 0.0;
 };
 
 }  // namespace mpim::apps

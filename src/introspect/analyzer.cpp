@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "introspect/snapshot.h"
+#include "support/cells.h"
 #include "support/error.h"
 #include "treematch/treematch.h"
 
@@ -254,34 +255,6 @@ void write_frames_csv_file(const std::string& path,
   check(os.good(), "failed writing frames csv: " + path);
 }
 
-namespace {
-
-/// Strict numeric cell parsers: the whole cell must parse and the value
-/// must be finite ("nan"/"inf" cells are corrupt data, not numbers --
-/// std::stod would happily accept them).
-double parse_num(const std::string& cell, const char* what) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(cell, &used);
-  } catch (const std::exception&) {
-    fail(std::string("frames csv: bad ") + what + " cell: '" + cell + "'");
-  }
-  if (used != cell.size() || !std::isfinite(v))
-    fail(std::string("frames csv: bad ") + what + " cell: '" + cell + "'");
-  return v;
-}
-
-long parse_long(const std::string& cell, const char* what) {
-  const double v = parse_num(cell, what);
-  if (v != std::floor(v))
-    fail(std::string("frames csv: non-integer ") + what + " cell: '" + cell +
-         "'");
-  return static_cast<long>(v);
-}
-
-}  // namespace
-
 std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
   std::ifstream is(path);
   check(is.good(), "cannot open frames csv: " + path);
@@ -306,14 +279,15 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
     std::string cell;
     while (std::getline(ss, cell, ',')) c.push_back(cell);
     check(c.size() == 7, "truncated frames csv row: " + line);
+    const std::string row = "frames csv row: " + line;
     Row r;
-    r.window = parse_long(c[0], "window");
-    r.t0 = parse_num(c[1], "t0_s");
-    r.t1 = parse_num(c[2], "t1_s");
-    r.src = parse_long(c[3], "src");
-    r.dst = parse_long(c[4], "dst");
-    const long count = parse_long(c[5], "count");
-    const long bytes = parse_long(c[6], "bytes");
+    r.window = integral_cell(c[0], row);
+    r.t0 = finite_cell(c[1], row);
+    r.t1 = finite_cell(c[2], row);
+    r.src = integral_cell(c[3], row);
+    r.dst = integral_cell(c[4], row);
+    const long long count = integral_cell(c[5], row);
+    const long long bytes = integral_cell(c[6], row);
     check(count >= 0 && bytes >= 0, "negative traffic in frames csv: " + line);
     r.count = static_cast<unsigned long>(count);
     r.bytes = static_cast<unsigned long>(bytes);
@@ -330,12 +304,20 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
                             : static_cast<std::size_t>(max_rank + 1);
   if (n == 0) n = 1;  // all-empty windows: order unknown, pick the minimum
   check(max_rank < static_cast<long>(n), "frames csv rank exceeds order");
+  // Each window becomes two dense n x n matrices. A rank cell no run could
+  // write (a corrupt file) must fail here, not wrap n * n or exhaust memory.
+  const double window_bytes =
+      2.0 * static_cast<double>(n) * static_cast<double>(n) *
+      sizeof(unsigned long);
 
   std::vector<FrameMatrix> frames;
   for (const Row& r : rows) {
     if (frames.empty() || frames.back().window != r.window) {
       check(frames.empty() || frames.back().window < r.window,
             "frames csv windows out of order");
+      check(static_cast<double>(frames.size() + 1) * window_bytes <= 0x1p32,
+            "frames csv order " + std::to_string(n) +
+                " needs over 4 GiB of window matrices: " + path);
       FrameMatrix f;
       f.window = r.window;
       f.t0_s = r.t0;
@@ -347,7 +329,9 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
     if (r.src == -2) {
       auto& hops = frames.back().class_hops;
       const auto cls = static_cast<std::size_t>(r.dst);
-      if (hops.size() <= cls) hops.resize(cls + 1, 0.0);
+      // The writer emits a window's classes as 0, 1, 2, ...
+      check(cls <= hops.size(), "frames csv link class out of order: " + path);
+      if (hops.size() == cls) hops.push_back(0.0);
       hops[cls] += static_cast<double>(r.bytes);
     } else if (r.src >= 0) {
       frames.back().counts(static_cast<std::size_t>(r.src),

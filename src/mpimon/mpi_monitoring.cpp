@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -50,17 +49,8 @@ struct MonSession {
   /// Windowed snapshot sampler (MPI_M_snapshot_start); shared so the
   /// packet observer closure survives session-vector reallocation.
   std::shared_ptr<mpim::introspect::WindowSampler> sampler;
-  /// Cross-thread snapshot state shared with the packet observer. The
-  /// observer can run on a peer's thread (RMA attribution), so it must not
-  /// read the session table: `live` mirrors `state == active &&
-  /// snapshot_running`, and `mx` serializes every sampler access against
-  /// in-flight observer deliveries.
-  struct SnapShared {
-    std::mutex mx;
-    std::atomic<bool> live{false};
-  };
-  std::shared_ptr<SnapShared> snap;
   bool snapshot_running = false;
+  /// Kind filter of the running snapshot (what attach_sampler feeds).
   int snapshot_flags = MPI_M_ALL_COMM;
   /// World ranks dropped from the binding by MPI_M_rebind (union over
   /// every rebind of this session).
@@ -228,6 +218,41 @@ void start_all_handles(MonSession& s) {
   for (int h : s.handles) rt.handle_start(s.tsession, h);
 }
 
+/// CommKind -> MPI_M kind-filter bit (p2p 0, coll 1, osc 2); -1 for tool.
+int kind_bit(CommKind kind) {
+  switch (kind) {
+    case CommKind::p2p: return 0;
+    case CommKind::coll: return 1;
+    case CommKind::osc: return 2;
+    default: return -1;
+  }
+}
+
+/// Feeds the session's running snapshot from mpit's per-session packet
+/// observer. It is attached only while the session is active and its
+/// snapshot runs, and detached before this rank touches the sampler
+/// (flush, clear, read): mpit serializes every observer call, a peer's
+/// RMA attribution included, and makes none once the detach returns. The
+/// closure may run on a peer's thread, so it captures only the sampler,
+/// never the session table, whose vector may reallocate.
+void attach_sampler(MonSession& s) {
+  runtime().set_session_observer(
+      s.tsession, [sampler = s.sampler, comm = s.comm,
+                   flags = s.snapshot_flags](const mpim::mpi::PktInfo& pkt) {
+        const int bit = kind_bit(pkt.kind);
+        if (bit < 0 || !(flags & (1 << bit))) return;
+        if (!comm.contains_world(pkt.src_world)) return;
+        const int dst = comm.group_rank_of_world(pkt.dst_world);
+        if (dst < 0) return;
+        sampler->record(pkt.send_time_s, dst, bit,
+                        static_cast<unsigned long>(pkt.bytes));
+      });
+}
+
+void detach_sampler(MonSession& s) {
+  runtime().set_session_observer(s.tsession, nullptr);
+}
+
 /// Accumulates the selected traffic classes of one metric into the n
 /// words at `out`. metric 0 = counts, 1 = sizes.
 void read_metric(MonSession& s, int flags, int metric, unsigned long* out) {
@@ -385,11 +410,9 @@ int MPI_M_suspend(MPI_M_msid msid) {
       [](MonSession& s) {
         stop_all_handles(s);
         // Close the sampler's open window so snapshot data is complete
-        // while the session data is readable. Gate off first so no
-        // in-flight observer lands a record after the flush.
-        if (s.sampler && s.snapshot_running) {
-          s.snap->live.store(false, std::memory_order_release);
-          std::lock_guard<std::mutex> lock(s.snap->mx);
+        // while the session data is readable.
+        if (s.snapshot_running) {
+          detach_sampler(s);
           s.sampler->flush(Ctx::current().now());
         }
         s.state = MonSession::St::suspended;
@@ -428,8 +451,7 @@ int MPI_M_continue(MPI_M_msid msid) {
       [](MonSession& s) {
         start_all_handles(s);
         s.state = MonSession::St::active;
-        if (s.sampler && s.snapshot_running)
-          s.snap->live.store(true, std::memory_order_release);
+        if (s.snapshot_running) attach_sampler(s);
         s.span_start_s = Ctx::current().now();
       });
 }
@@ -443,10 +465,7 @@ int MPI_M_reset(MPI_M_msid msid) {
       [](MonSession& s) {
         auto& rt = runtime();
         for (int h : s.handles) rt.handle_reset(s.tsession, h);
-        if (s.sampler) {
-          std::lock_guard<std::mutex> lock(s.snap->mx);
-          s.sampler->clear();
-        }
+        if (s.sampler) s.sampler->clear();
         tele().add(Metric::mon_session_resets, tele_rank());
       });
 }
@@ -458,12 +477,10 @@ int MPI_M_free(MPI_M_msid msid) {
         return s.state == MonSession::St::suspended;
       },
       [](MonSession& s) {
-        if (s.snap) s.snap->live.store(false, std::memory_order_release);
         // Also detaches and destroys the observer: once this returns, no
-        // thread calls it again, so dropping our sampler/snap refs is safe.
+        // thread calls it again, so dropping our sampler ref is safe.
         runtime().session_free(s.tsession);
         s.sampler.reset();
-        s.snap.reset();
         s.snapshot_running = false;
         if (s.gov_reserved > 0) {
           mpim::mon::Governor::of(Ctx::current().engine())
@@ -505,10 +522,8 @@ int MPI_M_rebind(MPI_M_msid msid, Comm newcomm) {
 
     // Drop the sampler: its frame grid and peer numbering were sized for
     // the old group. session_free also detaches the packet observer.
-    if (s->snap) s->snap->live.store(false, std::memory_order_release);
     rt.session_free(s->tsession);
     s->sampler.reset();
-    s->snap.reset();
     s->snapshot_running = false;
     if (s->gov_reserved > 0) {
       mpim::mon::Governor::of(Ctx::current().engine())
@@ -797,16 +812,6 @@ int MPI_M_rootgather_data(MPI_M_msid msid, int root,
 
 namespace {
 
-/// CommKind -> MPI_M kind-filter bit (p2p 0, coll 1, osc 2); -1 for tool.
-int kind_bit(CommKind kind) {
-  switch (kind) {
-    case CommKind::p2p: return 0;
-    case CommKind::coll: return 1;
-    case CommKind::osc: return 2;
-    default: return -1;
-  }
-}
-
 /// Words in the per-rank frames blob of MPI_M_get_frames.
 std::size_t frames_blob_words(std::size_t n, int max_frames) {
   return 1 + static_cast<std::size_t>(max_frames) * (1 + 2 * n);
@@ -1018,36 +1023,10 @@ int MPI_M_snapshot_start(MPI_M_msid msid, double window_s, int max_frames,
           }
         });
 
-    // The packet observer: filters this session's monitored traffic and
-    // feeds the sampler. It may run on a peer's thread (RMA attribution),
-    // so it captures only shared state -- never the session table, whose
-    // entries the owning thread mutates and whose vector may reallocate.
-    // The `live` gate is rechecked under the sampler mutex so a delivery
-    // racing snapshot_stop/suspend can never land after their flush.
-    auto snap = std::make_shared<MonSession::SnapShared>();
-    snap->live.store(s->state == MonSession::St::active,
-                     std::memory_order_release);
-    const Comm comm = s->comm;
-    const int snap_flags = flags;
-    runtime().set_session_observer(
-        s->tsession,
-        [sampler, snap, comm, snap_flags](const mpim::mpi::PktInfo& pkt) {
-          if (!snap->live.load(std::memory_order_acquire)) return;
-          const int bit = kind_bit(pkt.kind);
-          if (bit < 0 || !(snap_flags & (1 << bit))) return;
-          if (!comm.contains_world(pkt.src_world)) return;
-          const int dst = comm.group_rank_of_world(pkt.dst_world);
-          if (dst < 0) return;
-          std::lock_guard<std::mutex> lock(snap->mx);
-          if (!snap->live.load(std::memory_order_relaxed)) return;
-          sampler->record(pkt.send_time_s, dst, bit,
-                          static_cast<unsigned long>(pkt.bytes));
-        });
-
     s->sampler = std::move(sampler);
-    s->snap = std::move(snap);
     s->snapshot_running = true;
     s->snapshot_flags = flags;
+    if (s->state == MonSession::St::active) attach_sampler(*s);
     hub->add(Metric::introspect_starts, rank);
     return MPI_M_SUCCESS;
   });
@@ -1059,13 +1038,9 @@ int MPI_M_snapshot_stop(MPI_M_msid msid) {
     MonSession* s = nullptr;
     if (int rc = resolve_msid(st, msid, &s); rc != MPI_M_SUCCESS) return rc;
     if (!s->sampler || !s->snapshot_running) return MPI_M_NO_SNAPSHOT;
-    s->snap->live.store(false, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(s->snap->mx);
-      s->sampler->flush(Ctx::current().now());
-    }
+    detach_sampler(*s);
+    s->sampler->flush(Ctx::current().now());
     s->snapshot_running = false;
-    runtime().set_session_observer(s->tsession, nullptr);
     return MPI_M_SUCCESS;
   });
 }

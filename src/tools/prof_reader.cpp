@@ -1,49 +1,73 @@
 #include "tools/prof_reader.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "support/cells.h"
 #include "support/error.h"
 
 namespace mpim::tools {
+
+namespace {
+
+/// The whitespace-separated cells of one line.
+std::vector<std::string> cells_of(const std::string& line) {
+  std::istringstream ls(line);
+  std::vector<std::string> out;
+  std::string cell;
+  while (ls >> cell) out.push_back(cell);
+  return out;
+}
+
+/// A count cell that fits an int (a rank or a communicator size).
+int int_count(const std::string& cell, const std::string& where) {
+  const unsigned long v = count_cell(cell, where);
+  check(v <= static_cast<unsigned long>(std::numeric_limits<int>::max()),
+        "count cell '" + cell + "' out of range in " + where);
+  return static_cast<int>(v);
+}
+
+}  // namespace
 
 RankProfile read_rank_profile(const std::string& path) {
   std::ifstream is(path);
   check(is.good(), "cannot open profile file: " + path);
   RankProfile out;
   std::string line;
-  while (std::getline(is, line)) {
+  for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
     if (line.empty()) continue;
+    const std::string where = path + ":" + std::to_string(lineno);
+    const std::vector<std::string> c = cells_of(line);
     if (line[0] == '#') {
       // "# rank R of N, flags f" header carries the metadata.
-      std::istringstream hs(line);
-      std::string word;
-      while (hs >> word) {
-        if (word == "rank") hs >> out.rank;
-        else if (word == "of") {
-          std::string n;
-          hs >> n;
-          if (!n.empty() && n.back() == ',') n.pop_back();
-          out.comm_size = std::stoi(n);
-        } else if (word == "flags") {
-          hs >> out.flags;
+      for (std::size_t i = 0; i + 1 < c.size(); ++i) {
+        if (c[i] == "rank") {
+          out.rank = int_count(c[++i], where);
+        } else if (c[i] == "of") {
+          std::string n = c[++i];
+          if (n.back() == ',') n.pop_back();
+          out.comm_size = int_count(n, where);
+          check(out.comm_size > 0, "empty communicator in " + where);
+        } else if (c[i] == "flags") {
+          out.flags = c[++i];
         }
       }
       continue;
     }
-    std::istringstream ls(line);
-    std::size_t peer = 0;
-    unsigned long count = 0, bytes = 0;
-    check(static_cast<bool>(ls >> peer >> count >> bytes),
-          "malformed profile row in " + path);
-    check(peer == out.counts.size(), "non-sequential peer index in " + path);
-    out.counts.push_back(count);
-    out.sizes.push_back(bytes);
+    check(c.size() == 3, "malformed profile row (want: peer count bytes) in " +
+                             where);
+    check(count_cell(c[0], where) == out.counts.size(),
+          "non-sequential peer index in " + where);
+    out.counts.push_back(count_cell(c[1], where));
+    out.sizes.push_back(count_cell(c[2], where));
   }
   check(!out.counts.empty(), "empty profile file: " + path);
   if (out.comm_size == 0) out.comm_size = static_cast<int>(out.counts.size());
   check(out.counts.size() == static_cast<std::size_t>(out.comm_size),
         "row count does not match communicator size in " + path);
+  check(out.rank < out.comm_size,
+        "rank outside its communicator in " + path);
   return out;
 }
 
@@ -52,13 +76,13 @@ CommMatrix read_matrix_profile(const std::string& path) {
   check(is.good(), "cannot open profile file: " + path);
   std::vector<std::vector<unsigned long>> rows;
   std::string line;
-  while (std::getline(is, line)) {
+  for (std::size_t lineno = 1; std::getline(is, line); ++lineno) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ls(line);
+    const std::string where = path + ":" + std::to_string(lineno);
     std::vector<unsigned long> row;
-    unsigned long v;
-    while (ls >> v) row.push_back(v);
-    check(!row.empty(), "empty matrix row in " + path);
+    for (const std::string& cell : cells_of(line))
+      row.push_back(count_cell(cell, where));
+    check(!row.empty(), "empty matrix row in " + where);
     rows.push_back(std::move(row));
   }
   check(!rows.empty(), "no matrix rows in " + path);

@@ -1,7 +1,6 @@
 #include "tools/report.h"
 
 #include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <map>
 #include <ostream>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "introspect/analyzer.h"
+#include "support/cells.h"
 #include "support/error.h"
 #include "support/table.h"
 
@@ -23,28 +23,6 @@ std::vector<std::string> split_csv_line(const std::string& line) {
   std::string cell;
   while (std::getline(ss, cell, ',')) out.push_back(cell);
   return out;
-}
-
-/// Strict numeric cells: the whole cell must parse and be finite. A "nan"
-/// or "inf" cell is corrupt data, not a number -- std::stod would happily
-/// accept both and let the NaN poison every rollup downstream.
-double num_cell(const std::string& cell, const std::string& line) {
-  std::size_t used = 0;
-  double v = 0.0;
-  try {
-    v = std::stod(cell, &used);
-  } catch (const std::exception&) {
-    fail("bad numeric cell '" + cell + "' in csv row: " + line);
-  }
-  if (used != cell.size() || !std::isfinite(v))
-    fail("bad numeric cell '" + cell + "' in csv row: " + line);
-  return v;
-}
-
-long long int_cell(const std::string& cell, const std::string& line) {
-  const double v = num_cell(cell, line);
-  check(v == std::floor(v), "non-integer cell '" + cell + "' in csv row: " + line);
-  return static_cast<long long>(v);
 }
 
 }  // namespace
@@ -73,12 +51,13 @@ void report_metrics(const std::string& path, std::ostream& os) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> c = split_csv_line(line);
+    const std::string row = "csv row: " + line;
     check(c.size() == 5, "malformed metrics csv row: " + line);
     const std::string& metric = c[0];
     const std::string& kind = c[1];
-    const int rank = static_cast<int>(int_cell(c[2], line));
+    const int rank = static_cast<int>(integral_cell(c[2], row));
     const std::string& field = c[3];
-    const long long value = int_cell(c[4], line);
+    const long long value = integral_cell(c[4], row);
     if (field.rfind("le=", 0) == 0) {
       auto& buckets = hist_buckets[metric];
       if (buckets.find(field) == buckets.end())
@@ -150,14 +129,15 @@ void report_spans(const std::string& path, std::ostream& os) {
     // A torn tail (crash mid-write) must not discard the rows before it:
     // stop at the first malformed row and report what parsed.
     const std::vector<std::string> c = split_csv_line(line);
+    const std::string row = "csv row: " + line;
     if (c.size() != 8) {
       truncated = true;
       break;
     }
     double t0 = 0.0, t1 = 0.0;
     try {
-      t0 = num_cell(c[4], line);
-      t1 = num_cell(c[5], line);
+      t0 = finite_cell(c[4], row);
+      t1 = finite_cell(c[5], row);
     } catch (const std::exception&) {
       truncated = true;
       break;
@@ -222,41 +202,42 @@ void report_critpath(const std::string& path, std::ostream& os) {
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     const std::vector<std::string> c = split_csv_line(line);
+    const std::string row = "csv row: " + line;
     check(!c.empty(), "malformed critpath csv row: " + line);
     if (c[0] == "total") {
       check(c.size() == 7, "malformed critpath total row: " + line);
-      total_comm = int_cell(c[1], line);
-      total_wait = int_cell(c[2], line);
-      dominant_rank = static_cast<int>(int_cell(c[3], line));
+      total_comm = integral_cell(c[1], row);
+      total_wait = integral_cell(c[2], row);
+      dominant_rank = static_cast<int>(integral_cell(c[3], row));
       dominant_class = c[4];
-      blame_only = int_cell(c[5], line) != 0;
-      phase_s = num_cell(c[6], line);
+      blame_only = integral_cell(c[5], row) != 0;
+      phase_s = finite_cell(c[6], row);
     } else if (c[0] == "rank") {
       check(c.size() == 13, "malformed critpath rank row: " + line);
       RankRow r;
-      r.rank = static_cast<int>(int_cell(c[1], line));
-      r.comm = int_cell(c[2], line);
-      r.blame = int_cell(c[3], line);
-      r.own = int_cell(c[4], line);
-      r.caused = int_cell(c[5], line);
-      r.ls = int_cell(c[6], line);
-      r.lr = int_cell(c[7], line);
-      r.wc = int_cell(c[8], line);
-      r.ri = int_cell(c[9], line);
-      r.dom_peer = static_cast<int>(int_cell(c[10], line));
-      r.dom_peer_ns = int_cell(c[11], line);
-      r.dead = int_cell(c[12], line) != 0;
+      r.rank = static_cast<int>(integral_cell(c[1], row));
+      r.comm = integral_cell(c[2], row);
+      r.blame = integral_cell(c[3], row);
+      r.own = integral_cell(c[4], row);
+      r.caused = integral_cell(c[5], row);
+      r.ls = integral_cell(c[6], row);
+      r.lr = integral_cell(c[7], row);
+      r.wc = integral_cell(c[8], row);
+      r.ri = integral_cell(c[9], row);
+      r.dom_peer = static_cast<int>(integral_cell(c[10], row));
+      r.dom_peer_ns = integral_cell(c[11], row);
+      r.dead = integral_cell(c[12], row) != 0;
       ranks.push_back(r);
     } else if (c[0] == "link") {
       check(c.size() == 6, "malformed critpath link row: " + line);
-      links.push_back({static_cast<int>(int_cell(c[1], line)),
-                       static_cast<int>(int_cell(c[2], line)),
-                       int_cell(c[3], line), int_cell(c[4], line),
-                       int_cell(c[5], line) != 0});
+      links.push_back({static_cast<int>(integral_cell(c[1], row)),
+                       static_cast<int>(integral_cell(c[2], row)),
+                       integral_cell(c[3], row), integral_cell(c[4], row),
+                       integral_cell(c[5], row) != 0});
     } else if (c[0] == "phase") {
       check(c.size() == 5, "malformed critpath phase row: " + line);
-      const int phase = static_cast<int>(int_cell(c[2], line));
-      const long long w = int_cell(c[3], line);
+      const int phase = static_cast<int>(integral_cell(c[2], row));
+      const long long w = integral_cell(c[3], row);
       auto& cell = phase_wait[phase];
       cell.first += w;
       if (w > phase_hottest[phase]) {
@@ -265,10 +246,10 @@ void report_critpath(const std::string& path, std::ostream& os) {
       }
     } else if (c[0] == "path") {
       check(c.size() == 6, "malformed critpath path row: " + line);
-      path_segs.push_back({static_cast<int>(int_cell(c[1], line)),
-                           num_cell(c[2], line), num_cell(c[3], line),
-                           static_cast<int>(int_cell(c[4], line)),
-                           int_cell(c[5], line) != 0});
+      path_segs.push_back({static_cast<int>(integral_cell(c[1], row)),
+                           finite_cell(c[2], row), finite_cell(c[3], row),
+                           static_cast<int>(integral_cell(c[4], row)),
+                           integral_cell(c[5], row) != 0});
     } else {
       fail("unknown critpath csv section: " + c[0]);
     }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "apps/cg.h"
 #include "apps/nas_cg.h"
@@ -263,6 +266,114 @@ TEST(Halo, SmoothingContractsTowardsMean) {
     late = run_halo(ctx.world(), HaloConfig{16, 50, 3});
   });
   EXPECT_LT(std::abs(late.checksum), std::abs(early.checksum));
+}
+
+// --- goldens: clocks and numerics bit for bit ---------------------------------------
+
+/// Two PlaFRIM-like nodes with the figure benches' contention model (port
+/// wire rate twice the single-flow bandwidth) and a seeded random mapping,
+/// so halo, allgather and transpose traffic crosses the NIC gate.
+Sim golden_sim(int nranks, mpi::SchedMode sched) {
+  auto cost = net::CostModel::plafrim_like(2);
+  mpi::EngineConfig cfg{
+      .cost_model = cost,
+      .placement = topo::random_placement(nranks, cost.topology(), 11)};
+  cfg.nic_contention = true;
+  cfg.nic_port_beta_scale = 2.0;
+  cfg.sched = sched;
+  cfg.watchdog_wall_timeout_s = 10.0;
+  return Sim(std::move(cfg));
+}
+
+double max_final_clock(Sim& sim) {
+  const std::vector<double>& clocks = sim.engine().final_clocks();
+  return *std::max_element(clocks.begin(), clocks.end());
+}
+
+struct CgGolden {
+  int np;
+  double clock;     ///< latest final virtual clock over all ranks
+  double residual;  ///< rank 0's CgResult, after one iteration() and solve()
+  double comm;
+  double total;
+};
+
+template <typename Solver>
+void expect_cg_goldens(const std::vector<CgGolden>& goldens) {
+  for (const CgGolden& g : goldens) {
+    for (const mpi::SchedMode sched :
+         {mpi::SchedMode::threads, mpi::SchedMode::fibers}) {
+      SCOPED_TRACE("np=" + std::to_string(g.np) + " " +
+                   mpi::sched_mode_name(sched));
+      Sim sim = golden_sim(g.np, sched);
+      CgResult res;
+      sim.run([&](Ctx& ctx) {
+        Solver solver(ctx.world(), CgConfig{48, 12, 5});
+        solver.iteration();
+        const CgResult mine = solver.solve();
+        if (ctx.world_rank() == 0) res = mine;
+      });
+      EXPECT_EQ(max_final_clock(sim), g.clock)
+          << std::hexfloat << max_final_clock(sim);
+      EXPECT_EQ(res.iterations, 12);
+      EXPECT_EQ(res.residual_norm2, g.residual)
+          << std::hexfloat << res.residual_norm2;
+      EXPECT_EQ(res.comm_time_s, g.comm) << std::hexfloat << res.comm_time_s;
+      EXPECT_EQ(res.total_time_s, g.total)
+          << std::hexfloat << res.total_time_s;
+    }
+  }
+}
+
+TEST(AppsGolden, CgSolverClocksAndResiduals) {
+  expect_cg_goldens<CgSolver>({
+      {4, 0x1.28dc3fddf3c1ap-13, 0x1.9c062ab4cadfp+1, 0x1.e749c36806287p-15,
+       0x1.12066256b99f2p-13},
+      {9, 0x1.60a7bfb7f4722p-13, 0x1.9c062ab4cadccp+1, 0x1.01e1d83ddc68ep-13,
+       0x1.4587271ff555ep-13},
+      {16, 0x1.5c916332c0f2fp-13, 0x1.9c062ab4cadc1p+1, 0x1.1b1cd74d4d999p-13,
+       0x1.4129d3ac7b9ebp-13},
+  });
+}
+
+TEST(AppsGolden, NasCgSolverClocksAndResiduals) {
+  expect_cg_goldens<NasCgSolver>({
+      {4, 0x1.b76eafb3b8e44p-13, 0x1.9c062ab4cade4p+1, 0x1.4545d98ce1739p-14,
+       0x1.956fb10d659dfp-13},
+      {8, 0x1.7cca68b7e60d1p-13, 0x1.9c062ab4cadd6p+1, 0x1.bdb3e7ecfa6edp-14,
+       0x1.5f7fc31fe80c5p-13},
+      {16, 0x1.edeab0b3bfa51p-13, 0x1.9c062ab4cadc6p+1, 0x1.64e4ca173c6a2p-13,
+       0x1.c757a85292f98p-13},
+  });
+}
+
+TEST(AppsGolden, HaloWithSlowRankClocksAndChecksum) {
+  struct Golden {
+    int np;
+    double clock, checksum, comm;  ///< comm is rank 0's comm_time_s
+  };
+  const Golden goldens[] = {
+      {4, 0x1.cad679931bbdep-16, 0x1.b9f2a8c8ecb7fp+8, 0x1.75827769e005ep-16},
+      {9, 0x1.16c64015c4b87p-15, 0x1.06f44a4f4e5fcp+10, 0x1.b314372d227c2p-16},
+  };
+  for (const Golden& g : goldens) {
+    for (const mpi::SchedMode sched :
+         {mpi::SchedMode::threads, mpi::SchedMode::fibers}) {
+      SCOPED_TRACE("np=" + std::to_string(g.np) + " " +
+                   mpi::sched_mode_name(sched));
+      Sim sim = golden_sim(g.np, sched);
+      HaloResult res;
+      sim.run([&](Ctx& ctx) {
+        const HaloResult mine = run_halo(
+            ctx.world(), HaloConfig{16, 7, 3, /*slow_rank=*/1, 2e-6});
+        if (ctx.world_rank() == 0) res = mine;
+      });
+      EXPECT_EQ(max_final_clock(sim), g.clock)
+          << std::hexfloat << max_final_clock(sim);
+      EXPECT_EQ(res.checksum, g.checksum) << std::hexfloat << res.checksum;
+      EXPECT_EQ(res.comm_time_s, g.comm) << std::hexfloat << res.comm_time_s;
+    }
+  }
 }
 
 // --- group allgather ---------------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -291,6 +292,22 @@ TEST(Analyzer, FramesCsvRoundtrip) {
   EXPECT_EQ(back[0].bytes(0, 2), 4096u);
   EXPECT_EQ(back[1].window, 6);
   EXPECT_EQ(back[1].bytes.flat()[0], 0u);
+}
+
+TEST(Analyzer, FramesCsvRejectsOrdersAndClassesNoRunWrites) {
+  // A corrupt rank cell must neither wrap n * n (4294967296 squared is 0 in
+  // 64 bits) nor allocate matrices no memory holds, and a link-class row
+  // out of sequence must not grow the class vector to its index.
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "introspect_corrupt.csv")
+          .string();
+  for (const char* row : {"0,0,1,0,4294967295,1,8", "0,0,1,0,99999,1,8",
+                          "0,0,1,-2,1000000000000,0,8"}) {
+    std::ofstream(path) << "window,t0_s,t1_s,src,dst,count,bytes\n"
+                        << row << "\n";
+    EXPECT_THROW(introspect::read_frames_csv(path), Error) << row;
+  }
+  std::remove(path.c_str());
 }
 
 // --- MPI_M snapshot API -------------------------------------------------------

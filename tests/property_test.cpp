@@ -2,18 +2,29 @@
 // randomized (but seeded, deterministic) inputs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <iterator>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
 
+#include "critpath/critpath.h"
+#include "introspect/analyzer.h"
 #include "minimpi/api.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "mpimon/sim.h"
 #include "reorder/reorder.h"
 #include "support/rng.h"
+#include "telemetry/export.h"
 #include "tools/liveview.h"
+#include "tools/prof_reader.h"
+#include "tools/report.h"
 #include "topo/fabric.h"
 #include "treematch/treematch.h"
 
@@ -360,9 +371,10 @@ TEST(SessionStateMachine, RandomOpSequencesMatchModel) {
 
 // ---------------------------------------------------------------------------
 // Malformed input: seeded mutations of well-formed stream lines and fabric
-// specs (MPIM_TOPO). Neither parser throws, a stream line counts exactly
-// once (applied or a parse error), and an accepted spec round-trips through
-// describe().
+// specs (MPIM_TOPO), and of every file a tool reads. Neither parser
+// throws, a stream line counts exactly once (applied or a parse error), an
+// accepted spec round-trips through describe(), and a file reader either
+// returns or throws mpim::Error.
 
 /// One to three edits: drop, insert or replace a byte, truncate, or splice
 /// in a token a parser may half-accept (numbers strtod takes but no integer
@@ -439,6 +451,199 @@ TEST(MalformedInput, MutatedFabricSpecsNeverThrowAndAcceptedOnesRoundTrip) {
     EXPECT_EQ(*again, *spec) << text << " -> " << spec->describe();
   }
   EXPECT_GT(accepted, 0);  // the loop reached the accept path too
+}
+
+/// Writes `text` to `path` and returns the path.
+const std::string& path_with(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return path;
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fclose(f);
+  return path;
+}
+
+/// One file of each kind a tool reads, as its producer wrote it after one
+/// small monitored run: telemetry metrics and spans, a critical-path
+/// report, snapshot frames, and the flush and rootflush profiles.
+struct ToolFiles {
+  std::string metrics, spans, critpath, frames, rank_prof, matrix_prof;
+};
+
+/// The header and the first `rows` rows of a CSV: each row parses on its
+/// own, and a whole export would dominate the suite's run time.
+std::string first_rows(const std::string& csv, int rows) {
+  std::size_t end = 0;
+  for (int row = 0; row <= rows && end != std::string::npos; ++row)
+    end = csv.find('\n', end + 1);
+  return csv.substr(0, end == std::string::npos ? end : end + 1);
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  std::remove(path.c_str());
+  return os.str();
+}
+
+const ToolFiles& tool_files() {
+  static const ToolFiles files = [] {
+    constexpr int kRanks = 2;
+    constexpr int kFrames = 4;
+    constexpr std::size_t n = kRanks;
+    const std::string base = (std::filesystem::temp_directory_path() /
+                              ("mpim_tool_files_" + std::to_string(::getpid())))
+                                 .string();
+    Sim sim = make_sim(kRanks);
+    sim.engine().telemetry().set_enabled(true);
+    auto profiler = critpath::Profiler::attach(sim.engine());
+    std::vector<introspect::FrameMatrix> frames;
+    sim.run([&](Ctx& ctx) {
+      const Comm world = ctx.world();
+      const int me = ctx.world_rank();
+      mon::Environment env;
+      MPI_M_msid id = -1;
+      mon::check_rc(MPI_M_start(world, &id), "start");
+      mon::check_rc(MPI_M_snapshot_start(id, 4e-5, kFrames, MPI_M_ALL_COMM),
+                    "snapshot_start");
+      std::vector<char> out(512), in(512);
+      for (int it = 0; it < 3; ++it) {
+        if (me == 1) mpi::compute(2e-5);
+        mpi::sendrecv(out.data(), out.size(), Type::Byte, (me + 1) % kRanks,
+                      0, in.data(), in.size(), (me + kRanks - 1) % kRanks, 0,
+                      world);
+        mpi::barrier(world);
+      }
+      mon::check_rc(MPI_M_suspend(id), "suspend");
+      mon::check_rc(MPI_M_flush(id, base.c_str(), MPI_M_ALL_COMM), "flush");
+      mon::check_rc(MPI_M_rootflush(id, 0, base.c_str(), MPI_M_ALL_COMM),
+                    "rootflush");
+      int nframes = 0;
+      std::vector<double> t0(kFrames), t1(kFrames);
+      std::vector<unsigned long> counts(kFrames * n * n),
+          bytes(kFrames * n * n);
+      mon::check_rc(MPI_M_get_frames(id, kFrames, &nframes, t0.data(),
+                                     t1.data(), counts.data(), bytes.data(),
+                                     MPI_M_ALL_COMM),
+                    "get_frames");
+      mon::check_rc(MPI_M_free(id), "free");
+      if (me != 0) return;
+      for (int w = 0; w < nframes; ++w) {
+        introspect::FrameMatrix f;
+        f.window = w;
+        f.t0_s = t0[static_cast<std::size_t>(w)];
+        f.t1_s = t1[static_cast<std::size_t>(w)];
+        f.counts = CommMatrix::square(n);
+        f.bytes = CommMatrix::square(n);
+        for (std::size_t i = 0; i < n * n; ++i) {
+          f.counts(i / n, i % n) = counts[static_cast<std::size_t>(w) * n * n + i];
+          f.bytes(i / n, i % n) = bytes[static_cast<std::size_t>(w) * n * n + i];
+        }
+        frames.push_back(std::move(f));
+      }
+    });
+    ToolFiles out;
+    std::ostringstream metrics, spans, framed;
+    telemetry::write_metrics_csv(sim.engine().telemetry(), metrics);
+    telemetry::write_spans_csv(sim.engine().telemetry(), spans);
+    introspect::write_frames_csv(framed, frames);
+    out.metrics = first_rows(metrics.str(), 4);
+    out.spans = first_rows(spans.str(), 4);
+    out.frames = framed.str();
+    EXPECT_TRUE(profiler->write_csv(base + "_critpath.csv"));
+    out.critpath = slurp(base + "_critpath.csv");
+    for (int r = 1; r < kRanks; ++r)
+      std::remove((base + "." + std::to_string(r) + ".prof").c_str());
+    out.rank_prof = slurp(base + ".0.prof");
+    out.matrix_prof = slurp(base + "_counts.0.prof");
+    std::remove((base + "_sizes.0.prof").c_str());
+    return out;
+  }();
+  return files;
+}
+
+/// Hands `read` 200 seeded mutations of `text`, each written to a scratch
+/// file. A return or an mpim::Error is fine; any other exception fails.
+/// Returns how many mutations the reader rejected.
+template <typename Read>
+int mutations_rejected(const std::string& text, std::uint64_t seed,
+                       Read&& read) {
+  // One file write per mutation: RAM-backed where the host has /dev/shm,
+  // since rewriting a file on a journaling disk costs more than parsing it.
+  std::error_code ec;
+  const std::filesystem::path dir = std::filesystem::is_directory("/dev/shm", ec)
+                                        ? std::filesystem::path("/dev/shm")
+                                        : std::filesystem::temp_directory_path();
+  const std::string path =
+      (dir / ("mpim_mutated_" + std::to_string(::getpid()))).string();
+  EXPECT_NO_THROW(read(path_with(path, text))) << "unmutated input";
+  Rng rng(seed);
+  int rejected = 0;
+  for (int i = 0; i < 200; ++i) {
+    const std::string bad = mutate(text, rng);
+    try {
+      read(path_with(path, bad));
+    } catch (const Error&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not an mpim::Error: " << e.what() << "\n" << bad;
+    }
+  }
+  std::remove(path.c_str());
+  return rejected;
+}
+
+TEST(MalformedInput, MutatedMetricsCsvOnlyThrowsMpimError) {
+  EXPECT_GT(mutations_rejected(tool_files().metrics, 0x3e7,
+                               [](const std::string& p) {
+                                 std::ostringstream os;
+                                 tools::report_metrics(p, os);
+                               }),
+            0);
+}
+
+TEST(MalformedInput, MutatedSpansCsvNeverThrows) {
+  // report_spans renders the rows before a malformed one and never throws.
+  EXPECT_EQ(mutations_rejected(tool_files().spans, 0x59a,
+                               [](const std::string& p) {
+                                 std::ostringstream os;
+                                 tools::report_spans(p, os);
+                               }),
+            0);
+}
+
+TEST(MalformedInput, MutatedCritpathCsvOnlyThrowsMpimError) {
+  EXPECT_GT(mutations_rejected(tool_files().critpath, 0xc417,
+                               [](const std::string& p) {
+                                 std::ostringstream os;
+                                 tools::report_critpath(p, os);
+                               }),
+            0);
+}
+
+TEST(MalformedInput, MutatedFramesCsvOnlyThrowsMpimError) {
+  EXPECT_GT(mutations_rejected(tool_files().frames, 0xf4a,
+                               [](const std::string& p) {
+                                 introspect::read_frames_csv(p);
+                               }),
+            0);
+}
+
+TEST(MalformedInput, MutatedRankProfileOnlyThrowsMpimError) {
+  EXPECT_GT(mutations_rejected(tool_files().rank_prof, 0x9f0,
+                               [](const std::string& p) {
+                                 tools::read_rank_profile(p);
+                               }),
+            0);
+}
+
+TEST(MalformedInput, MutatedMatrixProfileOnlyThrowsMpimError) {
+  EXPECT_GT(mutations_rejected(tool_files().matrix_prof, 0x3a7,
+                               [](const std::string& p) {
+                                 tools::read_matrix_profile(p);
+                               }),
+            0);
 }
 
 }  // namespace

@@ -8,9 +8,10 @@
 // observer slots shows up as a data race. The final phases make
 // deterministic correctness checks: after a barrier quiesces all cross-rank
 // attribution, a fresh session must count this rank's own traffic exactly,
-// and a detached observer is never called again. The last test races
-// fault-free mpimon gathers whose fast ranks run ahead of a slow reader
-// through their per-call exchange slots.
+// and a detached observer is never called again. Another races fault-free
+// mpimon gathers whose fast ranks run ahead of a slow reader through their
+// per-call exchange slots, and the last cycles a running snapshot's local
+// calls while a peer attributes RMA traffic into its sampler.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -395,6 +396,99 @@ TEST(RecordStress, GathersRunningAheadReadOnlyTheirOwnCall) {
         expect_rows(allgathered[k][r], k,
                     round + " allgather at rank " + std::to_string(r));
   }
+}
+
+TEST(RecordStress, SnapshotLocalCallsUnderRmaAttributionStayExact) {
+  // Odd ranks keep a snapshot running and cycle its local calls --
+  // suspend, snapshot_info, reset, continue -- while the even neighbour
+  // attributes RMA traffic to them from its own thread. The sampler's
+  // observer is attached only while the session is active, so the owner's
+  // flush, clear and reads never overlap an observer call (TSan watches).
+  // Then, after a barrier and a reset, with only each rank's own traffic,
+  // the snapshot frames carry exactly the bytes MPI_M_get_data reports.
+  constexpr int kRanks = 4;
+  constexpr int kCycles = 100;
+  constexpr unsigned long kFinalIters = 64;
+  // Bounds the hammer when ranks do not run concurrently (fibers).
+  constexpr long kMaxHammerIters = 200000;
+  // One window holds every virtual second of the run, so no frame drops.
+  constexpr double kWindowS = 1e3;
+  constexpr int kFrames = 4;
+  constexpr std::size_t n = kRanks;
+
+  topo::Topology t({2, 2, 2}, {"node", "socket", "core"});
+  std::vector<net::LinkParams> params = {
+      {1e-5, 1e8}, {1e-6, 1e9}, {1e-7, 1e10}, {0.0, 1e12}};
+  net::CostModel cost(t, params, 1e-7);
+  mpi::EngineConfig cfg{.cost_model = cost,
+                        .placement = topo::round_robin_placement(kRanks, t)};
+  cfg.watchdog_wall_timeout_s = 120.0;
+  mpi::Engine engine(std::move(cfg));
+  mpit::Runtime tool(engine);
+  std::array<std::atomic<bool>, kRanks> done{};
+
+  engine.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int me = ctx.world_rank();
+    char buf[8] = {0};
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_snapshot_start(id, kWindowS, kFrames, MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    if (me % 2 == 0) {
+      for (long i = 0; i < kMaxHammerIters && !done[me + 1].load(); ++i)
+        ctx.rma_transfer(me + 1, me, world, sizeof buf);
+    } else {
+      for (int c = 0; c < kCycles; ++c) {
+        ctx.send_bytes(me, world, 3, mpi::CommKind::p2p, buf, sizeof buf);
+        ctx.recv_bytes(me, world, 3, mpi::CommKind::p2p, buf, sizeof buf);
+        ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+        int nframes = -1;
+        ASSERT_EQ(MPI_M_snapshot_info(id, &nframes, MPI_M_INT_IGNORE,
+                                      MPI_M_INT_IGNORE),
+                  MPI_M_SUCCESS);
+        EXPECT_GE(nframes, 0);
+        ASSERT_EQ(MPI_M_reset(id), MPI_M_SUCCESS);
+        ASSERT_EQ(MPI_M_continue(id), MPI_M_SUCCESS);
+      }
+      done[me].store(true);
+    }
+
+    // Quiesce cross-rank attribution and start from empty matrices.
+    mpi::barrier(world);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_reset(id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_continue(id), MPI_M_SUCCESS);
+    for (unsigned long i = 0; i < kFinalIters; ++i) {
+      ctx.send_bytes(me, world, 5, mpi::CommKind::p2p, buf, sizeof buf);
+      ctx.recv_bytes(me, world, 5, mpi::CommKind::p2p, buf, sizeof buf);
+      ctx.rma_transfer(me, me, world, sizeof buf);
+    }
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    unsigned long counts[kRanks] = {0}, sizes[kRanks] = {0};
+    ASSERT_EQ(MPI_M_get_data(id, counts, sizes, MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    EXPECT_EQ(sizes[me], 2 * kFinalIters * sizeof buf);
+
+    int nframes = 0;
+    std::vector<double> t0(kFrames), t1(kFrames);
+    std::vector<unsigned long> fcounts(kFrames * n * n),
+        fsizes(kFrames * n * n);
+    ASSERT_EQ(MPI_M_get_frames(id, kFrames, &nframes, t0.data(), t1.data(),
+                               fcounts.data(), fsizes.data(), MPI_M_ALL_COMM),
+              MPI_M_SUCCESS);
+    for (std::size_t peer = 0; peer < n; ++peer) {
+      unsigned long framed = 0;
+      for (int f = 0; f < nframes; ++f)
+        framed += fsizes[static_cast<std::size_t>(f) * n * n +
+                         static_cast<std::size_t>(me) * n + peer];
+      EXPECT_EQ(framed, sizes[peer]) << "peer " << peer;
+    }
+    ASSERT_EQ(MPI_M_snapshot_stop(id), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    MPI_M_finalize();
+  });
 }
 
 }  // namespace

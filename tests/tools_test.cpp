@@ -102,6 +102,43 @@ TEST(ProfReader, RejectsMalformedInput) {
   std::remove(path.c_str());
 }
 
+TEST(ProfReader, RejectsSignedCellsJunkAndBadHeadersByFileAndLine) {
+  // Every cell is an unsigned decimal: "-1" is not the MPI_M_DATA_MISSING
+  // sentinel, a trailing token does not end a row silently, and a bad
+  // header is an mpim::Error like any other, naming the file and line.
+  namespace fs = std::filesystem;
+  const std::string path = (fs::temp_directory_path() / "strict.prof").string();
+  const auto expect_rejected = [&](auto read, const std::string& content,
+                                   int line) {
+    {
+      std::ofstream os(path);
+      os << content;
+    }
+    try {
+      read(path);
+      ADD_FAILURE() << "accepted:\n" << content;
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(path + ":" + std::to_string(line)),
+                std::string::npos)
+          << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not an mpim::Error: " << e.what();
+    }
+  };
+  const auto matrix = [](const std::string& p) { read_matrix_profile(p); };
+  const auto rank = [](const std::string& p) { read_rank_profile(p); };
+  expect_rejected(matrix, "# MPI_Monitoring matrix, order 2\n0 -1\n5 0\n", 2);
+  expect_rejected(matrix, "0 1\n2 3x\n", 2);
+  expect_rejected(matrix, "0 1\n2 +3\n", 2);
+  expect_rejected(matrix, "0 18446744073709551616\n1 0\n", 1);
+  const std::string header = "# rank 0 of 2, flags all\n";
+  expect_rejected(rank, header + "0 0 0\n1 -3 8\n", 3);
+  expect_rejected(rank, header + "0 1 2 junk\n1 0 0\n", 2);
+  expect_rejected(rank, "# rank 0 of X\n0 0 0\n", 1);
+  expect_rejected(rank, "# rank -1 of 2\n0 0 0\n1 0 0\n", 1);
+  std::remove(path.c_str());
+}
+
 // --- report CSV ingestion -----------------------------------------------------
 
 /// Writes `content` to a temp file and returns its path (caller removes).
