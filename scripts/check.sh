@@ -22,9 +22,13 @@
 # below): the tests labeled with the lane's suite label under BOTH sanitizer
 # presets, then its end-to-end example and bench acceptance check on the
 # default build.
-#   --recovery-only  ULFM shrink/ack/agree, session rebind, degradation
-#                    governor, failure-aware gathers and reorder (with NIC
-#                    contention on, both backends); faulty_reorder
+#   --recovery-only  fault injection (FaultPlan draws, crashes, stalls,
+#                    drops, and which plans select the failure-aware
+#                    schedules), ULFM shrink/ack/agree, session rebind,
+#                    degradation governor, failure-aware gathers and reorder
+#                    (with NIC contention on, both backends; an empty or a
+#                    never-firing plan beside the no-plan run), a late
+#                    writer on a gather's exchange slot; faulty_reorder
 #                    crash-shrink-recover, bench_recovery
 #   --stream-only    streaming plane (ingest rings, sketches, correlation,
 #                    exporter teardown); stream_monitor fault-injected run,

@@ -91,6 +91,12 @@ class FaultPlan {
 
   const std::vector<LinkFault>& link_faults() const { return link_faults_; }
 
+  /// True when the plan can make a receive fail: it crashes a rank, stalls
+  /// one on the wall clock (a wall timeout can expire during the stall) or
+  /// drops messages. Jitter, degradation windows, slowdowns and
+  /// virtual-only stalls only move virtual time: every message arrives.
+  bool can_fail_receives() const;
+
   // --- engine-facing interface ---------------------------------------------
 
   /// Resets the per-run state (message counters, one-shot stall flags).

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <string>
 
+#include "fault/fault_plan.h"
 #include "minimpi/coll.h"
 #include "minimpi/engine.h"
 #include "support/error.h"
@@ -181,6 +182,11 @@ bool comm_agree(const Comm& comm, int* flag) {
   return true;
 }
 
+bool tool_receives_can_fail(const Engine& engine) {
+  const fault::FaultPlan* plan = engine.config().fault_plan.get();
+  return plan != nullptr && plan->can_fail_receives();
+}
+
 std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
                                      std::size_t bytes, void* recvbuf,
                                      int root, double timeout_s) {
@@ -196,9 +202,11 @@ std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
   std::vector<Ctx::RecvWait> got(static_cast<std::size_t>(comm.size()),
                                  Ctx::RecvWait::ok);
   for (int g = 0; g < comm.size(); ++g) {
-    std::uint8_t* slot = out + static_cast<std::size_t>(g) * bytes;
+    std::uint8_t* slot =
+        out == nullptr ? nullptr : out + static_cast<std::size_t>(g) * bytes;
     if (g == root) {
-      if (bytes > 0) std::memcpy(slot, sendbuf, bytes);
+      if (slot != nullptr && sendbuf != nullptr && bytes > 0)
+        std::memcpy(slot, sendbuf, bytes);
       continue;
     }
     got[static_cast<std::size_t>(g)] =

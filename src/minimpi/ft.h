@@ -19,7 +19,8 @@
 //   ft_gather / ft_bcast -- the failure-aware tool collectives: a linear
 //     gather to a root and a linear broadcast from it, each waiting with a
 //     wall timeout and reporting what arrived instead of hanging. The
-//     monitoring gathers and the reorder step are built on them.
+//     monitoring gathers and the reorder step run them instead of the
+//     fault-free coll:: schedules when tool_receives_can_fail().
 //
 // Determinism contract: shrink and agree exchange their views with
 // unconditional sends to every member (send costs never depend on
@@ -67,12 +68,19 @@ Comm comm_shrink(const Comm& comm);
 /// (ULFM's MPI_ERR_PROC_FAILED analog -- ack and retry to accept it).
 bool comm_agree(const Comm& comm, int* flag);
 
+/// True when the engine's fault plan can make a tool receive fail
+/// (fault::FaultPlan::can_fail_receives): tool collectives must then run
+/// ft_gather and ft_bcast. Without a plan, or under one that only moves
+/// virtual time, they run the fault-free coll:: schedules.
+bool tool_receives_can_fail(const Engine& engine);
+
 /// Failure-aware linear gather of `bytes` per member to group rank `root`,
 /// as tool-kind traffic: the root receives the blocks in group order into
 /// `recvbuf` (size() * bytes), giving each contributor `timeout_s` of wall
 /// time. At the root, returns one outcome per group rank (ok for its own
 /// block); a peer_dead or timeout slot of `recvbuf` is left untouched.
-/// Elsewhere returns an empty vector and `recvbuf` may be null.
+/// Elsewhere returns an empty vector. Null buffers send and receive
+/// timing-only messages of the same size and cost.
 std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
                                      std::size_t bytes, void* recvbuf,
                                      int root, double timeout_s);
@@ -82,7 +90,7 @@ std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
 /// others wait timeout_s * (size() + 1) of wall time -- room for a root
 /// that first spent one ft_gather timeout per contributor. Returns ok at
 /// the root and wherever the data arrived; otherwise peer_dead or timeout,
-/// with `buf` untouched.
+/// with `buf` untouched. A null `buf` broadcasts a timing-only message.
 Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
                        int root, double timeout_s);
 

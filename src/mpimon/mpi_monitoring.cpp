@@ -81,24 +81,25 @@ struct MonState {
   bool initialized = false;
   std::vector<MonSession> sessions;
   double gather_timeout_s = 5.0;
-  /// Fault-free mpimon collectives this rank has entered, per communicator
-  /// context id: the second half of an exchange slot's key. Never reset
-  /// within a run, so a key is never reused while a slow rank may still
-  /// read the slot it names.
+  /// mpimon collectives this rank has entered, per communicator context
+  /// id: the second half of an exchange slot's key. Never reset within a
+  /// run, so a key is never reused while a slow rank may still read the
+  /// slot it names.
   std::unordered_map<int, std::uint64_t> collectives;
 };
 
-/// One fault-free mpimon collective's data, shared by its participants
-/// instead of carried by its messages (docs/PERF.md "Exchange slots").
-/// Every contributor writes its rows into `words` before its first send,
-/// get_frames' root writes `result` before its broadcast, and a receiver
-/// reads only after its collective completes, which causally follows all
-/// of those writes: no lock covers the contents.
+/// One mpimon collective's data, shared by its participants instead of
+/// carried by its messages (docs/PERF.md "Exchange slots"). Every
+/// contributor writes only its own rows into `words`, before its first
+/// send; the root writes `lost` (a failure-aware allgather's) or `result`
+/// (get_frames') before its broadcast. A rank reads only what a message
+/// it received causally follows, so no lock covers the contents.
 struct Exchange {
   std::pair<int, std::uint64_t> key;  ///< (context id, collective count)
   std::unique_ptr<unsigned long[]> words;
+  std::vector<bool> lost;
   std::vector<unsigned long> result;
-  int readers_left = 0;  ///< guarded by MonWorld::mx
+  int participants_left = 0;  ///< guarded by MonWorld::mx
 };
 
 /// Engine-wide mpimon state, one tool object per run: every rank's
@@ -128,12 +129,11 @@ MonState& mon_state() {
       .ranks[static_cast<std::size_t>(Ctx::current().world_rank())];
 }
 
-/// Enters the calling rank's next fault-free mpimon collective on `comm`
-/// and returns its exchange slot: whichever participant arrives first
-/// creates it with `words` uninitialized words and `readers` receivers.
-/// Call it right before the collective, so the rank's count advances only
-/// for calls that reach theirs.
-Exchange& enter_exchange(const Comm& comm, std::size_t words, int readers) {
+/// Enters the calling rank's next mpimon collective on `comm` and returns
+/// its exchange slot: whichever member arrives first creates it with
+/// `words` uninitialized words. Call it right before the collective, so
+/// the rank's count advances only for calls that reach theirs.
+Exchange& enter_exchange(const Comm& comm, std::size_t words) {
   MonWorld& world = mon_world();
   MonState& st =
       world.ranks[static_cast<std::size_t>(Ctx::current().world_rank())];
@@ -144,18 +144,19 @@ Exchange& enter_exchange(const Comm& comm, std::size_t words, int readers) {
   if (fresh) {
     it->second.key = it->first;
     it->second.words = std::make_unique_for_overwrite<unsigned long[]>(words);
-    it->second.readers_left = readers;
+    it->second.participants_left = comm.size();
   }
   return it->second;
 }
 
-/// A receiver is done reading `slot`; the last one erases it. Not called
-/// when a collective throws: the slot then lives until the run's tool
-/// objects go, since a contributor may still be writing into it.
+/// The calling rank is done with `slot`; the last member to leave erases
+/// it, so a contributor a receiver gave up on may still write its rows.
+/// Not called when a collective throws: the slot then lives until the
+/// run's tool objects go.
 void leave_exchange(Exchange& slot) {
   MonWorld& world = mon_world();
   std::lock_guard lock(world.mx);
-  if (--slot.readers_left == 0) world.exchanges.erase(slot.key);
+  if (--slot.participants_left == 0) world.exchanges.erase(slot.key);
 }
 
 /// Maps exceptions of the layers below to the paper's error codes. Engine
@@ -598,33 +599,6 @@ int MPI_M_get_data(MPI_M_msid msid, unsigned long* msg_counts,
 
 namespace {
 
-/// Reads the selected traffic classes of BOTH metrics as one interleaved
-/// row blob of 2n words, [counts row | sizes row]: the failure-aware
-/// gathers' wire format, so they too pay one collective per call
-/// (docs/PERF.md, "One collective per gather").
-std::vector<unsigned long> read_row_blob(MonSession& s, int flags) {
-  const std::size_t n = static_cast<std::size_t>(s.comm.size());
-  std::vector<unsigned long> blob(2 * n);
-  read_metric(s, flags, 0, blob.data());
-  read_metric(s, flags, 1, blob.data() + n);
-  return blob;
-}
-
-/// Splits a gathered rows x 2n blob matrix back into the caller's count
-/// and size matrices (either may be MPI_M_DATA_IGNORE). A sentinel-filled
-/// blob row lands as sentinel rows in both outputs.
-void deinterleave_blob(const unsigned long* fused, std::size_t n,
-                       unsigned long* matrix_counts,
-                       unsigned long* matrix_sizes) {
-  for (std::size_t r = 0; r < n; ++r) {
-    const unsigned long* src = fused + r * 2 * n;
-    if (matrix_counts != MPI_M_DATA_IGNORE)
-      std::copy(src, src + n, matrix_counts + r * n);
-    if (matrix_sizes != MPI_M_DATA_IGNORE)
-      std::copy(src + n, src + 2 * n, matrix_sizes + r * n);
-  }
-}
-
 /// Counts a failure-aware receive that came back without data: a dead
 /// peer in mpim_mon_dead_skips_total, a silent one in
 /// mpim_mon_gather_timeouts_total.
@@ -635,69 +609,43 @@ void count_lost(Ctx::RecvWait rc) {
              tele_rank());
 }
 
-/// mpi::ft_gather of every member's `row` (any width w) into the rows x w
-/// `matrix` at group rank `root`. A lost row is counted and set to
-/// MPI_M_DATA_MISSING. Returns the lost-row mask at the root, empty
-/// elsewhere.
-std::vector<bool> ft_gather_rows(MonSession& s,
-                                 const std::vector<unsigned long>& row,
-                                 int root, unsigned long* matrix) {
-  const std::size_t w = row.size();
-  const std::vector<Ctx::RecvWait> got =
-      mpim::mpi::ft_gather(s.comm, row.data(), w * sizeof(unsigned long),
-                           matrix, root, mon_state().gather_timeout_s);
-  std::vector<bool> lost(got.size(), false);
+/// Gathers the size of `words` per member to group rank `root` (the rows
+/// are in the slot): coll::gather, or ft_gather when the fault plan can
+/// fail a receive. Returns the rows the root lost, each counted.
+std::vector<bool> slot_gather(const MonSession& s, std::size_t words,
+                              int root) {
+  Ctx& ctx = Ctx::current();
+  std::vector<bool> lost(static_cast<std::size_t>(s.comm.size()), false);
+  if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
+    mpim::mpi::coll::gather(ctx, nullptr, words, Type::UnsignedLong, nullptr,
+                            root, s.comm, CommKind::tool);
+    return lost;
+  }
+  const std::vector<Ctx::RecvWait> got = mpim::mpi::ft_gather(
+      s.comm, nullptr, words * sizeof(unsigned long), nullptr, root,
+      mon_state().gather_timeout_s);
   for (std::size_t r = 0; r < got.size(); ++r) {
-    if (got[r] == Ctx::RecvWait::ok) continue;
     count_lost(got[r]);
-    std::fill(matrix + r * w, matrix + (r + 1) * w, MPI_M_DATA_MISSING);
-    lost[r] = true;
+    lost[r] = got[r] != Ctx::RecvWait::ok;
   }
   return lost;
 }
 
-/// mpi::ft_bcast of `count` words from group rank 0; false, with the loss
-/// counted, when they never arrived.
-bool ft_bcast_words(MonSession& s, unsigned long* words, std::size_t count) {
-  const Ctx::RecvWait rc =
-      mpim::mpi::ft_bcast(s.comm, words, count * sizeof(unsigned long), 0,
-                          mon_state().gather_timeout_s);
+/// Broadcasts the size of `words` from group rank 0 (they are in the
+/// slot): coll::bcast, or ft_bcast when the fault plan can fail a
+/// receive. False, with the loss counted, when it never arrived.
+bool slot_bcast(const MonSession& s, std::size_t words) {
+  Ctx& ctx = Ctx::current();
+  const std::size_t bytes = words * sizeof(unsigned long);
+  if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
+    mpim::mpi::coll::bcast(ctx, nullptr, bytes, Type::Byte, 0, s.comm,
+                           CommKind::tool);
+    return true;
+  }
+  const Ctx::RecvWait rc = mpim::mpi::ft_bcast(s.comm, nullptr, bytes, 0,
+                                               mon_state().gather_timeout_s);
   count_lost(rc);
   return rc == Ctx::RecvWait::ok;
-}
-
-/// Failure-aware gather of every member's `row` into the rows x w `recv`
-/// at `root`, or at everyone when root < 0: ft_gather_rows to the root
-/// (group rank 0 for an allgather, which then ft_bcasts the matrix with
-/// its missing-row count appended). A crashed or stalled rank costs at
-/// most one timeout and a sentinel row, not a hang. Returns the missing
-/// rows on receiving ranks.
-int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
-                   int root, unsigned long* recv) {
-  const std::size_t rows = static_cast<std::size_t>(s.comm.size());
-  const std::size_t w = row.size();
-  const bool receives =
-      root < 0 ||
-      s.comm.group_rank_of_world(Ctx::current().world_rank()) == root;
-  // rows x w matrix plus the missing-row count. Left uninitialized: the
-  // gather root fills every row (received or sentinel) and sets the count,
-  // and the other ranks of an allgather take the whole message from the
-  // broadcast or fill it with sentinels.
-  const std::size_t words = rows * w + 1;
-  std::unique_ptr<unsigned long[]> msg;
-  if (receives) msg = std::make_unique_for_overwrite<unsigned long[]>(words);
-  const std::vector<bool> lost =
-      ft_gather_rows(s, row, std::max(root, 0), msg.get());
-  if (!receives) return 0;
-  unsigned long& missing = msg[words - 1];
-  missing = static_cast<unsigned long>(
-      std::count(lost.begin(), lost.end(), true));
-  if (root < 0 && !ft_bcast_words(s, msg.get(), words)) {
-    std::fill_n(msg.get(), words - 1, MPI_M_DATA_MISSING);
-    missing = static_cast<unsigned long>(rows);
-  }
-  if (recv != nullptr) std::copy_n(msg.get(), words - 1, recv);
-  return static_cast<int>(missing);
 }
 
 /// Gathers every member's counts and sizes rows (kind filter `flags`) into
@@ -707,8 +655,8 @@ int gather_rows_ft(MonSession& s, const std::vector<unsigned long>& row,
 /// single-collective contract is observable in span counts. Either output
 /// may be MPI_M_DATA_IGNORE, and non-receivers' outputs are never written;
 /// traffic does not depend on them. Returns the number of contributors
-/// whose rows could not be gathered (always 0 when the engine runs
-/// without a fault plan).
+/// whose rows could not be gathered, which are MPI_M_DATA_MISSING rows in
+/// the outputs (always 0 unless the fault plan can fail a receive).
 int gather_matrices(MonSession& s, int flags, int root, unsigned long* counts,
                     unsigned long* sizes) {
   Ctx& ctx = Ctx::current();
@@ -716,40 +664,42 @@ int gather_matrices(MonSession& s, int flags, int root, unsigned long* counts,
   const int myrank = s.comm.group_rank_of_world(ctx.world_rank());
   const bool receives = (root < 0) || (myrank == root);
   const double t0 = ctx.now();
-  int missing = 0;
-  if (ctx.engine().config().fault_plan != nullptr) {
-    const std::vector<unsigned long> blob = read_row_blob(s, flags);
-    // Uninitialized: gather_rows_ft writes all n x 2n words before they
-    // are read.
-    std::unique_ptr<unsigned long[]> fused;
-    if (receives)
-      fused = std::make_unique_for_overwrite<unsigned long[]>(n * 2 * n);
-    missing = gather_rows_ft(s, blob, root, fused.get());
-    if (receives) deinterleave_blob(fused.get(), n, counts, sizes);
+  // The rows meet in the call's exchange slot, [counts | sizes] as two
+  // n x n matrices; the collective carries only their sizes.
+  Exchange& slot = enter_exchange(s.comm, 2 * n * n);
+  unsigned long* const all[2] = {slot.words.get(), slot.words.get() + n * n};
+  const std::size_t mine = static_cast<std::size_t>(myrank) * n;
+  read_metric(s, flags, 0, all[0] + mine);
+  read_metric(s, flags, 1, all[1] + mine);
+  std::vector<bool> lost(n, false);
+  if (root >= 0) {
+    lost = slot_gather(s, 2 * n, root);
+  } else if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
+    mpim::mpi::coll::allgather(ctx, nullptr, 2 * n, Type::UnsignedLong,
+                               nullptr, s.comm, CommKind::tool);
   } else {
-    // The rows meet in the call's exchange slot, [counts | sizes] as two
-    // n x n matrices; the collective carries only their sizes.
-    Exchange& slot = enter_exchange(s.comm, 2 * n * n,
-                                    root < 0 ? static_cast<int>(n) : 1);
-    unsigned long* all_counts = slot.words.get();
-    unsigned long* all_sizes = all_counts + n * n;
-    const std::size_t mine = static_cast<std::size_t>(myrank) * n;
-    read_metric(s, flags, 0, all_counts + mine);
-    read_metric(s, flags, 1, all_sizes + mine);
-    if (root < 0) {
-      mpim::mpi::coll::allgather(ctx, nullptr, 2 * n, Type::UnsignedLong,
-                                 nullptr, s.comm, CommKind::tool);
-    } else {
-      mpim::mpi::coll::gather(ctx, nullptr, 2 * n, Type::UnsignedLong,
-                              nullptr, root, s.comm, CommKind::tool);
-    }
-    if (receives) {
-      if (counts != MPI_M_DATA_IGNORE)
-        std::copy_n(all_counts, n * n, counts);
-      if (sizes != MPI_M_DATA_IGNORE) std::copy_n(all_sizes, n * n, sizes);
-      leave_exchange(slot);
+    // Group rank 0 publishes its lost rows, then broadcasts the size of
+    // the n x 2n matrix and a missing-row count.
+    lost = slot_gather(s, 2 * n, 0);
+    if (myrank == 0) slot.lost = lost;
+    if (!slot_bcast(s, 2 * n * n + 1))
+      lost.assign(n, true);
+    else if (myrank != 0)
+      lost = slot.lost;
+  }
+  const int missing =
+      static_cast<int>(std::count(lost.begin(), lost.end(), true));
+  unsigned long* const outs[2] = {counts, sizes};
+  for (int m = 0; m < 2 && receives; ++m) {
+    if (outs[m] == MPI_M_DATA_IGNORE) continue;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (lost[r])
+        std::fill_n(outs[m] + r * n, n, MPI_M_DATA_MISSING);
+      else
+        std::copy_n(all[m] + r * n, n, outs[m] + r * n);
     }
   }
+  leave_exchange(slot);
   tele().span_complete(tele_rank(), "mon.gather", 'S', t0,
                        Ctx::current().now(), static_cast<std::int64_t>(2 * n),
                        static_cast<std::int64_t>(missing));
@@ -1085,45 +1035,20 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     const std::size_t result_words = 2 + K * (1 + 2 * n * n);
     const int myrank = s->comm.group_rank_of_world(ctx.world_rank());
 
-    // Gather every blob to rank 0, which aligns the windows, then
-    // redistribute the result. Without a fault plan the blobs and the
-    // result meet in the call's exchange slot and both collectives carry
-    // only their sizes. Under a fault plan both steps are the
-    // failure-aware tool collectives, and a lost result reads as every
-    // contributor missing.
-    Exchange* slot = nullptr;
-    std::vector<unsigned long> ft_result;
-    const unsigned long* result = nullptr;
-    if (ctx.engine().config().fault_plan == nullptr) {
-      slot = &enter_exchange(s->comm, n * blob_words, static_cast<int>(n));
-      build_frames_blob(*s, max_frames, flags,
-                        slot->words.get() +
-                            static_cast<std::size_t>(myrank) * blob_words);
-      mpim::mpi::coll::gather(ctx, nullptr, blob_words, Type::UnsignedLong,
-                              nullptr, 0, s->comm, CommKind::tool);
-      if (myrank == 0)
-        slot->result = assemble_frames_result(
-            slot->words.get(), std::vector<bool>(n, false), max_frames, n);
-      mpim::mpi::coll::bcast(ctx, nullptr,
-                             result_words * sizeof(unsigned long), Type::Byte,
-                             0, s->comm, CommKind::tool);
-      result = slot->result.data();
-    } else {
-      std::vector<unsigned long> blob(blob_words);
-      build_frames_blob(*s, max_frames, flags, blob.data());
-      ft_result.assign(result_words, 0ul);
-      std::vector<unsigned long> gathered(myrank == 0 ? n * blob_words : 0);
-      const std::vector<bool> lost =
-          ft_gather_rows(*s, blob, 0, gathered.data());
-      if (myrank == 0)
-        ft_result = assemble_frames_result(gathered.data(), lost, max_frames,
-                                           n);
-      if (!ft_bcast_words(*s, ft_result.data(), ft_result.size())) {
-        ft_result[0] = 0;  // no windows, every contributor missing
-        ft_result[1] = static_cast<unsigned long>(n);
-      }
-      result = ft_result.data();
-    }
+    // The blobs meet in the call's exchange slot, and rank 0 aligns them
+    // into its result. A lost blob's rows read as missing; a lost
+    // broadcast, as every contributor missing.
+    Exchange& slot = enter_exchange(s->comm, n * blob_words);
+    build_frames_blob(*s, max_frames, flags,
+                      slot.words.get() +
+                          static_cast<std::size_t>(myrank) * blob_words);
+    const std::vector<bool> lost = slot_gather(*s, blob_words, 0);
+    if (myrank == 0)
+      slot.result =
+          assemble_frames_result(slot.words.get(), lost, max_frames, n);
+    const unsigned long none[2] = {0, static_cast<unsigned long>(n)};
+    const unsigned long* result =
+        slot_bcast(*s, result_words) ? slot.result.data() : none;
     const int missing = static_cast<int>(result[1]);
 
     const std::size_t W = static_cast<std::size_t>(result[0]);
@@ -1143,7 +1068,7 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     }
 
     if (missing == 0) refresh_derived_metrics(*s, result, n);
-    if (slot != nullptr) leave_exchange(*slot);
+    leave_exchange(slot);
     if (missing > 0) {
       tele().add(Metric::mon_partial_data, tele_rank());
       return MPI_M_PARTIAL_DATA;

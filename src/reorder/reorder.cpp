@@ -123,7 +123,7 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
   mpi::Ctx& ctx = mpi::Ctx::current();
   const int n = comm.size();
   const int myrank = mpi::comm_rank(comm);
-  const bool faulty = ctx.engine().config().fault_plan != nullptr;
+  const bool faulty = mpi::tool_receives_can_fail(ctx.engine());
   telemetry::Hub& hub = ctx.engine().telemetry();
   const int wrank = ctx.world_rank();
 
@@ -240,13 +240,14 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
 namespace {
 
 /// Cross-rank maximum of each rank's phase-boundary count. Fault-free runs
-/// use a tool-class allreduce (never monitored); under a fault plan rank 0
-/// takes the maximum over an ft_gather, where an unreachable rank counts as
-/// 0, and ft_bcasts it. A rank that cannot hear rank 0 keeps its own count,
-/// so a dead rank suppresses triggering instead of hanging the hook.
+/// use a tool-class allreduce (never monitored); when the fault plan can
+/// fail a receive, rank 0 takes the maximum over an ft_gather, where an
+/// unreachable rank counts as 0, and ft_bcasts it. A rank that cannot hear
+/// rank 0 keeps its own count, so a dead rank suppresses triggering
+/// instead of hanging the hook.
 int agree_max_boundaries(mpi::Ctx& ctx, const mpi::Comm& comm,
                          int local_boundaries) {
-  if (ctx.engine().config().fault_plan == nullptr) {
+  if (!mpi::tool_receives_can_fail(ctx.engine())) {
     int global = 0;
     mpi::coll::allreduce(ctx, &local_boundaries, &global, 1, mpi::Type::Int,
                          mpi::Op::Max, comm, mpi::CommKind::tool);
@@ -291,9 +292,8 @@ ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
   bool fire = global > *seen_boundaries;
   if (fire) *seen_boundaries = global;
 
-  const bool consult_critpath =
-      opts.use_critpath_mismatch &&
-      ctx.engine().config().fault_plan == nullptr;
+  const bool consult_critpath = opts.use_critpath_mismatch &&
+                                !mpi::tool_receives_can_fail(ctx.engine());
   if (consult_critpath) {
     // The agreement collective runs whether or not a profiler is attached
     // (all-zero contributions without one), so the trigger option never

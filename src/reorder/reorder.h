@@ -50,9 +50,9 @@ struct ReorderResult {
   std::vector<int> k;       ///< old rank -> new rank (valid on all ranks)
   /// True when the step could not trust the gathered matrix (partial data,
   /// dead ranks, or a validation failure) and fell back to the identity
-  /// permutation with opt_comm == comm. In runs without a fault plan the
-  /// flag is only meaningful at rank 0 (the distribution stays bitwise
-  /// compatible with the fault-free protocol).
+  /// permutation with opt_comm == comm. Unless the fault plan can fail a
+  /// receive the flag is only meaningful at rank 0 (the distribution stays
+  /// bitwise compatible with the fault-free protocol).
   bool fell_back = false;
   std::string fallback_reason;  ///< set where fell_back is true
 };
@@ -84,10 +84,10 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm);
 /// on the traffic monitored so far and `*seen_boundaries` is advanced;
 /// otherwise the result is the identity over `comm`, with no TreeMatch run.
 /// The session is resumed before returning either way. Collective over
-/// `comm`; `triggered` (optional) reports whether reordering ran. Under a
-/// fault plan the agreement degrades like the other steps: unreachable
-/// ranks count as "no new phase" instead of hanging the step, and
-/// reorder_ranks keeps its identity fallback.
+/// `comm`; `triggered` (optional) reports whether reordering ran. When the
+/// fault plan can fail a receive the agreement degrades like the other
+/// steps: unreachable ranks count as "no new phase" instead of hanging
+/// the step, and reorder_ranks keeps its identity fallback.
 ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
                                int* seen_boundaries,
                                bool* triggered = nullptr);
@@ -101,8 +101,8 @@ struct PhaseReorderOptions {
   /// wait > min_wait_ns, agreed across `comm` with a tool-class allreduce.
   /// The agreement traffic runs whether or not a profiler is attached
   /// (zeros without one), so virtual clocks are bit-identical profiler on
-  /// or off. Ignored under a fault plan (the extra collective would hang
-  /// on dead ranks; the boundary trigger already degrades gracefully).
+  /// or off. Ignored when the fault plan can fail a receive (the extra
+  /// collective would hang on dead ranks; the boundary trigger degrades).
   bool use_critpath_mismatch = false;
   /// Wait floor (virtual ns, summed over `comm`) below which the mismatch
   /// trigger never fires.

@@ -1,5 +1,6 @@
 #include "tools/prof_reader.h"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -83,6 +84,9 @@ CommMatrix read_matrix_profile(const std::string& path) {
     for (const std::string& cell : cells_of(line))
       row.push_back(count_cell(cell, where));
     check(!row.empty(), "empty matrix row in " + where);
+    const auto missing = std::count(row.begin(), row.end(), kMissingCell);
+    check(missing == 0 || static_cast<std::size_t>(missing) == row.size(),
+          "row mixes MPI_M_DATA_MISSING cells with counts in " + where);
     rows.push_back(std::move(row));
   }
   check(!rows.empty(), "no matrix rows in " + path);
@@ -95,11 +99,19 @@ CommMatrix read_matrix_profile(const std::string& path) {
   return m;
 }
 
+bool missing_row(const CommMatrix& m, std::size_t i) {
+  return std::ranges::find(m.row(i), kMissingCell) != m.row(i).end();
+}
+
 MatrixSummary summarize(const CommMatrix& m) {
   MatrixSummary out;
   std::size_t nonzero = 0;
   const std::size_t n = m.rows();
   for (std::size_t i = 0; i < n; ++i) {
+    if (missing_row(m, i)) {
+      out.missing_rows.push_back(i);
+      continue;
+    }
     for (std::size_t j = 0; j < n; ++j) {
       if (i == j) continue;
       const unsigned long v = m(i, j);
@@ -112,7 +124,7 @@ MatrixSummary summarize(const CommMatrix& m) {
       }
     }
   }
-  const std::size_t off_diag = n * n - n;
+  const std::size_t off_diag = (n - out.missing_rows.size()) * (n - 1);
   out.density = off_diag == 0
                     ? 0.0
                     : static_cast<double>(nonzero) /

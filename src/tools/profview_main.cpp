@@ -130,32 +130,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "--matrix needs a file\n");
         return 2;
       }
-      const CommMatrix m = tools::read_matrix_profile(argv[2]);
-      const auto s = tools::summarize(m);
-      std::printf("matrix order %zu\n", m.rows());
-      std::printf("total volume        : %s\n",
-                  format_bytes(static_cast<double>(s.total)).c_str());
-      std::printf("heaviest pair       : %zu -> %zu (%s)\n", s.heaviest_src,
-                  s.heaviest_dst,
-                  format_bytes(static_cast<double>(s.heaviest_value)).c_str());
-      std::printf("off-diagonal density: %.1f%%\n", 100.0 * s.density);
-      Table t({"sender", "total sent", "heaviest peer"});
-      for (std::size_t i = 0; i < m.rows(); ++i) {
-        unsigned long row_total = 0, best_v = 0;
-        std::size_t best_j = 0;
-        for (std::size_t j = 0; j < m.cols(); ++j) {
-          row_total += m(i, j);
-          if (m(i, j) > best_v) {
-            best_v = m(i, j);
-            best_j = j;
-          }
-        }
-        if (row_total)
-          t.add(i, format_bytes(static_cast<double>(row_total)),
-                std::to_string(best_j) + " (" +
-                    format_bytes(static_cast<double>(best_v)) + ")");
-      }
-      t.print(std::cout);
+      tools::report_matrix(argv[2], std::cout);
       return 0;
     }
 

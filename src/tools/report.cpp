@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <ostream>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "support/cells.h"
 #include "support/error.h"
 #include "support/table.h"
+#include "tools/prof_reader.h"
 
 namespace mpim::tools {
 
@@ -365,6 +367,42 @@ void report_critpath(const std::string& path, std::ostream& os) {
     }
     os << "  rank " << rank << "\t|" << lane << "|\n";
   }
+}
+
+void report_matrix(const std::string& path, std::ostream& os) {
+  const CommMatrix m = read_matrix_profile(path);
+  const MatrixSummary s = summarize(m);
+  std::ostringstream density;
+  density << std::fixed << std::setprecision(1) << 100.0 * s.density << "%";
+  os << "matrix order " << m.rows() << "\n"
+     << "total volume        : "
+     << format_bytes(static_cast<double>(s.total)) << "\n"
+     << "heaviest pair       : " << s.heaviest_src << " -> " << s.heaviest_dst
+     << " (" << format_bytes(static_cast<double>(s.heaviest_value)) << ")\n"
+     << "off-diagonal density: " << density.str() << "\n";
+  if (!s.missing_rows.empty()) {
+    os << "missing rows        :";
+    for (const std::size_t i : s.missing_rows) os << " " << i;
+    os << " (contributors the gather lost)\n";
+  }
+  Table t({"sender", "total sent", "heaviest peer"});
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    if (missing_row(m, i)) continue;
+    unsigned long row_total = 0, best_v = 0;
+    std::size_t best_j = 0;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      row_total += m(i, j);
+      if (m(i, j) > best_v) {
+        best_v = m(i, j);
+        best_j = j;
+      }
+    }
+    if (row_total)
+      t.add(i, format_bytes(static_cast<double>(row_total)),
+            std::to_string(best_j) + " (" +
+                format_bytes(static_cast<double>(best_v)) + ")");
+  }
+  t.print(os);
 }
 
 void report_timeline(const std::string& path, std::ostream& os) {

@@ -1,6 +1,7 @@
 // Offline report renderers shared by the profview/monview binaries and the
-// tools tests: each takes a CSV produced by the telemetry exporters or the
-// introspection snapshot layer and renders a human-readable report to `os`.
+// tools tests: each takes a file produced by the telemetry exporters, the
+// introspection snapshot layer or MPI_M_rootflush and renders a
+// human-readable report to `os`.
 // All readers parse strictly and throw mpim::Error on malformed input
 // (missing file, bad header, truncated row, non-numeric or NaN cell).
 #pragma once
@@ -9,6 +10,11 @@
 #include <string>
 
 namespace mpim::tools {
+
+/// Renders a rootflush matrix file (tools::read_matrix_profile): order,
+/// total volume, heaviest pair, density, the missing rows of contributors
+/// the gather lost, and a per-sender table of the other rows.
+void report_matrix(const std::string& path, std::ostream& os);
 
 /// Renders the metric,kind,rank,field,value CSV written by
 /// telemetry::write_metrics_csv: a scalar rollup (totals + busiest rank)

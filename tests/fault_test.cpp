@@ -12,6 +12,7 @@
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
+#include "minimpi/ft.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
 #include "reorder/reorder.h"
@@ -85,6 +86,51 @@ TEST(FaultPlan, DrawsAreReproducibleAcrossInstancesAndRuns) {
   }
   EXPECT_TRUE(any_jitter);
   EXPECT_TRUE(any_retransmit);  // drop_prob 0.3 over 20 messages
+}
+
+TEST(FaultPlan, OnlyCrashesWallStallsAndDropsCanFailAReceive) {
+  // What selects the failure-aware tool collectives: a plan that only
+  // moves virtual time must run exactly the program a run without a plan
+  // runs.
+  struct Case {
+    const char* what;
+    std::vector<fault::LinkFault> links;
+    std::vector<fault::RankFault> ranks;
+    bool can_fail;
+  };
+  const Case cases[] = {
+      {"empty plan", {}, {}, false},
+      {"jitter", {{.delay_jitter_s = 1e-6}}, {}, false},
+      {"degradation window",
+       {{.degrade_from_s = 0.0, .degrade_until_s = 1.0, .degrade_factor = 4.0}},
+       {},
+       false},
+      {"slowdown", {}, {{.rank = 1, .slowdown = 2.0}}, false},
+      {"virtual-only stall",
+       {},
+       {{.rank = 1, .stall_at_s = 1e-3, .stall_virtual_s = 1e-3}},
+       false},
+      {"finite crash", {}, {{.rank = 1, .crash_at_s = 1e9}}, true},
+      {"wall stall",
+       {},
+       {{.rank = 1, .stall_at_s = 1e-3, .stall_wall_s = 0.1}},
+       true},
+      {"drops", {{.drop_prob = 0.1}}, {}, true},
+      {"jitter and a crash",
+       {{.delay_jitter_s = 1e-6}},
+       {{.rank = 0, .crash_at_s = 1.0}},
+       true},
+  };
+  for (const Case& c : cases) {
+    auto plan = std::make_shared<fault::FaultPlan>(1);
+    for (const fault::LinkFault& f : c.links) plan->add(f);
+    for (const fault::RankFault& f : c.ranks) plan->add(f);
+    EXPECT_EQ(plan->can_fail_receives(), c.can_fail) << c.what;
+    const Engine eng(fault_cfg(2, plan));
+    EXPECT_EQ(tool_receives_can_fail(eng), c.can_fail) << c.what;
+  }
+  const Engine no_plan(fault_cfg(2));
+  EXPECT_FALSE(tool_receives_can_fail(no_plan));
 }
 
 // --- deterministic virtual clocks under faults -------------------------------

@@ -8,14 +8,17 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/osc.h"
+#include "mpimon/critpath_attach.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpimon/session.hpp"
 #include "mpimon/sim.h"
+#include "reorder/reorder.h"
 #include "support/rng.h"
 
 namespace mpim {
@@ -865,7 +868,7 @@ TEST(MpiMon, GatherFramesReconstructsWindowIndices) {
 }
 
 TEST(MpiMon, GathersEmitExactlyOneCollectiveSpanPerCall) {
-  // The fused gather contract: every MPI_M_{allgather,rootgather}_data and
+  // The one-collective contract: every MPI_M_{allgather,rootgather}_data and
   // MPI_M_rootflush call moves counts AND sizes with ONE collective,
   // observable as exactly one "mon.gather" span per call and participant.
   Sim sim = make_sim(4);
@@ -898,7 +901,7 @@ TEST(MpiMon, GathersEmitExactlyOneCollectiveSpanPerCall) {
     for (const auto& sp : sim.engine().telemetry().spans(rank)) {
       if (std::string(sp.name) == "mon.gather") {
         ++gather_spans;
-        EXPECT_EQ(sp.a, 8);  // fused row width 2n
+        EXPECT_EQ(sp.a, 8);  // row width 2n
         EXPECT_EQ(sp.b, 0);  // nothing missing without a fault plan
       }
     }
@@ -908,21 +911,42 @@ TEST(MpiMon, GathersEmitExactlyOneCollectiveSpanPerCall) {
   std::remove((prof + "_sizes.0.prof").c_str());
 }
 
-// --- the fault-free data path against the failure-aware one -----------------
+// --- one data path under three fault plans ------------------------------------
 
 /// What one rank reads back through the data-access calls of
 /// `exchange_program`: every output buffer as it stood after its call
-/// (fill values included), the return codes, get_frames' window times,
-/// and the root's two rootflush files.
+/// (fill values included), the return codes, get_frames' window times and
+/// the root's two rootflush files; and, for the oracle, the rank's own rows
+/// as MPI_M_get_data reports them before each gather.
 struct Readback {
   std::vector<int> rcs;
   std::vector<std::vector<unsigned long>> bufs;
   std::vector<double> times;
   std::string files;
+  /// [counts row | sizes row] per gather call, in call order.
+  std::vector<std::vector<unsigned long>> own;
 };
 
 constexpr unsigned long kFill = 0x5a5a5a5a5a5a5a5aul;
 constexpr int kFrames = 4;
+
+/// The gather calls of `exchange_program`, in order: the session (0: the
+/// world's, with a snapshot; 1: its duplicate's), the kind filter, whether
+/// it is a rootgather at group rank n-1 rather than an allgather, and
+/// which matrices the caller asks for (non-roots pass buffers too).
+struct GatherCall {
+  int session;
+  int flags;
+  bool rootgather;
+  bool counts;
+  bool sizes;
+};
+constexpr GatherCall kGatherCalls[] = {
+    {0, MPI_M_ALL_COMM, false, true, true},
+    {1, MPI_M_P2P_ONLY, false, false, true},
+    {0, MPI_M_COLL_ONLY | MPI_M_P2P_ONLY, true, true, true},
+    {1, MPI_M_ALL_COMM, true, true, false},
+};
 
 std::string slurp_and_remove(const std::string& path) {
   std::ifstream is(path);
@@ -963,10 +987,11 @@ void seeded_traffic(const Comm& world, const Comm& dup, std::uint64_t seed) {
 }
 
 /// Two sessions (world with a snapshot, and a duplicate) watch the seeded
-/// traffic, then every data-access collective reads them back into
-/// kFill-filled buffers: allgather of both matrices and of sizes only,
-/// rootgather at group rank n-1 (non-roots pass buffers too) of both and
-/// of counts only, rootflush at n-1, and get_frames.
+/// traffic, then a phase hook that never fires runs its agreement
+/// collectives (critpath's mismatch allreduce included unless the plan can
+/// fail a receive), and every data-access collective reads the sessions
+/// back into kFill-filled buffers: the kGatherCalls, rootflush at n-1, and
+/// get_frames.
 void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
                       Readback& out) {
   const Comm world = ctx.world();
@@ -974,40 +999,54 @@ void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
   const int n = mpi::comm_size(world);
   const std::size_t nn = static_cast<std::size_t>(n) * n;
   ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
-  // The empty-plan reference takes the wall-clock-timed failure-aware
-  // path: never let a slow host turn it into partial data.
+  // The never-firing plan takes the wall-clock-timed failure-aware
+  // schedules: never let a slow host turn them into partial data.
   ASSERT_EQ(MPI_M_set_gather_timeout(60.0), MPI_M_SUCCESS);
-  MPI_M_msid a = -1, b = -1;
-  ASSERT_EQ(MPI_M_start(world, &a), MPI_M_SUCCESS);
-  ASSERT_EQ(MPI_M_start(dup, &b), MPI_M_SUCCESS);
-  ASSERT_EQ(MPI_M_snapshot_start(a, 3e-5, kFrames, MPI_M_ALL_COMM),
+  MPI_M_msid ids[2] = {-1, -1};
+  ASSERT_EQ(MPI_M_start(world, &ids[0]), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_start(dup, &ids[1]), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_snapshot_start(ids[0], 3e-5, kFrames, MPI_M_ALL_COMM),
             MPI_M_SUCCESS);
   seeded_traffic(world, dup, seed);
-  ASSERT_EQ(MPI_M_suspend(a), MPI_M_SUCCESS);
-  ASSERT_EQ(MPI_M_suspend(b), MPI_M_SUCCESS);
+  // The frames end with the traffic, not when the schedules below finish,
+  // so they are comparable across plans.
+  ASSERT_EQ(MPI_M_snapshot_stop(ids[0]), MPI_M_SUCCESS);
+  int seen = std::numeric_limits<int>::max();  // no boundary count exceeds it
+  bool fired = true;
+  const reorder::ReorderResult phase = reorder::reorder_on_phase(
+      ids[0], world, &seen, &fired,
+      {.use_critpath_mismatch = true,
+       .min_wait_ns = std::numeric_limits<std::uint64_t>::max()});
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(phase.k, reorder::identity_k(static_cast<std::size_t>(n)));
+  ASSERT_EQ(MPI_M_suspend(ids[0]), MPI_M_SUCCESS);
+  ASSERT_EQ(MPI_M_suspend(ids[1]), MPI_M_SUCCESS);
 
   std::vector<unsigned long> counts(nn, kFill), sizes(nn, kFill);
-  const auto take = [&](int rc) {
-    out.rcs.push_back(rc);
+  for (const GatherCall& call : kGatherCalls) {
+    const MPI_M_msid id = ids[call.session];
+    std::vector<unsigned long> own(2 * static_cast<std::size_t>(n));
+    ASSERT_EQ(MPI_M_get_data(id, own.data(), own.data() + n, call.flags),
+              MPI_M_SUCCESS);
+    out.own.push_back(own);
+    unsigned long* c = call.counts ? counts.data() : MPI_M_DATA_IGNORE;
+    unsigned long* s = call.sizes ? sizes.data() : MPI_M_DATA_IGNORE;
+    out.rcs.push_back(call.rootgather
+                          ? MPI_M_rootgather_data(id, n - 1, c, s, call.flags)
+                          : MPI_M_allgather_data(id, c, s, call.flags));
     out.bufs.push_back(counts);
     out.bufs.push_back(sizes);
     std::fill(counts.begin(), counts.end(), kFill);
     std::fill(sizes.begin(), sizes.end(), kFill);
-  };
-  take(MPI_M_allgather_data(a, counts.data(), sizes.data(), MPI_M_ALL_COMM));
-  take(MPI_M_allgather_data(b, MPI_M_DATA_IGNORE, sizes.data(),
-                            MPI_M_P2P_ONLY));
-  take(MPI_M_rootgather_data(a, n - 1, counts.data(), sizes.data(),
-                             MPI_M_COLL_ONLY | MPI_M_P2P_ONLY));
-  take(MPI_M_rootgather_data(b, n - 1, counts.data(), MPI_M_DATA_IGNORE,
-                             MPI_M_ALL_COMM));
-  out.rcs.push_back(MPI_M_rootflush(a, n - 1, prefix.c_str(), MPI_M_ALL_COMM));
+  }
+  out.rcs.push_back(
+      MPI_M_rootflush(ids[0], n - 1, prefix.c_str(), MPI_M_ALL_COMM));
 
   std::vector<unsigned long> frame_counts(kFrames * nn, kFill),
       frame_sizes(kFrames * nn, kFill);
   std::vector<double> t0(kFrames, -1.0), t1(kFrames, -1.0);
   int nframes = -1;
-  out.rcs.push_back(MPI_M_get_frames(a, kFrames, &nframes, t0.data(),
+  out.rcs.push_back(MPI_M_get_frames(ids[0], kFrames, &nframes, t0.data(),
                                      t1.data(), frame_counts.data(),
                                      frame_sizes.data(), MPI_M_ALL_COMM));
   out.rcs.push_back(nframes);
@@ -1016,8 +1055,8 @@ void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
   out.times = t0;
   out.times.insert(out.times.end(), t1.begin(), t1.end());
 
-  EXPECT_EQ(MPI_M_free(a), MPI_M_SUCCESS);
-  EXPECT_EQ(MPI_M_free(b), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_free(ids[0]), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_free(ids[1]), MPI_M_SUCCESS);
   EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
   // Only the root writes files; [rank] in their names is its world rank.
   const std::string me = std::to_string(ctx.world_rank());
@@ -1025,50 +1064,117 @@ void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
               slurp_and_remove(prefix + "_sizes." + me + ".prof");
 }
 
+/// The oracle for gather call `call`: what it must leave in rank `r`'s
+/// counts (or sizes) buffer. Where the call delivers and the caller asked,
+/// every rank's own rows stacked in rank order; the fill value elsewhere.
+std::vector<unsigned long> expected_buf(const std::vector<Readback>& all,
+                                        std::size_t call, bool sizes, int r) {
+  const GatherCall& c = kGatherCalls[call];
+  const std::size_t n = all.size();
+  std::vector<unsigned long> want(n * n, kFill);
+  const bool delivers = !c.rootgather || r == static_cast<int>(n) - 1;
+  if (!delivers || !(sizes ? c.sizes : c.counts)) return want;
+  for (std::size_t q = 0; q < n; ++q)
+    std::copy_n(all[q].own[call].begin() + (sizes ? n : 0), n,
+                want.begin() + q * n);
+  return want;
+}
+
+/// The oracle for the root's rootflush files (counts, then sizes): the own
+/// rows of gather call 0, which reads the same session and flags.
+std::string expected_files(const std::vector<Readback>& all) {
+  const std::size_t n = all.size();
+  std::string text;
+  for (const std::size_t half : {std::size_t{0}, n}) {
+    text += "# MPI_Monitoring matrix, order " + std::to_string(n) +
+            ", flags p2p|coll|osc\n";
+    for (const Readback& q : all) {
+      for (std::size_t j = 0; j < n; ++j)
+        text += (j ? " " : "") + std::to_string(q.own[0][half + j]);
+      text += "\n";
+    }
+  }
+  return text;
+}
+
 bool all_fill(const std::vector<unsigned long>& buf, std::size_t from = 0) {
   return std::all_of(buf.begin() + static_cast<std::ptrdiff_t>(from),
                      buf.end(), [](unsigned long v) { return v == kFill; });
 }
 
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// FNV-1a over the eight bytes of `word`, continuing from `h`.
+std::uint64_t fnv(std::uint64_t h, std::uint64_t word) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    h ^= (word >> shift) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
 std::uint64_t clock_bits_hash(const std::vector<double>& clocks) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const double c : clocks) {
-    const auto bits = std::bit_cast<std::uint64_t>(c);
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (bits >> shift) & 0xffu;
-      h *= 0x100000001b3ull;
-    }
+  std::uint64_t h = kFnvBasis;
+  for (const double c : clocks) h = fnv(h, std::bit_cast<std::uint64_t>(c));
+  return h;
+}
+
+std::uint64_t readback_hash(const std::vector<Readback>& all) {
+  std::uint64_t h = kFnvBasis;
+  for (const Readback& rb : all) {
+    for (const int rc : rb.rcs) h = fnv(h, static_cast<std::uint32_t>(rc));
+    for (const auto& buf : rb.bufs)
+      for (const unsigned long w : buf) h = fnv(h, w);
+    for (const double t : rb.times) h = fnv(h, std::bit_cast<std::uint64_t>(t));
+    for (const char ch : rb.files) h = fnv(h, static_cast<unsigned char>(ch));
+    for (const auto& row : rb.own)
+      for (const unsigned long w : row) h = fnv(h, w);
   }
   return h;
 }
 
 TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
-  // An empty fault plan switches every data-access collective to the
-  // failure-aware path, which carries real payloads: the reference. The
-  // fault-free path must read back the same words, leave every buffer it
-  // must not write at its fill value, and keep the virtual clocks it had
-  // when its collectives carried the payloads too (goldens captured then;
-  // contention on, so tool traffic crosses the NIC gate).
+  // One program under three fault plans. No plan and an empty plan both
+  // run the fault-free coll:: schedules and must agree bit for bit:
+  // every clock, return code and buffer, the frame times and the files. A
+  // plan that can fail a receive but never does (rank 0 crashes at 1e9 s)
+  // runs the failure-aware ft_gather/ft_bcast schedules. Every plan must
+  // read back what each rank's own MPI_M_get_data rows predict, leave every
+  // buffer it must not write at its fill value, and match the others word
+  // for word. Goldens pin both schedules' clocks and the readback; they
+  // were captured when the failure-aware schedules still carried the rows
+  // in their messages (contention on, so tool traffic crosses the NIC
+  // gate).
   struct Golden {
     int np;
-    double max_clock;
+    double max_clock;  // no plan, empty plan
     std::uint64_t hash;
+    double ft_max_clock;  // never-firing plan
+    std::uint64_t ft_hash;
+    std::uint64_t readback;
   };
   const Golden goldens[] = {
-      {1, 0x1.f75550584be02p-14, 0x9cdef4701022ee32ull},
-      {5, 0x1.990bb83ba176fp-12, 0xfef42376be404e58ull},
-      {37, 0x1.23fe861ec2787p-11, 0x752be664a622fce3ull},
-      {64, 0x1.aabfecc7dacd3p-11, 0xaf7600827a8b8666ull},
+      {1, 0x1.f75888fa87676p-14, 0x438ee495fded1435ull,
+       0x1.f75550584be02p-14, 0x9cdef4701022ee32ull, 0xdbaa036f5af09cc5ull},
+      {5, 0x1.9cef302a496bdp-12, 0x43606a6957b0503cull,
+       0x1.9c8e0d15df889p-12, 0x34d81155d2087002ull, 0x5f9e07951a4c491dull},
+      {37, 0x1.2a429f7df75f1p-11, 0x39b5064db68d606aull,
+       0x1.2aca214aca8abp-10, 0x82268d407bfc3faeull, 0xc6a2b35015fa255eull},
+      {64, 0x1.b15de2849d257p-11, 0xa5c0272dfe02bc03ull,
+       0x1.143605e3639c7p-8, 0x2a548f56e676b5cdull, 0x59d93369beed0184ull},
   };
+  enum { kNoPlan, kEmptyPlan, kNeverFires, kPlans };
+  const char* const plan_name[kPlans] = {"no plan", "empty plan",
+                                         "never-firing plan"};
   const std::string dir = std::filesystem::temp_directory_path();
   for (const Golden& g : goldens) {
     for (mpi::SchedMode sched :
          {mpi::SchedMode::threads, mpi::SchedMode::fibers}) {
       const std::string where = "np=" + std::to_string(g.np) + " " +
                                 mpi::sched_mode_name(sched);
-      std::vector<Readback> got[2];
-      std::vector<double> clocks;
-      for (const bool plan : {false, true}) {
+      std::vector<Readback> got[kPlans];
+      std::vector<double> clocks[kPlans];
+      for (int plan = 0; plan < kPlans; ++plan) {
         auto cost = net::CostModel::plafrim_like(3);
         mpi::EngineConfig cfg{
             .cost_model = cost,
@@ -1076,8 +1182,11 @@ TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
         cfg.nic_contention = true;
         cfg.watchdog_wall_timeout_s = 60.0;
         cfg.sched = sched;
-        if (plan) cfg.fault_plan = std::make_shared<fault::FaultPlan>(1);
+        if (plan != kNoPlan) cfg.fault_plan = std::make_shared<fault::FaultPlan>(1);
+        if (plan == kNeverFires)
+          cfg.fault_plan->add(fault::RankFault{.rank = 0, .crash_at_s = 1e9});
         Sim sim(std::move(cfg));
+        mon::attach_critpath(sim.engine());
         std::vector<Readback>& mine = got[plan];
         mine.assign(static_cast<std::size_t>(g.np), Readback{});
         const std::string prefix = dir + "/mpim_exchange_" +
@@ -1088,42 +1197,56 @@ TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
                            prefix,
                            mine[static_cast<std::size_t>(ctx.world_rank())]);
         });
-        if (!plan) clocks = sim.engine().final_clocks();
+        clocks[plan] = sim.engine().final_clocks();
       }
-      const double max_clock = *std::max_element(clocks.begin(), clocks.end());
-      EXPECT_EQ(max_clock, g.max_clock)
-          << where << ": " << std::hexfloat << max_clock;
-      EXPECT_EQ(clock_bits_hash(clocks), g.hash)
-          << where << ": 0x" << std::hex << clock_bits_hash(clocks);
+      const auto max_of = [](const std::vector<double>& c) {
+        return *std::max_element(c.begin(), c.end());
+      };
+      EXPECT_EQ(max_of(clocks[kNoPlan]), g.max_clock)
+          << where << ": " << std::hexfloat << max_of(clocks[kNoPlan]);
+      EXPECT_EQ(clock_bits_hash(clocks[kNoPlan]), g.hash)
+          << where << ": 0x" << std::hex << clock_bits_hash(clocks[kNoPlan]);
+      EXPECT_EQ(max_of(clocks[kNeverFires]), g.ft_max_clock)
+          << where << ": " << std::hexfloat << max_of(clocks[kNeverFires]);
+      EXPECT_EQ(clock_bits_hash(clocks[kNeverFires]), g.ft_hash)
+          << where << ": 0x" << std::hex
+          << clock_bits_hash(clocks[kNeverFires]);
+      EXPECT_EQ(clocks[kEmptyPlan], clocks[kNoPlan]) << where;
 
       const std::size_t nn = static_cast<std::size_t>(g.np) * g.np;
-      for (int r = 0; r < g.np; ++r) {
-        const Readback& ff = got[0][static_cast<std::size_t>(r)];
-        const Readback& ref = got[1][static_cast<std::size_t>(r)];
-        const std::string who = where + " rank " + std::to_string(r);
-        ASSERT_EQ(ff.rcs.size(), 7u) << who;
-        ASSERT_EQ(ff.bufs.size(), 10u) << who;
-        EXPECT_EQ(ff.rcs, ref.rcs) << who;
-        for (std::size_t i = 0; i < ff.bufs.size(); ++i)
-          EXPECT_EQ(ff.bufs[i], ref.bufs[i]) << who << " buffer " << i;
-        EXPECT_EQ(ff.times, ref.times) << who;
-        EXPECT_EQ(ff.files, ref.files) << who;
-        for (std::size_t call = 0; call < 6; ++call)
-          EXPECT_EQ(ff.rcs[call], MPI_M_SUCCESS) << who << " call " << call;
-        const bool root = r == g.np - 1;
-        EXPECT_FALSE(all_fill(ff.bufs[0])) << who;  // allgather counts
-        EXPECT_TRUE(all_fill(ff.bufs[2])) << who;   // ignored counts
-        EXPECT_NE(root, all_fill(ff.bufs[4])) << who;
-        EXPECT_NE(root, all_fill(ff.bufs[5])) << who;
-        EXPECT_NE(root, all_fill(ff.bufs[6])) << who;
-        EXPECT_TRUE(all_fill(ff.bufs[7])) << who;   // ignored sizes
-        EXPECT_EQ(root, !ff.files.empty()) << who;
-        // Windows past nframes are never written.
-        const auto written = static_cast<std::size_t>(ff.rcs[6]) * nn;
-        EXPECT_TRUE(all_fill(ff.bufs[8], written)) << who;
-        EXPECT_TRUE(all_fill(ff.bufs[9], written)) << who;
-        if (g.np > 1) {
-          EXPECT_GT(ff.rcs[6], 0) << who;
+      for (int plan = 0; plan < kPlans; ++plan) {
+        const std::vector<Readback>& all = got[plan];
+        EXPECT_EQ(readback_hash(all), g.readback)
+            << where << " " << plan_name[plan] << ": 0x" << std::hex
+            << readback_hash(all);
+        for (int r = 0; r < g.np; ++r) {
+          const Readback& rb = all[static_cast<std::size_t>(r)];
+          const Readback& ref = got[kNoPlan][static_cast<std::size_t>(r)];
+          const std::string who =
+              where + " " + plan_name[plan] + " rank " + std::to_string(r);
+          ASSERT_EQ(rb.rcs.size(), 7u) << who;
+          ASSERT_EQ(rb.bufs.size(), 10u) << who;
+          ASSERT_EQ(rb.own.size(), 4u) << who;
+          for (std::size_t call = 0; call < 6; ++call)
+            EXPECT_EQ(rb.rcs[call], MPI_M_SUCCESS) << who << " call " << call;
+          for (std::size_t i = 0; i < 8; ++i)
+            EXPECT_EQ(rb.bufs[i], expected_buf(all, i / 2, i % 2 == 1, r))
+                << who << " buffer " << i;
+          const bool root = r == g.np - 1;
+          EXPECT_EQ(rb.files, root ? expected_files(all) : "") << who;
+          // Windows past nframes are never written.
+          const auto written = static_cast<std::size_t>(rb.rcs[6]) * nn;
+          EXPECT_TRUE(all_fill(rb.bufs[8], written)) << who;
+          EXPECT_TRUE(all_fill(rb.bufs[9], written)) << who;
+          if (g.np > 1) {
+            EXPECT_GT(rb.rcs[6], 0) << who;
+          }
+          EXPECT_EQ(rb.rcs, ref.rcs) << who;
+          for (std::size_t i = 0; i < rb.bufs.size(); ++i)
+            EXPECT_EQ(rb.bufs[i], ref.bufs[i]) << who << " buffer " << i;
+          EXPECT_EQ(rb.times, ref.times) << who;
+          EXPECT_EQ(rb.files, ref.files) << who;
+          EXPECT_EQ(rb.own, ref.own) << who;
         }
       }
     }

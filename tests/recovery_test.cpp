@@ -522,7 +522,18 @@ EngineConfig contended_cfg(SchedMode sched,
   return cfg;
 }
 
-TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
+/// A plan that can fail a receive but never does: it selects the
+/// failure-aware schedules and changes nothing else.
+std::shared_ptr<fault::FaultPlan> never_firing_plan() {
+  return crash_plan({{0, 1e9}});
+}
+
+/// An allgather of a ring's sizes matrix under contention, run without a
+/// plan and then twice per backend under `plan`: every run must return
+/// MPI_M_SUCCESS and the no-plan matrix on every rank, each rank well
+/// within the gather timeout. Returns the no-plan clocks, then each run's.
+std::vector<std::vector<double>> contended_allgather_runs(
+    const std::function<std::shared_ptr<fault::FaultPlan>()>& plan) {
   constexpr int kNp = 8;
   constexpr double kGatherTimeoutS = 0.25;
   std::array<int, kNp> rcs{};
@@ -544,7 +555,8 @@ TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
          from, 0, world);
     // The root lags: it waits for the rows at a lower virtual clock than
     // any contributor sends them, so it would stay the gate's minimum if
-    // its timed waits did not leave the gate.
+    // its timed waits (on the failure-aware schedule) did not leave the
+    // gate.
     if (r != 0) compute(1e-3);
     ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
     auto& mine = sizes[static_cast<std::size_t>(r)];
@@ -562,13 +574,12 @@ TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
   mpit::Runtime plain_tool(plain);
   plain.run(workload);
   const std::vector<unsigned long> want = sizes[0];
-  ASSERT_EQ(want[0 * kNp + 1], 100ul);
-  ASSERT_EQ(want[7 * kNp + 0], 800ul);
+  EXPECT_EQ(want[0 * kNp + 1], 100ul);
+  EXPECT_EQ(want[7 * kNp + 0], 800ul);
 
-  std::vector<std::vector<double>> clocks;
+  std::vector<std::vector<double>> clocks{plain.final_clocks()};
   for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
-    // An empty plan switches on the failure-aware linear gather.
-    Engine eng(contended_cfg(sched, std::make_shared<fault::FaultPlan>(1)));
+    Engine eng(contended_cfg(sched, plan()));
     mpit::Runtime tool(eng);
     for (int rep = 0; rep < 2; ++rep) {
       eng.run(workload);
@@ -581,10 +592,30 @@ TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
         EXPECT_LT(walls[i], kGatherTimeoutS)
             << sched_mode_name(sched) << " rank " << r;
       }
-      ASSERT_FALSE(HasFailure()) << "stopping after the first failed run";
+      if (::testing::Test::HasFailure()) return clocks;
     }
   }
+  return clocks;
+}
+
+TEST(RecoveryContention, EmptyPlanAllgatherMatchesNoPlanRunPromptly) {
+  // An empty plan cannot fail a receive: the tree allgather runs, exactly
+  // as without a plan.
+  const auto clocks = contended_allgather_runs(
+      [] { return std::make_shared<fault::FaultPlan>(1); });
+  ASSERT_FALSE(HasFailure());
   for (const auto& c : clocks) EXPECT_EQ(c, clocks[0]);
+}
+
+TEST(RecoveryContention, NeverFiringPlanAllgatherMatchesNoPlanRunPromptly) {
+  // A plan that can fail a receive runs the failure-aware linear gather and
+  // broadcast, whose timed waits must leave the NIC gate. It costs other
+  // clocks than the tree, the same ones on every run and backend.
+  const auto clocks = contended_allgather_runs(never_firing_plan);
+  ASSERT_FALSE(HasFailure());
+  EXPECT_NE(clocks[1], clocks[0]);
+  for (std::size_t i = 2; i < clocks.size(); ++i)
+    EXPECT_EQ(clocks[i], clocks[1]);
 }
 
 TEST(RecoveryContention, ShrinkAfterCrashKeepsEverySurvivor) {
@@ -651,6 +682,72 @@ TEST(RecoveryGatherCounters, ContributorDyingMidWaitIsADeadSkipNotATimeout) {
   const auto& hub = eng.telemetry();
   EXPECT_EQ(hub.registry().counter_total(Metric::mon_dead_skips), 1u);
   EXPECT_EQ(hub.registry().counter_total(Metric::mon_gather_timeouts), 0u);
+}
+
+// --- exchange-slot lifetime on the failure-aware schedules -------------------
+
+TEST(RecoveryGatherSlot, LateWriterStillFindsTheSlotEveryReceiverLeft) {
+  // Rank 2 stalls on the wall clock right before an allgather, past the
+  // gather timeout: the root gives up on its rows, and every other rank
+  // leaves with them missing. Rank 2 then enters the call's exchange slot,
+  // writes its rows into it and reads the others' rows out of it. The
+  // slot must still be there (the last member to leave frees it,
+  // contributors included) and no rank may write into another's rows.
+  // Under TSan and ASan this is a race and use-after-free check as much as
+  // a result check.
+  constexpr int kNp = 4;
+  constexpr int kLate = 2;
+  constexpr double kGatherTimeoutS = 0.2;
+  auto plan = std::make_shared<fault::FaultPlan>(1);
+  plan->add(fault::RankFault{
+      .rank = kLate, .stall_at_s = 1e-3, .stall_wall_s = 1.0});
+  Engine eng(recovery_cfg(kNp, plan));
+  mpit::Runtime tool(eng);
+  eng.telemetry().set_enabled(true);
+  std::array<int, kNp> rcs{};
+  std::array<std::vector<unsigned long>, kNp> sizes;
+  eng.run([&](Ctx& ctx) {
+    const Comm world = ctx.world();
+    const int r = ctx.world_rank();
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    ASSERT_EQ(MPI_M_set_gather_timeout(kGatherTimeoutS), MPI_M_SUCCESS);
+    MPI_M_msid id = -1;
+    ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+    std::vector<std::byte> buf(100 * kNp);
+    const int from = (r + kNp - 1) % kNp;
+    send(buf.data(), 100 * static_cast<std::size_t>(r + 1), Type::Byte,
+         (r + 1) % kNp, 0, world);
+    recv(buf.data(), 100 * static_cast<std::size_t>(from + 1), Type::Byte,
+         from, 0, world);
+    ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+    compute(2e-3);  // crosses kLate's stall
+    auto& mine = sizes[static_cast<std::size_t>(r)];
+    mine.assign(kNp * kNp, 0);
+    rcs[static_cast<std::size_t>(r)] = MPI_M_allgather_data(
+        id, MPI_M_DATA_IGNORE, mine.data(), MPI_M_ALL_COMM);
+    EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  });
+  for (int r = 0; r < kNp; ++r) {
+    // The late rank hears the root's broadcast too: its own rows are
+    // missing from its matrix as well.
+    EXPECT_EQ(rcs[static_cast<std::size_t>(r)], MPI_M_PARTIAL_DATA)
+        << "rank " << r;
+    for (int row = 0; row < kNp; ++row) {
+      for (int col = 0; col < kNp; ++col) {
+        const unsigned long want =
+            row == kLate                 ? MPI_M_DATA_MISSING
+            : col == (row + 1) % kNp ? 100ul * static_cast<unsigned long>(row + 1)
+                                     : 0ul;
+        EXPECT_EQ(sizes[static_cast<std::size_t>(r)]
+                       [static_cast<std::size_t>(row * kNp + col)],
+                  want)
+            << "rank " << r << " entry (" << row << "," << col << ")";
+      }
+    }
+  }
+  EXPECT_EQ(eng.telemetry().registry().counter_total(Metric::mon_gather_timeouts),
+            1u);
 }
 
 // --- reorder under a fault plan ----------------------------------------------
@@ -746,6 +843,52 @@ TEST(RecoveryReorder, DeadRankZeroMakesEverySurvivorFallBack) {
     EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
   });
   EXPECT_EQ(checked.load(), 3);
+}
+
+TEST(RecoveryReorder, FiringReorderUnderAnEmptyPlanDecidesAsWithoutOne) {
+  // reorder_ranks charges TreeMatch's host CPU time to rank 0's clock, so
+  // only the decision is compared: k, the fallback flag and the members of
+  // opt_comm, on every rank.
+  constexpr int kNp = 8;
+  for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
+    std::array<std::vector<int>, kNp> k[2], members[2];
+    std::array<bool, kNp> fell_back[2];
+    for (int plan = 0; plan < 2; ++plan) {
+      Engine eng(contended_cfg(
+          sched, plan ? std::make_shared<fault::FaultPlan>(1) : nullptr));
+      mpit::Runtime tool(eng);
+      eng.run([&](Ctx& ctx) {
+        const Comm world = ctx.world();
+        const auto r = static_cast<std::size_t>(ctx.world_rank());
+        ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+        MPI_M_msid id = -1;
+        ASSERT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+        // Ranks 2i and 2i+1 sit on different nodes and talk the most.
+        std::vector<std::byte> out(1 << 16), in(1 << 16);
+        const int peer = ctx.world_rank() ^ 1;
+        sendrecv(out.data(), out.size(), Type::Byte, peer, 0, in.data(),
+                 in.size(), peer, 0, world);
+        ASSERT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+        const reorder::ReorderResult res = reorder::reorder_ranks(id, world);
+        k[plan][r] = res.k;
+        fell_back[plan][r] = res.fell_back;
+        for (int g = 0; g < res.opt_comm.size(); ++g)
+          members[plan][r].push_back(res.opt_comm.world_rank_of(g));
+        EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+        EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+      });
+    }
+    EXPECT_FALSE(fell_back[0][0]) << sched_mode_name(sched);
+    EXPECT_NE(k[0][0], reorder::identity_k(kNp))
+        << sched_mode_name(sched) << ": TreeMatch should pair the talkers";
+    for (std::size_t r = 0; r < kNp; ++r) {
+      EXPECT_EQ(k[1][r], k[0][r]) << sched_mode_name(sched) << " rank " << r;
+      EXPECT_EQ(fell_back[1][r], fell_back[0][r])
+          << sched_mode_name(sched) << " rank " << r;
+      EXPECT_EQ(members[1][r], members[0][r])
+          << sched_mode_name(sched) << " rank " << r;
+    }
+  }
 }
 
 // --- deadlock report names the failed ranks (satellite b) --------------------

@@ -131,6 +131,8 @@ TEST(ProfReader, RejectsSignedCellsJunkAndBadHeadersByFileAndLine) {
   expect_rejected(matrix, "0 1\n2 3x\n", 2);
   expect_rejected(matrix, "0 1\n2 +3\n", 2);
   expect_rejected(matrix, "0 18446744073709551616\n1 0\n", 1);
+  // A lost contributor's row is all MPI_M_DATA_MISSING, never part of one.
+  expect_rejected(matrix, "0 5\n18446744073709551615 3\n", 2);
   const std::string header = "# rank 0 of 2, flags all\n";
   expect_rejected(rank, header + "0 0 0\n1 -3 8\n", 3);
   expect_rejected(rank, header + "0 1 2 junk\n1 0 0\n", 2);
@@ -297,6 +299,35 @@ TEST(Report, TimelineHandlesASingleWindow) {
   EXPECT_NE(out.find("0->1"), std::string::npos);  // heatmap row
   EXPECT_NE(out.find("KB"), std::string::npos);
   std::remove(f.c_str());
+}
+
+TEST(ProfReader, MatrixReportLeavesMissingRowsOutOfTheTotals) {
+  // MPI_M_rootflush fills the row of a contributor the gather lost with
+  // MPI_M_DATA_MISSING: that row is missing, not 2^64 - 1 bytes per peer.
+  namespace fs = std::filesystem;
+  const std::string path =
+      (fs::temp_directory_path() / "missing_row.prof").string();
+  {
+    std::ofstream os(path);
+    os << "# MPI_Monitoring matrix, order 2, flags p2p|coll|osc\n"
+          "0 5\n"
+          "18446744073709551615 18446744073709551615\n";
+  }
+  const MatrixSummary s = summarize(read_matrix_profile(path));
+  EXPECT_EQ(s.total, 5u);
+  EXPECT_EQ(s.missing_rows, std::vector<std::size_t>{1});
+  EXPECT_EQ(s.heaviest_src, 0u);
+  EXPECT_EQ(s.heaviest_dst, 1u);
+  EXPECT_EQ(s.heaviest_value, 5u);
+  EXPECT_DOUBLE_EQ(s.density, 1.0);
+  std::ostringstream os;
+  report_matrix(path, os);
+  const std::string out = os.str();
+  EXPECT_NE(out.find("total volume        : 5 B\n"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("missing rows        : 1 "), std::string::npos) << out;
+  EXPECT_EQ(out.find("TB"), std::string::npos) << out;  // no sentinel sums
+  std::remove(path.c_str());
 }
 
 TEST(ProfReader, SummaryFindsHeaviestPair) {
