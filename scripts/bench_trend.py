@@ -1,5 +1,11 @@
 #!/usr/bin/env python3
-"""Merge results/BENCH_*.json into one trajectory table and gate regressions.
+"""Merge BENCH_*.json files into one trajectory table and gate regressions.
+
+Usage: scripts/bench_trend.py [DIR]
+
+DIR (default: results/) holds the fresh BENCH_<prog>.json files; each is
+compared with the committed baseline HEAD:results/BENCH_<prog>.json, so a
+check can write its runs outside the tracked results/ files.
 
 Two producers feed the results/ directory:
 
@@ -11,8 +17,8 @@ Two producers feed the results/ directory:
     is a string, numeric or not.
 
 This script flattens both into ``program/benchmark.metric`` rows, compares
-them against the committed baseline (``git show HEAD:<file>``) when one
-exists, and exits non-zero when a *hot-path* metric regressed by more than
+them against the committed baseline (``git show HEAD:results/<file>``) when
+one exists, and exits non-zero when a *hot-path* metric regressed by more than
 REGRESSION_LIMIT. Non-hot-path metrics are reported but never gate: figure
 checks are pass/fail inside the bench binaries themselves, and host-side
 table numbers are too noisy to gate on.
@@ -75,8 +81,8 @@ def flatten(doc):
 
 
 def baseline_for(path):
-    """The committed version of `path`, or None when HEAD has no copy."""
-    rel = path.relative_to(REPO)
+    """HEAD's results/ copy of `path`, or None when HEAD has no copy."""
+    rel = (RESULTS / path.name).relative_to(REPO)
     proc = subprocess.run(
         ["git", "-C", str(REPO), "show", f"HEAD:{rel.as_posix()}"],
         capture_output=True, text=True)
@@ -88,10 +94,11 @@ def baseline_for(path):
         return None
 
 
-def main():
-    files = sorted(RESULTS.glob("BENCH_*.json"))
+def main(argv):
+    runs = Path(argv[1]) if len(argv) > 1 else RESULTS
+    files = sorted(runs.glob("BENCH_*.json"))
     if not files:
-        print(f"bench_trend: no BENCH_*.json under {RESULTS}", file=sys.stderr)
+        print(f"bench_trend: no BENCH_*.json under {runs}", file=sys.stderr)
         return 2
 
     rows = []       # (key, current, baseline-or-None, delta-or-None, gated)
@@ -141,4 +148,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv))

@@ -18,6 +18,10 @@
 #      it has passed 10 times in a row, since its races show only in some
 #      interleavings
 #
+# Every bench writes its --csv output under build/bench-results, not into
+# the tracked results/ files, so a check run leaves the tree as it found
+# it; scripts/bench_trend.py compares that directory with HEAD's results/.
+#
 # The --<lane>-only flags run one focused lane instead (the `lanes` table
 # below): the tests labeled with the lane's suite label under BOTH sanitizer
 # presets, then its end-to-end example and bench acceptance check on the
@@ -75,6 +79,7 @@ lanes=(
 )
 
 jobs="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
+bench_out=build/bench-results
 run_default=1
 run_asan=1
 run_tsan=1
@@ -112,7 +117,7 @@ figure_goldens() {
 
 trend_gate() {
   if command -v python3 >/dev/null 2>&1; then
-    python3 scripts/bench_trend.py
+    python3 scripts/bench_trend.py "$bench_out"
   else
     echo "bench_trend: python3 not found, skipping trajectory gate" >&2
   fi
@@ -120,14 +125,14 @@ trend_gate() {
 
 recovery_e2e() {
   ./build/examples/faulty_reorder >/dev/null
-  ./build/bench/bench_recovery --quick --csv results
+  ./build/bench/bench_recovery --quick --csv "$bench_out"
 }
 
 stream_e2e() {
   ./build/examples/stream_monitor >/dev/null
   ./build/src/tools/monview --live results/stream_monitor.jsonl --once \
     >/dev/null
-  ./build/bench/bench_stream --quick --csv results
+  ./build/bench/bench_stream --quick --csv "$bench_out"
   trend_gate
 }
 
@@ -135,14 +140,14 @@ critpath_e2e() {
   ./build/examples/stencil_reorder >/dev/null
   ./build/src/tools/profview --critical-path results/stencil_critpath.csv \
     >/dev/null
-  ./build/bench/bench_critpath --quick --csv results
+  ./build/bench/bench_critpath --quick --csv "$bench_out"
   trend_gate
 }
 
 fabric_e2e() {
   ./build/examples/fabric_tour >/dev/null
   ./build/src/tools/monview --timeline results/fabric_frames.csv >/dev/null
-  ./build/bench/bench_fabric --quick --csv results
+  ./build/bench/bench_fabric --quick --csv "$bench_out"
   trend_gate
 }
 
@@ -156,7 +161,7 @@ telemetry_e2e() {
 }
 
 scale_e2e() {
-  ./build/bench/bench_scale --quick --csv results
+  ./build/bench/bench_scale --quick --csv "$bench_out"
   trend_gate
 }
 
@@ -176,12 +181,12 @@ if [ "$run_default" = 1 ]; then
   figure_goldens
 
   echo "== bench trajectory =="
-  mkdir -p results
-  ./build/bench/bench_introspect --quick --csv results
-  ./build/bench/bench_record --quick --csv results
-  ./build/bench/bench_recovery --quick --csv results
-  ./build/bench/bench_stream --quick --csv results
-  ./build/bench/bench_critpath --quick --csv results
+  mkdir -p "$bench_out"
+  ./build/bench/bench_introspect --quick --csv "$bench_out"
+  ./build/bench/bench_record --quick --csv "$bench_out"
+  ./build/bench/bench_recovery --quick --csv "$bench_out"
+  ./build/bench/bench_stream --quick --csv "$bench_out"
+  ./build/bench/bench_critpath --quick --csv "$bench_out"
   trend_gate
 fi
 
@@ -216,7 +221,7 @@ if [ -n "$lane" ]; then
   cmake --preset default
   IFS=, read -r -a target_list <<<"$targets"
   cmake --build --preset default -j "$jobs" --target "${target_list[@]}"
-  mkdir -p results
+  mkdir -p results "$bench_out"
   "$e2e"
 fi
 

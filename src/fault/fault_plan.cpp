@@ -96,7 +96,8 @@ SendFaults FaultPlan::on_send(int src, int dst, std::size_t /*bytes*/,
 
 bool FaultPlan::can_fail_receives() const {
   for (const RankFault& f : rank_faults_)
-    if (f.crash_at_s < kNever || f.stall_wall_s > 0.0) return true;
+    if (f.crash_at_s < kNever || (f.stall_at_s < kNever && f.stall_wall_s > 0))
+      return true;
   for (const LinkFault& f : link_faults_)
     if (f.drop_prob > 0.0) return true;
   return false;

@@ -92,9 +92,9 @@ class FaultPlan {
   const std::vector<LinkFault>& link_faults() const { return link_faults_; }
 
   /// True when the plan can make a receive fail: it crashes a rank, stalls
-  /// one on the wall clock (a wall timeout can expire during the stall) or
-  /// drops messages. Jitter, degradation windows, slowdowns and
-  /// virtual-only stalls only move virtual time: every message arrives.
+  /// one on the wall clock from a finite stall_at_s (a wall timeout can
+  /// expire meanwhile) or drops messages. Under any other plan every
+  /// message arrives; at most virtual time moves.
   bool can_fail_receives() const;
 
   // --- engine-facing interface ---------------------------------------------

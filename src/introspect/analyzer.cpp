@@ -225,7 +225,8 @@ void annotate_link_class_hops(std::vector<FrameMatrix>& frames,
 
 void write_frames_csv(std::ostream& os,
                       const std::vector<FrameMatrix>& frames) {
-  os << "window,t0_s,t1_s,src,dst,count,bytes\n";
+  os << "window,t0_s,t1_s,src,dst,count,bytes\n# order "
+     << (frames.empty() ? 0 : frames.front().bytes.rows()) << "\n";
   for (const FrameMatrix& f : frames) {
     bool any = false;
     for (std::size_t i = 0; i < f.bytes.rows(); ++i) {
@@ -255,7 +256,7 @@ void write_frames_csv_file(const std::string& path,
   check(os.good(), "failed writing frames csv: " + path);
 }
 
-std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
+std::vector<FrameMatrix> read_frames_csv(const std::string& path) {
   std::ifstream is(path);
   check(is.good(), "cannot open frames csv: " + path);
   std::string line;
@@ -263,6 +264,11 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
         "empty frames csv: " + path);
   check(line == "window,t0_s,t1_s,src,dst,count,bytes",
         "not a frames csv (bad header): " + path);
+  check(std::getline(is, line) && line.starts_with("# order "),
+        "frames csv has no order record: " + path);
+  const long long order =
+      integral_cell(line.substr(8), "frames csv order record of " + path);
+  check(order >= 1, "frames csv order below 1: " + path);
 
   struct Row {
     long window;
@@ -271,7 +277,6 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
     unsigned long count, bytes;
   };
   std::vector<Row> rows;
-  long max_rank = -1;
   while (std::getline(is, line)) {
     if (line.empty()) continue;
     std::vector<std::string> c;
@@ -295,16 +300,15 @@ std::vector<FrameMatrix> read_frames_csv(const std::string& path, int order) {
     const bool class_row = r.src == -2 && r.dst >= 0;
     check(empty_marker || class_row || (r.src >= 0 && r.dst >= 0),
           "bad src/dst in frames csv: " + line);
-    if (!class_row) max_rank = std::max({max_rank, r.src, r.dst});
+    check(class_row || (r.src < order && r.dst < order),
+          "frames csv rank at or above order " + std::to_string(order) +
+              " in " + path + ": " + line);
     rows.push_back(r);
   }
   check(!rows.empty(), "frames csv has a header but no data: " + path);
 
-  std::size_t n = order > 0 ? static_cast<std::size_t>(order)
-                            : static_cast<std::size_t>(max_rank + 1);
-  if (n == 0) n = 1;  // all-empty windows: order unknown, pick the minimum
-  check(max_rank < static_cast<long>(n), "frames csv rank exceeds order");
-  // Each window becomes two dense n x n matrices. A rank cell no run could
+  const auto n = static_cast<std::size_t>(order);
+  // Each window becomes two dense n x n matrices. An order no run could
   // write (a corrupt file) must fail here, not wrap n * n or exhaust memory.
   const double window_bytes =
       2.0 * static_cast<double>(n) * static_cast<double>(n) *

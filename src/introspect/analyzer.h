@@ -140,19 +140,19 @@ std::vector<WindowMetrics> analyze_windows(
 
 // --- frames CSV --------------------------------------------------------------
 
-/// Header: "window,t0_s,t1_s,src,dst,count,bytes". One row per non-zero
-/// (src, dst) cell; empty windows emit a single row with src = dst = -1
-/// and zero traffic so the grid survives the round trip. Annotated frames
-/// additionally emit one row per link class with src = -2, dst = the
-/// class index and the class byte-hops in the bytes column.
+/// Header: "window,t0_s,t1_s,src,dst,count,bytes", then the record
+/// "# order <n>" (the matrix order). One row per non-zero (src, dst) cell;
+/// empty windows emit a single row with src = dst = -1 and zero traffic so
+/// the grid survives the round trip. Annotated frames additionally emit one
+/// row per link class with src = -2, dst = the class index and the class
+/// byte-hops in the bytes column.
 void write_frames_csv(std::ostream& os, const std::vector<FrameMatrix>& frames);
 void write_frames_csv_file(const std::string& path,
                            const std::vector<FrameMatrix>& frames);
 
 /// Parses a frames CSV. Throws mpim::Error on a missing/empty file, a bad
-/// header, a truncated row, or a non-finite/non-numeric cell. The matrix
-/// order is inferred as 1 + max(src, dst) unless `order` > 0 forces it.
-std::vector<FrameMatrix> read_frames_csv(const std::string& path,
-                                         int order = 0);
+/// header, a missing order record, a rank cell at or above the order, a
+/// truncated row, or a non-finite/non-numeric cell.
+std::vector<FrameMatrix> read_frames_csv(const std::string& path);
 
 }  // namespace mpim::introspect

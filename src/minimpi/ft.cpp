@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "fault/fault_plan.h"
-#include "minimpi/coll.h"
+#include "minimpi/api.h"
+#include "minimpi/coll_common.h"
 #include "minimpi/engine.h"
 #include "support/error.h"
 #include "telemetry/log.h"
@@ -72,6 +74,12 @@ int my_group_rank(Ctx& ctx, const Comm& comm, const char* op) {
   return me;
 }
 
+/// The fault plan can make a tool receive fail: the tool collectives then
+/// take their linear, timed schedules.
+bool receives_can_fail(const Engine& engine) {
+  const fault::FaultPlan* plan = engine.config().fault_plan.get();
+  return plan != nullptr && plan->can_fail_receives();
+}
 }  // namespace
 
 int comm_failure_ack(const Comm& comm) {
@@ -182,44 +190,48 @@ bool comm_agree(const Comm& comm, int* flag) {
   return true;
 }
 
-bool tool_receives_can_fail(const Engine& engine) {
-  const fault::FaultPlan* plan = engine.config().fault_plan.get();
-  return plan != nullptr && plan->can_fail_receives();
-}
-
 std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
                                      std::size_t bytes, void* recvbuf,
                                      int root, double timeout_s) {
   Ctx& ctx = Ctx::current();
   const int me = my_group_rank(ctx, comm, "ft_gather");
+  const auto n = static_cast<std::size_t>(comm.size());
+  if (!receives_can_fail(ctx.engine())) {
+    coll::gather(ctx, sendbuf, bytes, Type::Byte, recvbuf, root, comm,
+                 CommKind::tool);
+    return std::vector<Ctx::RecvWait>(me == root ? n : 0, Ctx::RecvWait::ok);
+  }
   const int tag = coll::coll_tag(ctx.next_coll_seq(comm));
   if (me != root) {
     ctx.send_bytes(comm.world_rank_of(root), comm, tag, CommKind::tool,
                    sendbuf, bytes);
     return {};
   }
-  auto* out = static_cast<std::uint8_t*>(recvbuf);
-  std::vector<Ctx::RecvWait> got(static_cast<std::size_t>(comm.size()),
-                                 Ctx::RecvWait::ok);
+  std::vector<Ctx::RecvWait> got(n, Ctx::RecvWait::ok);
   for (int g = 0; g < comm.size(); ++g) {
-    std::uint8_t* slot =
-        out == nullptr ? nullptr : out + static_cast<std::size_t>(g) * bytes;
-    if (g == root) {
-      if (slot != nullptr && sendbuf != nullptr && bytes > 0)
-        std::memcpy(slot, sendbuf, bytes);
-      continue;
-    }
-    got[static_cast<std::size_t>(g)] =
-        ctx.recv_bytes_wait(comm.world_rank_of(g), comm, tag, CommKind::tool,
-                            slot, bytes, nullptr, timeout_s);
+    std::byte* slot =
+        coll::detail::block_at(recvbuf, static_cast<std::size_t>(g), bytes);
+    if (g == root)
+      coll::detail::copy_block(slot, sendbuf, bytes);
+    else
+      got[static_cast<std::size_t>(g)] = ctx.recv_bytes_wait(
+          comm.world_rank_of(g), comm, tag, CommKind::tool, slot, bytes,
+          nullptr, timeout_s);
   }
   return got;
 }
 
 Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
-                       int root, double timeout_s) {
+                       int root, double timeout_s, CommKind kind) {
   Ctx& ctx = Ctx::current();
   const int me = my_group_rank(ctx, comm, "ft_bcast");
+  if (!receives_can_fail(ctx.engine())) {
+    if (kind == CommKind::coll)
+      bcast(buf, bytes, Type::Byte, root, comm);
+    else
+      coll::bcast(ctx, buf, bytes, Type::Byte, root, comm, kind);
+    return Ctx::RecvWait::ok;
+  }
   const int tag = coll::coll_tag(ctx.next_coll_seq(comm));
   if (me != root)
     return ctx.recv_bytes_wait(
@@ -231,6 +243,63 @@ Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
       ctx.send_bytes(comm.world_rank_of(g), comm, tag, CommKind::tool, buf,
                      bytes);
   return Ctx::RecvWait::ok;
+}
+
+std::vector<Ctx::RecvWait> ft_allgather(const Comm& comm, std::size_t bytes,
+                                        double timeout_s) {
+  using Wait = Ctx::RecvWait;
+  Ctx& ctx = Ctx::current();
+  const auto n = static_cast<std::size_t>(comm.size());
+  if (!receives_can_fail(ctx.engine())) {
+    coll::allgather(ctx, nullptr, bytes, Type::Byte, nullptr, comm,
+                    CommKind::tool);
+    return std::vector<Wait>(n, Wait::ok);
+  }
+  check(bytes > 0, "ft_allgather needs a non-empty block per member");
+  std::vector<Wait> got =
+      ft_gather(comm, nullptr, bytes, nullptr, 0, timeout_s);
+  // Group rank 0 sends back the n blocks and a count of the rows it lost.
+  // Only a non-zero count gives the message a payload: one outcome byte
+  // per row, in room the blocks take anyway. Members pre-set the count to
+  // 0, which a timing-only message leaves in place.
+  const std::size_t at = n * bytes;
+  std::uint64_t lost = static_cast<std::uint64_t>(std::count_if(
+      got.begin(), got.end(), [](Wait w) { return w != Wait::ok; }));
+  std::unique_ptr<std::byte[]> msg;
+  if (got.empty() || lost > 0) {
+    msg = std::make_unique_for_overwrite<std::byte[]>(at + sizeof lost);
+    std::transform(got.begin(), got.end(), msg.get(),
+                   [](Wait w) { return static_cast<std::byte>(w); });
+    std::memcpy(msg.get() + at, &lost, sizeof lost);
+  }
+  const Wait rc = ft_bcast(comm, msg.get(), at + sizeof lost, 0, timeout_s,
+                           CommKind::tool);
+  if (rc != Wait::ok) return std::vector<Wait>(n, rc);
+  if (!got.empty()) return got;
+  std::memcpy(&lost, msg.get() + at, sizeof lost);
+  for (std::size_t g = 0; g < n; ++g)
+    got.push_back(lost > 0 ? static_cast<Wait>(msg[g]) : Wait::ok);
+  return got;
+}
+
+Ctx::RecvWait ft_allreduce(const Comm& comm, const void* sendbuf,
+                           void* recvbuf, std::size_t count, Type type, Op op,
+                           double timeout_s) {
+  Ctx& ctx = Ctx::current();
+  if (!receives_can_fail(ctx.engine())) {
+    coll::allreduce(ctx, sendbuf, recvbuf, count, type, op, comm,
+                    CommKind::tool);
+    return Ctx::RecvWait::ok;
+  }
+  const std::size_t bytes = count * type_size(type);
+  std::memcpy(recvbuf, sendbuf, bytes);
+  std::vector<std::byte> all(static_cast<std::size_t>(comm.size()) * bytes);
+  const std::vector<Ctx::RecvWait> got =
+      ft_gather(comm, sendbuf, bytes, all.data(), 0, timeout_s);
+  for (std::size_t g = 1; g < got.size(); ++g)
+    if (got[g] == Ctx::RecvWait::ok)
+      reduce_in_place(recvbuf, all.data() + g * bytes, count, type, op);
+  return ft_bcast(comm, recvbuf, bytes, 0, timeout_s, CommKind::tool);
 }
 
 }  // namespace mpim::mpi

@@ -16,11 +16,11 @@
 //     parent, dead members removed).
 //   comm_agree -- fault-tolerant agreement: bitwise-AND of `*flag` over
 //     the members that can still communicate.
-//   ft_gather / ft_bcast -- the failure-aware tool collectives: a linear
-//     gather to a root and a linear broadcast from it, each waiting with a
-//     wall timeout and reporting what arrived instead of hanging. The
-//     monitoring gathers and the reorder step run them instead of the
-//     fault-free coll:: schedules when tool_receives_can_fail().
+//   ft_gather / ft_bcast / ft_allgather / ft_allreduce -- the tool
+//     collectives of mpimon and reorder, and the one place that picks
+//     their schedule: coll:: unless the fault plan can fail a receive
+//     (fault::FaultPlan::can_fail_receives), else linear ones through a
+//     root that wait with a wall timeout and report what arrived.
 //
 // Determinism contract: shrink and agree exchange their views with
 // unconditional sends to every member (send costs never depend on
@@ -36,6 +36,7 @@
 
 #include "minimpi/comm.h"
 #include "minimpi/engine.h"
+#include "minimpi/types.h"
 
 namespace mpim::mpi {
 
@@ -68,30 +69,42 @@ Comm comm_shrink(const Comm& comm);
 /// (ULFM's MPI_ERR_PROC_FAILED analog -- ack and retry to accept it).
 bool comm_agree(const Comm& comm, int* flag);
 
-/// True when the engine's fault plan can make a tool receive fail
-/// (fault::FaultPlan::can_fail_receives): tool collectives must then run
-/// ft_gather and ft_bcast. Without a plan, or under one that only moves
-/// virtual time, they run the fault-free coll:: schedules.
-bool tool_receives_can_fail(const Engine& engine);
-
-/// Failure-aware linear gather of `bytes` per member to group rank `root`,
-/// as tool-kind traffic: the root receives the blocks in group order into
-/// `recvbuf` (size() * bytes), giving each contributor `timeout_s` of wall
-/// time. At the root, returns one outcome per group rank (ok for its own
-/// block); a peer_dead or timeout slot of `recvbuf` is left untouched.
+/// Tool-kind gather of `bytes` per member into the root's `recvbuf`
+/// (size() * bytes): coll::gather when no receive can fail, else linear,
+/// each contributor given `timeout_s` of wall time. At the root, returns
+/// one outcome per group rank (ok for its own block and on the fault-free
+/// schedule); a peer_dead or timeout slot of `recvbuf` is left untouched.
 /// Elsewhere returns an empty vector. Null buffers send and receive
 /// timing-only messages of the same size and cost.
 std::vector<Ctx::RecvWait> ft_gather(const Comm& comm, const void* sendbuf,
                                      std::size_t bytes, void* recvbuf,
                                      int root, double timeout_s);
 
-/// Failure-aware linear broadcast of `bytes` from group rank `root`, as
-/// tool-kind traffic: the root sends `buf` to every other member. The
-/// others wait timeout_s * (size() + 1) of wall time -- room for a root
-/// that first spent one ft_gather timeout per contributor. Returns ok at
-/// the root and wherever the data arrived; otherwise peer_dead or timeout,
-/// with `buf` untouched. A null `buf` broadcasts a timing-only message.
+/// Broadcast of `bytes` from group rank `root`: coll::bcast as `kind`
+/// traffic when no receive can fail (CommKind::coll also records the user
+/// collective's "bcast" span), else a linear tool-kind one whose receivers
+/// wait timeout_s * (size() + 1) of wall time -- room for a root that
+/// first spent one gather timeout per contributor. Returns ok at the root
+/// and wherever the data arrived; otherwise peer_dead or timeout, with
+/// `buf` untouched. A null `buf` broadcasts a timing-only message.
 Ctx::RecvWait ft_bcast(const Comm& comm, void* buf, std::size_t bytes,
-                       int root, double timeout_s);
+                       int root, double timeout_s, CommKind kind);
+
+/// Tool-kind allgather of `bytes` (> 0) per member with timing-only
+/// messages (the blocks travel out of band), returning group rank 0's
+/// per-row outcomes at every member: coll::allgather, all ok, when no
+/// receive can fail; else ft_gather to group rank 0, whose reply of
+/// size() * bytes + 8 bytes carries the outcomes only when a row was lost.
+/// A member that misses the reply reads every row with its outcome.
+std::vector<Ctx::RecvWait> ft_allgather(const Comm& comm, std::size_t bytes,
+                                        double timeout_s);
+
+/// Tool-kind allreduce of `count` elements into `recvbuf`: coll::allreduce
+/// when no receive can fail, else group rank 0 folds what its ft_gather
+/// got and ft_bcasts the result. Returns that broadcast's outcome; a
+/// member that missed it keeps its own contribution in `recvbuf`.
+Ctx::RecvWait ft_allreduce(const Comm& comm, const void* sendbuf,
+                           void* recvbuf, std::size_t count, Type type, Op op,
+                           double timeout_s);
 
 }  // namespace mpim::mpi

@@ -17,7 +17,6 @@
 #include "critpath/critpath.h"
 #include "introspect/analyzer.h"
 #include "introspect/snapshot.h"
-#include "minimpi/coll.h"
 #include "minimpi/engine.h"
 #include "minimpi/ft.h"
 #include "mpimon/governor.h"
@@ -32,7 +31,9 @@ namespace {
 using mpim::mpi::Comm;
 using mpim::mpi::CommKind;
 using mpim::mpi::Ctx;
-using mpim::mpi::Type;
+using mpim::mpi::ft_allgather;
+using mpim::mpi::ft_bcast;
+using mpim::mpi::ft_gather;
 using mpim::telemetry::Metric;
 
 constexpr int kThreadLevelProvided = 3;  // MPI_THREAD_MULTIPLE
@@ -91,13 +92,12 @@ struct MonState {
 /// One mpimon collective's data, shared by its participants instead of
 /// carried by its messages (docs/PERF.md "Exchange slots"). Every
 /// contributor writes only its own rows into `words`, before its first
-/// send; the root writes `lost` (a failure-aware allgather's) or `result`
-/// (get_frames') before its broadcast. A rank reads only what a message
-/// it received causally follows, so no lock covers the contents.
+/// send; get_frames' root writes `result` before its broadcast. A rank
+/// reads only what a message it received causally follows, so no lock
+/// covers the contents.
 struct Exchange {
   std::pair<int, std::uint64_t> key;  ///< (context id, collective count)
   std::unique_ptr<unsigned long[]> words;
-  std::vector<bool> lost;
   std::vector<unsigned long> result;
   int participants_left = 0;  ///< guarded by MonWorld::mx
 };
@@ -609,43 +609,17 @@ void count_lost(Ctx::RecvWait rc) {
              tele_rank());
 }
 
-/// Gathers the size of `words` per member to group rank `root` (the rows
-/// are in the slot): coll::gather, or ft_gather when the fault plan can
-/// fail a receive. Returns the rows the root lost, each counted.
-std::vector<bool> slot_gather(const MonSession& s, std::size_t words,
-                              int root) {
-  Ctx& ctx = Ctx::current();
-  std::vector<bool> lost(static_cast<std::size_t>(s.comm.size()), false);
-  if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
-    mpim::mpi::coll::gather(ctx, nullptr, words, Type::UnsignedLong, nullptr,
-                            root, s.comm, CommKind::tool);
-    return lost;
-  }
-  const std::vector<Ctx::RecvWait> got = mpim::mpi::ft_gather(
-      s.comm, nullptr, words * sizeof(unsigned long), nullptr, root,
-      mon_state().gather_timeout_s);
+/// The rows `got` reports lost (none when it is empty), each counted where
+/// its receive failed: every row at the member that gathered them, only
+/// row 0 (the broadcast it never heard) at another member of an allgather.
+std::vector<bool> lost_rows(const std::vector<Ctx::RecvWait>& got,
+                            std::size_t n, bool gathered) {
+  std::vector<bool> lost(n, false);
   for (std::size_t r = 0; r < got.size(); ++r) {
-    count_lost(got[r]);
+    if (gathered || r == 0) count_lost(got[r]);
     lost[r] = got[r] != Ctx::RecvWait::ok;
   }
   return lost;
-}
-
-/// Broadcasts the size of `words` from group rank 0 (they are in the
-/// slot): coll::bcast, or ft_bcast when the fault plan can fail a
-/// receive. False, with the loss counted, when it never arrived.
-bool slot_bcast(const MonSession& s, std::size_t words) {
-  Ctx& ctx = Ctx::current();
-  const std::size_t bytes = words * sizeof(unsigned long);
-  if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
-    mpim::mpi::coll::bcast(ctx, nullptr, bytes, Type::Byte, 0, s.comm,
-                           CommKind::tool);
-    return true;
-  }
-  const Ctx::RecvWait rc = mpim::mpi::ft_bcast(s.comm, nullptr, bytes, 0,
-                                               mon_state().gather_timeout_s);
-  count_lost(rc);
-  return rc == Ctx::RecvWait::ok;
 }
 
 /// Gathers every member's counts and sizes rows (kind filter `flags`) into
@@ -656,7 +630,7 @@ bool slot_bcast(const MonSession& s, std::size_t words) {
 /// may be MPI_M_DATA_IGNORE, and non-receivers' outputs are never written;
 /// traffic does not depend on them. Returns the number of contributors
 /// whose rows could not be gathered, which are MPI_M_DATA_MISSING rows in
-/// the outputs (always 0 unless the fault plan can fail a receive).
+/// the outputs (always 0 on the fault-free schedules, minimpi/ft.h).
 int gather_matrices(MonSession& s, int flags, int root, unsigned long* counts,
                     unsigned long* sizes) {
   Ctx& ctx = Ctx::current();
@@ -671,22 +645,13 @@ int gather_matrices(MonSession& s, int flags, int root, unsigned long* counts,
   const std::size_t mine = static_cast<std::size_t>(myrank) * n;
   read_metric(s, flags, 0, all[0] + mine);
   read_metric(s, flags, 1, all[1] + mine);
-  std::vector<bool> lost(n, false);
-  if (root >= 0) {
-    lost = slot_gather(s, 2 * n, root);
-  } else if (!mpim::mpi::tool_receives_can_fail(ctx.engine())) {
-    mpim::mpi::coll::allgather(ctx, nullptr, 2 * n, Type::UnsignedLong,
-                               nullptr, s.comm, CommKind::tool);
-  } else {
-    // Group rank 0 publishes its lost rows, then broadcasts the size of
-    // the n x 2n matrix and a missing-row count.
-    lost = slot_gather(s, 2 * n, 0);
-    if (myrank == 0) slot.lost = lost;
-    if (!slot_bcast(s, 2 * n * n + 1))
-      lost.assign(n, true);
-    else if (myrank != 0)
-      lost = slot.lost;
-  }
+  const std::size_t row_bytes = 2 * n * sizeof(unsigned long);
+  const double timeout_s = mon_state().gather_timeout_s;
+  const std::vector<bool> lost = lost_rows(
+      root >= 0 ? ft_gather(s.comm, nullptr, row_bytes, nullptr, root,
+                            timeout_s)
+                : ft_allgather(s.comm, row_bytes, timeout_s),
+      n, root >= 0 || myrank == 0);
   const int missing =
       static_cast<int>(std::count(lost.begin(), lost.end(), true));
   unsigned long* const outs[2] = {counts, sizes};
@@ -1042,13 +1007,20 @@ int MPI_M_get_frames(MPI_M_msid msid, int max_frames, int* nframes,
     build_frames_blob(*s, max_frames, flags,
                       slot.words.get() +
                           static_cast<std::size_t>(myrank) * blob_words);
-    const std::vector<bool> lost = slot_gather(*s, blob_words, 0);
+    const std::vector<bool> lost = lost_rows(
+        ft_gather(s->comm, nullptr, blob_words * sizeof(unsigned long),
+                  nullptr, 0, st.gather_timeout_s),
+        n, true);
     if (myrank == 0)
       slot.result =
           assemble_frames_result(slot.words.get(), lost, max_frames, n);
+    const Ctx::RecvWait heard =
+        ft_bcast(s->comm, nullptr, result_words * sizeof(unsigned long), 0,
+                 st.gather_timeout_s, CommKind::tool);
+    count_lost(heard);
     const unsigned long none[2] = {0, static_cast<unsigned long>(n)};
     const unsigned long* result =
-        slot_bcast(*s, result_words) ? slot.result.data() : none;
+        heard == Ctx::RecvWait::ok ? slot.result.data() : none;
     const int missing = static_cast<int>(result[1]);
 
     const std::size_t W = static_cast<std::size_t>(result[0]);

@@ -166,10 +166,10 @@ int MPI_M_rootgather_data(MPI_M_msid msid, int root,
 
 /// Wall-clock budget per missing contributor before a gather gives up on a
 /// rank and fills its row with MPI_M_DATA_MISSING (returning
-/// MPI_M_PARTIAL_DATA instead of hanging). Only consulted when the engine's
-/// fault plan can fail a receive; the default is 5 s, overridable with the
-/// MPIM_GATHER_TIMEOUT_S environment variable. The setter rejects
-/// non-positive values with MPI_M_INTERNAL_FAIL.
+/// MPI_M_PARTIAL_DATA instead of hanging). Only the failure-aware
+/// schedules minimpi/ft.h picks wait with it; the default is 5 s,
+/// overridable with the MPIM_GATHER_TIMEOUT_S environment variable. The
+/// setter rejects non-positive values with MPI_M_INTERNAL_FAIL.
 int MPI_M_set_gather_timeout(double timeout_s);
 double MPI_M_get_gather_timeout();
 

@@ -4,7 +4,6 @@
 #include <ctime>
 
 #include "critpath/critpath.h"
-#include "minimpi/coll.h"
 #include "minimpi/engine.h"
 #include "minimpi/ft.h"
 #include "mpimon/mpi_monitoring.h"
@@ -123,7 +122,6 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
   mpi::Ctx& ctx = mpi::Ctx::current();
   const int n = comm.size();
   const int myrank = mpi::comm_rank(comm);
-  const bool faulty = mpi::tool_receives_can_fail(ctx.engine());
   telemetry::Hub& hub = ctx.engine().telemetry();
   const int wrank = ctx.world_rank();
 
@@ -140,32 +138,21 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
   if (gather_rc != MPI_M_SUCCESS && gather_rc != MPI_M_PARTIAL_DATA)
     mon::check_rc(gather_rc, "MPI_M_rootgather_data");
 
-  ReorderResult out;
   std::vector<int> k(static_cast<std::size_t>(n));
+  std::string reason;  // why this rank falls back, if it does
   if (myrank == 0) {
-    std::string reason;
     if (gather_rc == MPI_M_PARTIAL_DATA) {
-      out.fell_back = true;
       reason =
           "monitoring data is partial (a contributor crashed or timed out)";
-    } else if (!validate_gathered_matrix(
+    } else if (validate_gathered_matrix(
                    size_mat.data(), static_cast<std::size_t>(n), &reason)) {
-      out.fell_back = true;
-    } else {
-      for (int j = 0; j < n && !out.fell_back; ++j) {
-        if (ctx.engine().rank_dead(comm.world_rank_of(j))) {
-          out.fell_back = true;
+      for (int j = 0; j < n && reason.empty(); ++j)
+        if (ctx.engine().rank_dead(comm.world_rank_of(j)))
           reason = "rank " + std::to_string(j) +
                    " of the communicator is dead";
-        }
-      }
     }
-    if (out.fell_back) {
-      out.fallback_reason = reason;
-      telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
-                     "falling back to identity permutation: " + reason);
-      hub.add(Metric::reorder_identity, wrank);
-      k = identity_k(static_cast<std::size_t>(n));
+    if (!reason.empty()) {
+      k[0] = -1;  // rides in the k broadcast below
     } else {
       CommMatrix bytes = CommMatrix::square(static_cast<std::size_t>(n));
       std::copy(size_mat.begin(), size_mat.end(), bytes.flat().begin());
@@ -193,85 +180,33 @@ ReorderResult reorder_ranks(int msid, const mpi::Comm& comm) {
     }
   }
 
-  if (!faulty) {
-    // Fault-free protocol, unchanged on the wire: bcast k then split.
-    const double dist_t0 = ctx.now();
-    mpi::bcast(k.data(), static_cast<std::size_t>(n), mpi::Type::Int, 0,
-               comm);
-    hub.span_complete(wrank, "reorder.distribute", 'R', dist_t0, ctx.now());
-    out.k = k;
-    out.opt_comm =
-        mpi::comm_split(comm, 0, k[static_cast<std::size_t>(myrank)]);
-    return out;
-  }
-
-  // Failure-aware distribution: an ft_bcast of {fallback flag, k}, so a
-  // dead rank 0 (or dead receivers) cannot hang the step.
+  // A negative k[0] is rank 0's fallback; a rank that cannot hear rank 0
+  // falls back on its own.
   const double dist_t0 = ctx.now();
-  std::vector<int> msg(static_cast<std::size_t>(n) + 1);
-  msg[0] = out.fell_back ? 1 : 0;
-  std::copy(k.begin(), k.end(), msg.begin() + 1);
-  if (mpi::ft_bcast(comm, msg.data(), msg.size() * sizeof(int), 0,
-                    MPI_M_get_gather_timeout()) != mpi::Ctx::RecvWait::ok) {
-    out.fallback_reason = "rank 0 unreachable during reordering";
-    telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
-                   "falling back to identity permutation: " +
-                       out.fallback_reason);
-    hub.add(Metric::reorder_identity, wrank);
-    msg[0] = 1;
-    const std::vector<int> ident = identity_k(static_cast<std::size_t>(n));
-    std::copy(ident.begin(), ident.end(), msg.begin() + 1);
-  }
-  out.fell_back = msg[0] != 0;
-  if (out.fell_back && out.fallback_reason.empty())
-    out.fallback_reason = "rank 0 fell back to the identity permutation";
-  std::copy(msg.begin() + 1, msg.end(), k.begin());
+  const bool heard =
+      mpi::ft_bcast(comm, k.data(), k.size() * sizeof(int), 0,
+                    MPI_M_get_gather_timeout(),
+                    mpi::CommKind::coll) == mpi::Ctx::RecvWait::ok;
   hub.span_complete(wrank, "reorder.distribute", 'R', dist_t0, ctx.now());
-  out.k = k;
+  if (!heard) reason = "rank 0 unreachable during reordering";
+  if (!reason.empty()) {
+    telemetry::log(telemetry::LogLevel::warn, wrank, "reorder",
+                   "falling back to identity permutation: " + reason);
+    hub.add(Metric::reorder_identity, wrank);
+  }
+  ReorderResult out;
+  out.fell_back = !heard || k[0] < 0;
+  out.fallback_reason = out.fell_back && reason.empty()
+                            ? "rank 0 fell back to the identity permutation"
+                            : reason;
   // On fallback the group may contain dead ranks, so a comm_split (whose
   // allgather would block on them) is not safe: keep the communicator.
+  out.k = out.fell_back ? identity_k(static_cast<std::size_t>(n)) : k;
   out.opt_comm =
       out.fell_back
           ? comm
           : mpi::comm_split(comm, 0, k[static_cast<std::size_t>(myrank)]);
   return out;
-}
-
-namespace {
-
-/// Cross-rank maximum of each rank's phase-boundary count. Fault-free runs
-/// use a tool-class allreduce (never monitored); when the fault plan can
-/// fail a receive, rank 0 takes the maximum over an ft_gather, where an
-/// unreachable rank counts as 0, and ft_bcasts it. A rank that cannot hear
-/// rank 0 keeps its own count, so a dead rank suppresses triggering
-/// instead of hanging the hook.
-int agree_max_boundaries(mpi::Ctx& ctx, const mpi::Comm& comm,
-                         int local_boundaries) {
-  if (!mpi::tool_receives_can_fail(ctx.engine())) {
-    int global = 0;
-    mpi::coll::allreduce(ctx, &local_boundaries, &global, 1, mpi::Type::Int,
-                         mpi::Op::Max, comm, mpi::CommKind::tool);
-    return global;
-  }
-  const double timeout_s = MPI_M_get_gather_timeout();
-  int global = local_boundaries;
-  std::vector<int> all(static_cast<std::size_t>(comm.size()));
-  const std::vector<mpi::Ctx::RecvWait> got = mpi::ft_gather(
-      comm, &local_boundaries, sizeof(int), all.data(), 0, timeout_s);
-  for (std::size_t r = 0; r < got.size(); ++r)
-    if (got[r] == mpi::Ctx::RecvWait::ok) global = std::max(global, all[r]);
-  return mpi::ft_bcast(comm, &global, sizeof(int), 0, timeout_s) ==
-                 mpi::Ctx::RecvWait::ok
-             ? global
-             : local_boundaries;
-}
-
-}  // namespace
-
-ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
-                               int* seen_boundaries, bool* triggered) {
-  return reorder_on_phase(msid, comm, seen_boundaries, triggered,
-                          PhaseReorderOptions{});
 }
 
 ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
@@ -285,16 +220,17 @@ ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
   mon::check_rc(MPI_M_snapshot_info(msid, MPI_M_INT_IGNORE,
                                     MPI_M_INT_IGNORE, &local),
                 "MPI_M_snapshot_info");
-  const int global = agree_max_boundaries(ctx, comm, local);
-  // Every alive rank sees the same `global`, so the trigger decision is
-  // consistent as long as the caller-owned counters are (they start at 0
-  // and only ever advance to an agreed value).
+  // Every rank that hears the tool-class maximum sees the same `global`,
+  // so the decision is consistent as long as the caller-owned counters are
+  // (they start at 0 and only ever advance to an agreed value). A rank
+  // that cannot hear it keeps its own count instead of hanging the hook.
+  int global = 0;
+  mpi::ft_allreduce(comm, &local, &global, 1, mpi::Type::Int, mpi::Op::Max,
+                    MPI_M_get_gather_timeout());
   bool fire = global > *seen_boundaries;
   if (fire) *seen_boundaries = global;
 
-  const bool consult_critpath = opts.use_critpath_mismatch &&
-                                !mpi::tool_receives_can_fail(ctx.engine());
-  if (consult_critpath) {
+  if (opts.use_critpath_mismatch) {
     // The agreement collective runs whether or not a profiler is attached
     // (all-zero contributions without one), so the trigger option never
     // perturbs virtual clocks: profiler on and off are bit-identical.
@@ -307,9 +243,13 @@ ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
       local_ns[1] = static_cast<unsigned long>(prof->wait_since_mark(myrank));
     }
     unsigned long sum_ns[2] = {0, 0};
-    mpi::coll::allreduce(ctx, local_ns, sum_ns, 2, mpi::Type::UnsignedLong,
-                         mpi::Op::Sum, comm, mpi::CommKind::tool);
-    if (!fire && sum_ns[1] > opts.min_wait_ns &&
+    // A rank that did not hear the sums holds only its own: it must not
+    // fire on them, or survivors of a dead rank 0 would reorder alone.
+    const bool agreed =
+        mpi::ft_allreduce(comm, local_ns, sum_ns, 2, mpi::Type::UnsignedLong,
+                          mpi::Op::Sum, MPI_M_get_gather_timeout()) ==
+        mpi::Ctx::RecvWait::ok;
+    if (!fire && agreed && sum_ns[1] > opts.min_wait_ns &&
         2 * sum_ns[0] > sum_ns[1]) {
       fire = true;
       telemetry::log(telemetry::LogLevel::info, myrank, "reorder",

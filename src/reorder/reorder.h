@@ -49,10 +49,9 @@ struct ReorderResult {
   mpi::Comm opt_comm;       ///< the optimized communicator
   std::vector<int> k;       ///< old rank -> new rank (valid on all ranks)
   /// True when the step could not trust the gathered matrix (partial data,
-  /// dead ranks, or a validation failure) and fell back to the identity
-  /// permutation with opt_comm == comm. Unless the fault plan can fail a
-  /// receive the flag is only meaningful at rank 0 (the distribution stays
-  /// bitwise compatible with the fault-free protocol).
+  /// dead ranks, or a validation failure) or could not hear rank 0, and
+  /// fell back to the identity permutation with opt_comm == comm (no
+  /// split). Rank 0's decision travels with k, so this holds on every rank.
   bool fell_back = false;
   std::string fallback_reason;  ///< set where fell_back is true
 };
@@ -70,27 +69,10 @@ bool validate_gathered_matrix(const unsigned long* flat, std::size_t n,
 /// suspended session attached to `comm`.
 ///
 /// Failure awareness: a gather returning MPI_M_PARTIAL_DATA, a dead member
-/// rank or an invalid matrix makes every rank fall back to the identity
-/// permutation (opt_comm = comm, no split) with the reason logged to
-/// stderr at rank 0 -- the step degrades instead of hanging or aborting.
+/// rank, an invalid matrix or an unreachable rank 0 makes every rank fall
+/// back to the identity permutation (opt_comm = comm, no split) with the
+/// reason logged -- the step degrades instead of hanging or aborting.
 ReorderResult reorder_ranks(int msid, const mpi::Comm& comm);
-
-/// Phase-triggered reordering hook, meant to be called between computation
-/// chunks of an *active* session carrying a running snapshot
-/// (MPI_M_snapshot_start): suspends the session, reads each rank's phase-
-/// boundary count from the snapshot detector and agrees on the maximum
-/// across the communicator. When that maximum exceeds `*seen_boundaries`
-/// (caller-owned state, initialize to 0) the full reorder_ranks() step runs
-/// on the traffic monitored so far and `*seen_boundaries` is advanced;
-/// otherwise the result is the identity over `comm`, with no TreeMatch run.
-/// The session is resumed before returning either way. Collective over
-/// `comm`; `triggered` (optional) reports whether reordering ran. When the
-/// fault plan can fail a receive the agreement degrades like the other
-/// steps: unreachable ranks count as "no new phase" instead of hanging
-/// the step, and reorder_ranks keeps its identity fallback.
-ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
-                               int* seen_boundaries,
-                               bool* triggered = nullptr);
 
 /// Extra triggers for reorder_on_phase.
 struct PhaseReorderOptions {
@@ -101,21 +83,30 @@ struct PhaseReorderOptions {
   /// wait > min_wait_ns, agreed across `comm` with a tool-class allreduce.
   /// The agreement traffic runs whether or not a profiler is attached
   /// (zeros without one), so virtual clocks are bit-identical profiler on
-  /// or off. Ignored when the fault plan can fail a receive (the extra
-  /// collective would hang on dead ranks; the boundary trigger degrades).
+  /// or off. A rank that did not hear the agreed sums never fires on them.
   bool use_critpath_mismatch = false;
   /// Wait floor (virtual ns, summed over `comm`) below which the mismatch
   /// trigger never fires.
   std::uint64_t min_wait_ns = 1000;
 };
 
-/// reorder_on_phase with extra triggers. Fires on a new phase boundary OR
-/// on critpath mismatch dominance (see PhaseReorderOptions); after any
-/// firing every rank's critpath mark is advanced so the next window starts
-/// clean.
+/// Phase-triggered reordering hook, meant to be called between computation
+/// chunks of an *active* session carrying a running snapshot
+/// (MPI_M_snapshot_start): suspends the session, reads each rank's phase-
+/// boundary count from the snapshot detector and agrees on the maximum
+/// across the communicator. When that maximum exceeds `*seen_boundaries`
+/// (caller-owned state, initialize to 0; then advanced to it), or on a
+/// trigger of `opts`, the full reorder_ranks() step runs on the traffic
+/// monitored so far; otherwise the result is the identity over `comm`,
+/// with no TreeMatch run. After any firing every rank's critpath mark is
+/// advanced so the next window starts clean. The session is resumed
+/// before returning either way. Collective over `comm`;
+/// `triggered` (optional) reports whether reordering ran. A rank that
+/// cannot hear the agreement (rank 0 is dead) keeps its own count instead
+/// of hanging the step, and reorder_ranks keeps its identity fallback.
 ReorderResult reorder_on_phase(int msid, const mpi::Comm& comm,
-                               int* seen_boundaries, bool* triggered,
-                               const PhaseReorderOptions& opts);
+                               int* seen_boundaries, bool* triggered = nullptr,
+                               const PhaseReorderOptions& opts = {});
 
 /// Convenience: runs `monitored_step` under a fresh session (the paper's
 /// "first iteration"), then performs the reordering step above.

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -16,6 +18,7 @@
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
 #include "reorder/reorder.h"
+#include "telemetry/hub.h"
 
 namespace mpim::mpi {
 namespace {
@@ -91,7 +94,8 @@ TEST(FaultPlan, DrawsAreReproducibleAcrossInstancesAndRuns) {
 TEST(FaultPlan, OnlyCrashesWallStallsAndDropsCanFailAReceive) {
   // What selects the failure-aware tool collectives: a plan that only
   // moves virtual time must run exactly the program a run without a plan
-  // runs.
+  // runs. At np 5 ft_allgather's ring sends n(n-1) tool messages, its
+  // linear gather-and-broadcast 2(n-1).
   struct Case {
     const char* what;
     std::vector<fault::LinkFault> links;
@@ -110,6 +114,8 @@ TEST(FaultPlan, OnlyCrashesWallStallsAndDropsCanFailAReceive) {
        {},
        {{.rank = 1, .stall_at_s = 1e-3, .stall_virtual_s = 1e-3}},
        false},
+      {"wall stall that never starts", {}, {{.rank = 1, .stall_wall_s = 0.1}},
+       false},
       {"finite crash", {}, {{.rank = 1, .crash_at_s = 1e9}}, true},
       {"wall stall",
        {},
@@ -121,16 +127,27 @@ TEST(FaultPlan, OnlyCrashesWallStallsAndDropsCanFailAReceive) {
        {{.rank = 0, .crash_at_s = 1.0}},
        true},
   };
+  constexpr int kNp = 5;
+  constexpr std::uint64_t kRing = kNp * (kNp - 1), kLinear = 2 * (kNp - 1);
+  const auto allgather_messages = [](std::shared_ptr<fault::FaultPlan> plan) {
+    Engine eng(fault_cfg(kNp, std::move(plan)));
+    eng.telemetry().set_enabled(true);
+    eng.run([](Ctx& ctx) {
+      for (const Ctx::RecvWait w : ft_allgather(ctx.world(), 16, 5.0))
+        EXPECT_EQ(w, Ctx::RecvWait::ok);
+    });
+    return eng.telemetry().registry().counter_total(
+        telemetry::Metric::engine_messages);
+  };
   for (const Case& c : cases) {
     auto plan = std::make_shared<fault::FaultPlan>(1);
     for (const fault::LinkFault& f : c.links) plan->add(f);
     for (const fault::RankFault& f : c.ranks) plan->add(f);
     EXPECT_EQ(plan->can_fail_receives(), c.can_fail) << c.what;
-    const Engine eng(fault_cfg(2, plan));
-    EXPECT_EQ(tool_receives_can_fail(eng), c.can_fail) << c.what;
+    EXPECT_EQ(allgather_messages(plan), c.can_fail ? kLinear : kRing)
+        << c.what;
   }
-  const Engine no_plan(fault_cfg(2));
-  EXPECT_FALSE(tool_receives_can_fail(no_plan));
+  EXPECT_EQ(allgather_messages(nullptr), kRing) << "no plan";
 }
 
 // --- deterministic virtual clocks under faults -------------------------------

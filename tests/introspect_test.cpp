@@ -10,7 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.h"
@@ -282,7 +284,7 @@ TEST(Analyzer, FramesCsvRoundtrip) {
       (std::filesystem::temp_directory_path() / "introspect_roundtrip.csv")
           .string();
   introspect::write_frames_csv_file(path, frames);
-  const auto back = introspect::read_frames_csv(path, /*order=*/3);
+  const auto back = introspect::read_frames_csv(path);
   std::remove(path.c_str());
 
   ASSERT_EQ(back.size(), 2u);
@@ -295,17 +297,56 @@ TEST(Analyzer, FramesCsvRoundtrip) {
 }
 
 TEST(Analyzer, FramesCsvRejectsOrdersAndClassesNoRunWrites) {
-  // A corrupt rank cell must neither wrap n * n (4294967296 squared is 0 in
-  // 64 bits) nor allocate matrices no memory holds, and a link-class row
-  // out of sequence must not grow the class vector to its index.
+  // A corrupt order record must neither wrap n * n (4294967296 squared is 0
+  // in 64 bits) nor allocate matrices no memory holds, a rank cell must sit
+  // below the recorded order, and a link-class row out of sequence must not
+  // grow the class vector to its index.
   const std::string path =
       (std::filesystem::temp_directory_path() / "introspect_corrupt.csv")
           .string();
-  for (const char* row : {"0,0,1,0,4294967295,1,8", "0,0,1,0,99999,1,8",
-                          "0,0,1,-2,1000000000000,0,8"}) {
-    std::ofstream(path) << "window,t0_s,t1_s,src,dst,count,bytes\n"
+  const std::pair<const char*, const char*> cases[] = {
+      {"4294967296", "0,0,1,0,1,1,8"}, {"99999", "0,0,1,0,1,1,8"},
+      {"4", "0,0,1,0,4294967295,1,8"}, {"4", "0,0,1,0,99999,1,8"},
+      {"4", "0,0,1,-2,1000000000000,0,8"}, {"0", "0,0,1,-1,-1,0,0"},
+  };
+  for (const auto& [order, row] : cases) {
+    std::ofstream(path) << "window,t0_s,t1_s,src,dst,count,bytes\n# order "
+                        << order << "\n"
                         << row << "\n";
     EXPECT_THROW(introspect::read_frames_csv(path), Error) << row;
+  }
+  std::ofstream(path) << "window,t0_s,t1_s,src,dst,count,bytes\n"
+                      << "0,0,1,0,1,1,8\n";
+  EXPECT_THROW(introspect::read_frames_csv(path), Error) << "no order record";
+  std::remove(path.c_str());
+}
+
+TEST(Analyzer, FramesCsvRejectsARankCellAtOrAboveItsOrderByFile) {
+  // One corrupt cell in a 4-rank file once made the reader size every
+  // window for 642 ranks; the recorded order now rejects it, naming the
+  // file.
+  std::vector<introspect::FrameMatrix> frames(1);
+  frames[0].counts = CommMatrix::square(4);
+  frames[0].bytes = CommMatrix::square(4);
+  frames[0].counts(1, 2) = 3;
+  frames[0].bytes(1, 2) = 4096;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "introspect_rank641.csv")
+          .string();
+  introspect::write_frames_csv_file(path, frames);
+  std::ostringstream text;
+  text << std::ifstream(path).rdbuf();
+  std::string mutated = text.str();
+  const std::size_t cell = mutated.find(",1,2,3,4096");
+  ASSERT_NE(cell, std::string::npos) << mutated;
+  mutated.replace(cell, 2, ",641");  // src 1 -> 641
+  std::ofstream(path) << mutated;
+  try {
+    introspect::read_frames_csv(path);
+    ADD_FAILURE() << "accepted rank 641 in a 4-rank file";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
 }

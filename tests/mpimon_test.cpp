@@ -988,10 +988,9 @@ void seeded_traffic(const Comm& world, const Comm& dup, std::uint64_t seed) {
 
 /// Two sessions (world with a snapshot, and a duplicate) watch the seeded
 /// traffic, then a phase hook that never fires runs its agreement
-/// collectives (critpath's mismatch allreduce included unless the plan can
-/// fail a receive), and every data-access collective reads the sessions
-/// back into kFill-filled buffers: the kGatherCalls, rootflush at n-1, and
-/// get_frames.
+/// collectives (critpath's mismatch allreduce included), and every
+/// data-access collective reads the sessions back into kFill-filled
+/// buffers: the kGatherCalls, rootflush at n-1, and get_frames.
 void exchange_program(Ctx& ctx, std::uint64_t seed, const std::string& prefix,
                       Readback& out) {
   const Comm world = ctx.world();
@@ -1138,13 +1137,14 @@ TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
   // run the fault-free coll:: schedules and must agree bit for bit:
   // every clock, return code and buffer, the frame times and the files. A
   // plan that can fail a receive but never does (rank 0 crashes at 1e9 s)
-  // runs the failure-aware ft_gather/ft_bcast schedules. Every plan must
+  // runs the failure-aware schedules of minimpi/ft.h. Every plan must
   // read back what each rank's own MPI_M_get_data rows predict, leave every
   // buffer it must not write at its fill value, and match the others word
   // for word. Goldens pin both schedules' clocks and the readback; they
   // were captured when the failure-aware schedules still carried the rows
   // in their messages (contention on, so tool traffic crosses the NIC
-  // gate).
+  // gate). The never-firing clocks were re-captured once the phase hook
+  // ran its critpath agreement under that plan too.
   struct Golden {
     int np;
     double max_clock;  // no plan, empty plan
@@ -1157,11 +1157,11 @@ TEST(MpiMon, FaultFreeGathersMatchTheFailureAwarePathWordForWord) {
       {1, 0x1.f75888fa87676p-14, 0x438ee495fded1435ull,
        0x1.f75550584be02p-14, 0x9cdef4701022ee32ull, 0xdbaa036f5af09cc5ull},
       {5, 0x1.9cef302a496bdp-12, 0x43606a6957b0503cull,
-       0x1.9c8e0d15df889p-12, 0x34d81155d2087002ull, 0x5f9e07951a4c491dull},
+       0x1.9f13dba6eab11p-12, 0xdfed3812bc10c6c5ull, 0x5f9e07951a4c491dull},
       {37, 0x1.2a429f7df75f1p-11, 0x39b5064db68d606aull,
-       0x1.2aca214aca8abp-10, 0x82268d407bfc3faeull, 0xc6a2b35015fa255eull},
+       0x1.3078b13ae7633p-10, 0xb4c1983de340eadcull, 0xc6a2b35015fa255eull},
       {64, 0x1.b15de2849d257p-11, 0xa5c0272dfe02bc03ull,
-       0x1.143605e3639c7p-8, 0x2a548f56e676b5cdull, 0x59d93369beed0184ull},
+       0x1.16b2a9949fdbdp-8, 0x44e75a199a51b9fbull, 0x59d93369beed0184ull},
   };
   enum { kNoPlan, kEmptyPlan, kNeverFires, kPlans };
   const char* const plan_name[kPlans] = {"no plan", "empty plan",

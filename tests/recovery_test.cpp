@@ -6,19 +6,23 @@
 // process, so setenv/unsetenv inside a test cannot leak across cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
 #include "minimpi/engine.h"
 #include "minimpi/ft.h"
+#include "mpimon/critpath_attach.h"
 #include "mpimon/governor.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
@@ -889,6 +893,151 @@ TEST(RecoveryReorder, FiringReorderUnderAnEmptyPlanDecidesAsWithoutOne) {
           << sched_mode_name(sched) << " rank " << r;
     }
   }
+}
+
+/// The phase hook's critpath trigger under contended_cfg: ranks alternate
+/// between the two nodes and each round rank r computes longer than r + 1,
+/// then trades a message with both ring neighbours, so every rank but 0
+/// waits, and only on cross-node messages. A snapshot with one long window
+/// and an unreachable boundary count leave the critpath trigger the only
+/// one that can fire (min_wait_ns 0). Returns the hook's result.
+reorder::ReorderResult critpath_phase_hook(Ctx& ctx, bool* fired) {
+  const Comm world = ctx.world();
+  const int n = comm_size(world);
+  const int r = comm_rank(world);
+  EXPECT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_set_gather_timeout(5.0), MPI_M_SUCCESS);
+  MPI_M_msid id = -1;
+  EXPECT_EQ(MPI_M_start(world, &id), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_snapshot_start(id, 10.0, 4, MPI_M_ALL_COMM), MPI_M_SUCCESS);
+  std::vector<std::byte> out(4096), in(4096);
+  for (int round = 0; round < 4; ++round) {
+    compute(1e-5 * (n - r));
+    sendrecv(out.data(), out.size(), Type::Byte, (r + 1) % n, round,
+             in.data(), in.size(), (r + n - 1) % n, round, world);
+  }
+  if (r == 0) compute(1.0);  // a plan may crash rank 0 in here
+  int seen = std::numeric_limits<int>::max();
+  reorder::ReorderResult res = reorder::reorder_on_phase(
+      id, world, &seen, fired,
+      {.use_critpath_mismatch = true, .min_wait_ns = 0});
+  EXPECT_EQ(MPI_M_suspend(id), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_free(id), MPI_M_SUCCESS);
+  EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  return res;
+}
+
+TEST(RecoveryReorder, CritpathTriggerDecidesAlikeUnderANeverFiringPlan) {
+  // The critpath agreement runs under every plan: a plan that can fail a
+  // receive but never does fires the same reorder as no plan. Only the
+  // decision is compared (TreeMatch's host time reaches rank 0's clock).
+  constexpr int kNp = 8;
+  for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
+    std::array<bool, kNp> fired[2];
+    std::array<std::vector<int>, kNp> k[2], members[2];
+    for (int plan = 0; plan < 2; ++plan) {
+      Engine eng(contended_cfg(sched, plan ? never_firing_plan() : nullptr));
+      mpit::Runtime tool(eng);
+      mon::attach_critpath(eng);
+      eng.run([&](Ctx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.world_rank());
+        bool t = false;
+        const reorder::ReorderResult res = critpath_phase_hook(ctx, &t);
+        fired[plan][r] = t;
+        k[plan][r] = res.k;
+        for (int g = 0; g < res.opt_comm.size(); ++g)
+          members[plan][r].push_back(res.opt_comm.world_rank_of(g));
+      });
+    }
+    for (std::size_t r = 0; r < kNp; ++r) {
+      const std::string who =
+          std::string(sched_mode_name(sched)) + " rank " + std::to_string(r);
+      EXPECT_TRUE(fired[0][r]) << who << ": the trigger should fire";
+      EXPECT_EQ(fired[1][r], fired[0][r]) << who;
+      EXPECT_EQ(k[1][r], k[0][r]) << who;
+      EXPECT_EQ(members[1][r], members[0][r]) << who;
+    }
+  }
+}
+
+TEST(RecoveryReorder, SurvivorsOfADeadRankZeroNeverFireOnTheirOwnSums) {
+  // Rank 0 crashes before the hook, so no survivor hears the critpath
+  // agreement. Each returns promptly, unfired, with comm and the identity,
+  // although its own sums alone would have tripped the trigger.
+  constexpr int kNp = 8;
+  for (SchedMode sched : {SchedMode::threads, SchedMode::fibers}) {
+    Engine eng(contended_cfg(sched, crash_plan({{0, 0.5}})));
+    mpit::Runtime tool(eng);
+    auto prof = mon::attach_critpath(eng);
+    std::array<int, kNp> fired{};
+    std::array<int, kNp> own_sums_trip{};
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.run([&](Ctx& ctx) {
+      const auto r = static_cast<std::size_t>(ctx.world_rank());
+      bool t = true;
+      const reorder::ReorderResult res = critpath_phase_hook(ctx, &t);
+      fired[r] = t ? 1 : 0;
+      EXPECT_EQ(res.opt_comm, ctx.world());
+      EXPECT_EQ(res.k, reorder::identity_k(kNp));
+      const auto mismatch = prof->mismatch_since_mark(ctx.world_rank());
+      const auto wait = prof->wait_since_mark(ctx.world_rank());
+      own_sums_trip[r] = wait > 0 && 2 * mismatch > wait ? 1 : 0;
+    });
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+    EXPECT_LT(wall_s, 5.0) << sched_mode_name(sched);
+    EXPECT_TRUE(eng.rank_dead(0)) << sched_mode_name(sched);
+    for (std::size_t r = 1; r < kNp; ++r) {
+      EXPECT_EQ(fired[r], 0) << sched_mode_name(sched) << " rank " << r;
+      EXPECT_EQ(own_sums_trip[r], 1) << sched_mode_name(sched) << " rank " << r;
+    }
+  }
+}
+
+TEST(RecoveryReorder, FaultFreeKBroadcastIsABinomialUserBcastOfNInts) {
+  // Without a fault plan rank 0 sends k as it always did: a coll-kind
+  // binomial bcast of n ints inside the distribute step, recorded as a
+  // "bcast" collective span whose p2p.send children carry the bytes.
+  constexpr int kNp = 8;
+  Engine eng(recovery_cfg(kNp));
+  mpit::Runtime tool(eng);
+  telemetry::Hub& hub = eng.telemetry();
+  hub.set_enabled(true);
+  eng.run([](Ctx& ctx) {
+    ASSERT_EQ(MPI_M_init(), MPI_M_SUCCESS);
+    reorder::monitor_and_reorder(ctx.world(), [](const Comm& comm) {
+      std::vector<std::byte> buf(4096);
+      const int peer = comm_rank(comm) ^ 1;
+      sendrecv(buf.data(), buf.size(), Type::Byte, peer, 0, buf.data(),
+               buf.size(), peer, 0, comm);
+    });
+    EXPECT_EQ(MPI_M_finalize(), MPI_M_SUCCESS);
+  });
+  std::vector<std::pair<std::int64_t, std::int64_t>> root_sends;
+  for (int r = 0; r < kNp; ++r) {
+    const auto spans = hub.spans(r);
+    const auto named = [&](const char* name) {
+      return std::find_if(spans.begin(), spans.end(), [&](const auto& sp) {
+        return std::string(sp.name) == name;
+      });
+    };
+    const auto dist = named("reorder.distribute");
+    const auto bcast = named("bcast");
+    ASSERT_NE(dist, spans.end()) << "rank " << r;
+    ASSERT_NE(bcast, spans.end()) << "rank " << r;
+    EXPECT_EQ(bcast->cat, 'C');
+    EXPECT_EQ(bcast->t0_s, dist->t0_s) << "rank " << r;
+    EXPECT_EQ(bcast->t1_s, dist->t1_s) << "rank " << r;
+    for (const auto& sp : spans)
+      if (r == 0 && std::string(sp.name) == "p2p.send" &&
+          sp.t0_s >= bcast->t0_s && sp.t1_s <= bcast->t1_s)
+        root_sends.emplace_back(sp.a, sp.b);
+  }
+  const std::int64_t k_bytes = kNp * sizeof(int);
+  const std::vector<std::pair<std::int64_t, std::int64_t>> binomial = {
+      {4, k_bytes}, {2, k_bytes}, {1, k_bytes}};
+  EXPECT_EQ(root_sends, binomial);
 }
 
 // --- deadlock report names the failed ranks (satellite b) --------------------

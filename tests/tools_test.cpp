@@ -202,7 +202,7 @@ TEST(Report, RejectsTruncatedRows) {
       "metric,kind,rank,field,value\nmpim_x_total,counter,0,value\n");
   const std::string f = write_temp_csv(
       "rep_trunc_f.csv",
-      "window,t0_s,t1_s,src,dst,count,bytes\n0,0.0,0.001,0,1,2\n");
+      "window,t0_s,t1_s,src,dst,count,bytes\n# order 2\n0,0.0,0.001,0,1,2\n");
   std::ostringstream os;
   EXPECT_THROW(report_metrics(m, os), Error);
   EXPECT_THROW(report_timeline(f, os), Error);
@@ -215,7 +215,8 @@ TEST(Report, RejectsNonFiniteAndNonNumericCells) {
       "metric,kind,rank,field,value\nmpim_x_total,counter,0,value,nan\n");
   const std::string f = write_temp_csv(
       "rep_nan_f.csv",
-      "window,t0_s,t1_s,src,dst,count,bytes\n0,0.0,0.001,0,1,2,oops\n");
+      "window,t0_s,t1_s,src,dst,count,bytes\n# order 2\n"
+      "0,0.0,0.001,0,1,2,oops\n");
   std::ostringstream os;
   EXPECT_THROW(report_metrics(m, os), Error);
   EXPECT_THROW(report_timeline(f, os), Error);
@@ -289,6 +290,7 @@ TEST(Report, TimelineHandlesASingleWindow) {
   const std::string f = write_temp_csv(
       "rep_one_f.csv",
       "window,t0_s,t1_s,src,dst,count,bytes\n"
+      "# order 2\n"
       "3,0.003,0.004,0,1,2,2048\n"
       "3,0.003,0.004,1,0,1,512\n");
   std::ostringstream os;
