@@ -1,5 +1,7 @@
 #include "apps/nas_cg.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "support/error.h"
@@ -28,6 +30,9 @@ NasCgSolver::NasCgSolver(const mpi::Comm& comm, const CgConfig& cfg)
   n_ = static_cast<long>(cfg_.grid_n) * cfg_.grid_n;
   check(n_ % (static_cast<long>(pr_) * pc_) == 0,
         "matrix order not divisible by the process grid");
+  // A block's rows, local columns and up to 5 entries per row index as int.
+  check(n_ <= std::numeric_limits<int>::max() / 5,
+        "matrix order too large for NAS CG's int block indices");
 
   rows_ = n_ / pr_;
   row0_ = rows_ * prow_;
@@ -49,12 +54,16 @@ NasCgSolver::NasCgSolver(const mpi::Comm& comm, const CgConfig& cfg)
 
 void NasCgSolver::build_matrix_block() {
   const long g = cfg_.grid_n;
-  csr_row_ptr_.assign(static_cast<std::size_t>(rows_) + 1, 0);
   auto in_cols = [&](long v) { return v >= col0_ && v < col0_ + cols_; };
 
-  for (long lr = 0; lr < rows_; ++lr) {
+  // Only rows u whose band [u - g, u + g] reaches Cj can hold an entry.
+  const long lr_begin = std::max(0L, col0_ - g - row0_);
+  const long lr_end = std::min(rows_, col0_ + cols_ + g - row0_);
+  csr_row_ptr_.assign(1, 0);
+  for (long lr = lr_begin; lr < lr_end; ++lr) {
     const long u = row0_ + lr;
     const long y = u / g, x = u % g;
+    const std::size_t first = csr_col_.size();
     // Ascending column order: u-g, u-1, u, u+1, u+g.
     const std::pair<long, double> entries[] = {
         {u - g, -1.0}, {u - 1, -1.0}, {u, 4.0}, {u + 1, -1.0}, {u + g, -1.0}};
@@ -65,11 +74,11 @@ void NasCgSolver::build_matrix_block() {
       if (!valid || !in_cols(v)) continue;
       csr_col_.push_back(static_cast<int>(v - col0_));
       csr_val_.push_back(val);
-      ++csr_row_ptr_[static_cast<std::size_t>(lr) + 1];
     }
+    if (csr_col_.size() == first) continue;  // an empty row is not stored
+    csr_row_.push_back(static_cast<int>(lr));
+    csr_row_ptr_.push_back(static_cast<int>(csr_col_.size()));
   }
-  for (std::size_t i = 1; i < csr_row_ptr_.size(); ++i)
-    csr_row_ptr_[i] += csr_row_ptr_[i - 1];
 }
 
 void NasCgSolver::apply_operator() {
@@ -98,21 +107,26 @@ void NasCgSolver::apply_operator() {
     }
   });
 
-  // 2. Local sparse block SpMV: w = A(Ri x Cj) * p_full.
-  for (long lr = 0; lr < rows_; ++lr) {
+  // 2. Local sparse block SpMV: w = A(Ri x Cj) * p_full. Only stored rows
+  //    are written; the others keep the +0.0 they were constructed with,
+  //    since nothing else writes w_.
+  for (std::size_t r = 0; r < csr_row_.size(); ++r) {
     double acc = 0.0;
-    const long beg = csr_row_ptr_[static_cast<std::size_t>(lr)];
-    const long end = csr_row_ptr_[static_cast<std::size_t>(lr) + 1];
-    for (long e = beg; e < end; ++e)
+    for (int e = csr_row_ptr_[r]; e < csr_row_ptr_[r + 1]; ++e)
       acc += csr_val_[static_cast<std::size_t>(e)] *
              p_full_[static_cast<std::size_t>(
                  csr_col_[static_cast<std::size_t>(e)])];
-    w_[static_cast<std::size_t>(lr)] = acc;
+    w_[static_cast<std::size_t>(csr_row_[r])] = acc;
   }
   mpi::compute_flops(2.0 * static_cast<double>(csr_val_.size()));
 
   // 3. Reduce-scatter within the grid row (recursive halving): every rank
-  //    ends with the pcol-th chunk of Ri, summed across the row.
+  //    ends with the pcol-th chunk of Ri, summed across the row. `sum`
+  //    holds the running sum of [cur_off, cur_off + cur_len), which never
+  //    goes back into w_: round 1 receives into halves_, and each later
+  //    round receives into the half it has just sent (sends are eager, so
+  //    that half is free once send returns). Each sum is kept + received.
+  double* sum = w_.data();
   long cur_off = 0, cur_len = rows_;
   timed([&] {
     for (int mask = pc_ >> 1; mask >= 1; mask >>= 1) {
@@ -120,16 +134,16 @@ void NasCgSolver::apply_operator() {
       const int partner = prow_ * pc_ + partner_col;
       const long half = cur_len / 2;
       const bool keep_upper = (pcol_ & mask) != 0;
-      const long send_off = keep_upper ? cur_off : cur_off + half;
-      const long keep_off = keep_upper ? cur_off + half : cur_off;
-      mpi::send(w_.data() + send_off, static_cast<std::size_t>(half),
-                mpi::Type::Double, partner, kRowSumTag, comm_);
-      mpi::recv(halves_.data(), static_cast<std::size_t>(half),
-                mpi::Type::Double, partner, kRowSumTag, comm_);
-      for (long i = 0; i < half; ++i)
-        w_[static_cast<std::size_t>(keep_off + i)] +=
-            halves_[static_cast<std::size_t>(i)];
-      cur_off = keep_off;
+      const double* keep = sum + (keep_upper ? half : 0);
+      double* sent = sum + (keep_upper ? 0 : half);
+      double* in = sum == w_.data() ? halves_.data() : sent;
+      mpi::send(sent, static_cast<std::size_t>(half), mpi::Type::Double,
+                partner, kRowSumTag, comm_);
+      mpi::recv(in, static_cast<std::size_t>(half), mpi::Type::Double,
+                partner, kRowSumTag, comm_);
+      for (long i = 0; i < half; ++i) in[i] = keep[i] + in[i];
+      sum = in;
+      if (keep_upper) cur_off += half;
       cur_len = half;
     }
   });
@@ -145,12 +159,10 @@ void NasCgSolver::apply_operator() {
   const int src_idx = pcol_ * pr_ + prow_;
   const int src = (src_idx / pc_) * pc_ + (src_idx % pc_);
   if (dst == mpi::comm_rank(comm_)) {
-    std::copy(w_.begin() + cur_off, w_.begin() + cur_off + piece_len_,
-              q_.begin());
+    std::copy(sum, sum + piece_len_, q_.begin());
   } else {
     timed([&] {
-      mpi::send(w_.data() + cur_off, plen, mpi::Type::Double, dst,
-                kTransposeTag, comm_);
+      mpi::send(sum, plen, mpi::Type::Double, dst, kTransposeTag, comm_);
       mpi::recv(q_.data(), plen, mpi::Type::Double, src, kTransposeTag,
                 comm_);
     });

@@ -6,7 +6,7 @@
 // disjoint per-rank pieces, and every iteration performs
 //   1. a column allgather (recursive doubling, partners at rank distance
 //      npcols * 2^k) to assemble the local p segment,
-//   2. the local sparse block SpMV,
+//   2. the local sparse block SpMV over the rows the block holds,
 //   3. a reduce-scatter within the grid row (recursive halving, partners
 //      at rank distance 2^k) to sum the partial results,
 //   4. one transpose exchange (NAS's exch_proc) realigning the q chunk
@@ -54,15 +54,20 @@ class NasCgSolver : public CgRecurrence {
   long col0_ = 0, cols_ = 0;  ///< matrix cols of my block (range Cj)
   long piece0_ = 0, piece_len_ = 0;  ///< my disjoint vector piece
 
-  // Local sparse block in CSR (column indices local to Cj).
-  std::vector<long> csr_row_ptr_;
+  // Local sparse block, doubly compressed (DCSR, Buluc & Gilbert): only
+  // rows holding an entry are stored, since under the 2-D distribution of
+  // a banded operator most rows of a block are empty. Stored row r is
+  // local row csr_row_[r]; its entries are [csr_row_ptr_[r],
+  // csr_row_ptr_[r + 1]), with column indices local to Cj.
+  std::vector<int> csr_row_;
+  std::vector<int> csr_row_ptr_;
   std::vector<int> csr_col_;
   std::vector<double> csr_val_;
 
   // Work buffers.
   std::vector<double> p_full_;  ///< assembled p over Cj (length cols_)
   std::vector<double> w_;       ///< SpMV partial over Ri (length rows_)
-  std::vector<double> halves_;  ///< reduce-scatter exchange buffer
+  std::vector<double> halves_;  ///< reduce-scatter running sum
 };
 
 }  // namespace mpim::apps

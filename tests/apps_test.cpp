@@ -188,7 +188,7 @@ TEST(NasCg, MatchesHaloCgResiduals) {
 TEST(NasCg, ResidualIndependentOfRankCount) {
   auto run_with = [](int nranks) {
     double rho = 0.0;
-    Sim sim = make_sim(nranks, 2, 8);
+    Sim sim = make_sim(nranks, 2, std::max(8, nranks / 2));
     sim.run([&](Ctx& ctx) {
       NasCgSolver s(ctx.world(), CgConfig{48, 5, 7});
       for (int i = 0; i < 5; ++i) rho = s.iteration();
@@ -198,8 +198,11 @@ TEST(NasCg, ResidualIndependentOfRankCount) {
   const double rho1 = run_with(1);
   const double rho4 = run_with(4);
   const double rho16 = run_with(16);
+  // An 8 x 8 grid: 42 of its 64 blocks hold no entry.
+  const double rho64 = run_with(64);
   EXPECT_NEAR(rho1, rho4, 1e-9 * std::abs(rho1));
   EXPECT_NEAR(rho1, rho16, 1e-9 * std::abs(rho1));
+  EXPECT_NEAR(rho1, rho64, 1e-9 * std::abs(rho1));
 }
 
 TEST(NasCg, RectangularGridWorks) {
@@ -337,13 +340,22 @@ TEST(AppsGolden, CgSolverClocksAndResiduals) {
 }
 
 TEST(AppsGolden, NasCgSolverClocksAndResiduals) {
+  // np=1 runs no reduce-scatter round, so the sum is read from the SpMV
+  // output; np=2 runs one round and no column allgather; np=32 is a 4 x 8
+  // grid in which most blocks hold no entry at all.
   expect_cg_goldens<NasCgSolver>({
+      {1, 0x1.669a82918410dp-12, 0x1.9c062ab4cae11p+1, 0x1.353cd652c8p-25,
+       0x1.4b04c74b3ed48p-12},
+      {2, 0x1.cea39a2c1942dp-13, 0x1.9c062ab4cadf8p+1, 0x1.464cd1a60bae3p-15,
+       0x1.ab0d2bd9efefp-13},
       {4, 0x1.b76eafb3b8e44p-13, 0x1.9c062ab4cade4p+1, 0x1.4545d98ce1739p-14,
        0x1.956fb10d659dfp-13},
       {8, 0x1.7cca68b7e60d1p-13, 0x1.9c062ab4cadd6p+1, 0x1.bdb3e7ecfa6edp-14,
        0x1.5f7fc31fe80c5p-13},
       {16, 0x1.edeab0b3bfa51p-13, 0x1.9c062ab4cadc6p+1, 0x1.64e4ca173c6a2p-13,
        0x1.c757a85292f98p-13},
+      {32, 0x1.d2d49774d8835p-12, 0x1.9c062ab4cadc6p+1, 0x1.93248abb8d654p-12,
+       0x1.ad911d8bdf216p-12},
   });
 }
 

@@ -1,7 +1,8 @@
 // Scheduler-backend parity: every workload must produce bit-identical
 // virtual clocks whether ranks run as OS threads or as cooperatively
 // scheduled fibers of one thread (EngineConfig::sched / MPIM_SCHED). The
-// sweep covers plain p2p + collectives, NIC contention, fault plans,
+// sweep covers plain p2p + collectives, NIC contention, NAS CG's in-place
+// reduce-scatter receives (clocks and residual), fault plans,
 // crash + shrink + rebind recovery, and the critical-path profiler's
 // labels; three golden-clock cases pin the tree fabric, every
 // collective family plus a monitored session, and a np=1000 contended
@@ -33,6 +34,7 @@
 #include <tuple>
 #include <vector>
 
+#include "apps/nas_cg.h"
 #include "critpath/critpath.h"
 #include "fault/fault_plan.h"
 #include "minimpi/api.h"
@@ -158,6 +160,26 @@ TEST(SchedParity, NicContentionGateOrdersSendsIdentically) {
     }
     barrier(world);
   });
+}
+
+TEST(SchedParity, NasCgInPlaceReduceScatterUnderContention) {
+  // NAS CG's reduce-scatter receives each round after the first into the
+  // half of the running sum it has just sent; on threads the partner's
+  // payload lands there from the partner's thread (TSan watches). A 4 x 4
+  // grid runs two rounds; the column partners sit on other nodes.
+  auto cfg = sched_cfg(16, /*nodes=*/4, /*cores=*/4);
+  cfg.nic_contention = true;
+  cfg.nic_port_beta_scale = 2.0;
+  std::vector<double> residuals;  // rank 0's, threads run first
+  expect_clock_parity(cfg, [&](Ctx& ctx) {
+    apps::NasCgSolver solver(ctx.world(), apps::CgConfig{48, 6, 5});
+    const double residual = solver.solve().residual_norm2;
+    if (ctx.world_rank() == 0) residuals.push_back(residual);
+  });
+  ASSERT_EQ(residuals.size(), 2u);
+  EXPECT_GT(residuals[0], 0.0);
+  EXPECT_EQ(residuals[0], residuals[1]) << std::hexfloat << residuals[0]
+                                        << " vs " << residuals[1];
 }
 
 TEST(SchedParity, FaultPlanCrashAndSlowdown) {
