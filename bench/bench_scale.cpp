@@ -8,8 +8,18 @@
 // Table (scale_sweep): per (lane, np) -- wall time of a fixed
 // ring-sendrecv + allreduce workload, peak-RSS growth per rank across the
 // run (getrusage ru_maxrss delta; cumulative-peak semantics, so the
-// ascending np order keeps each row meaningful), and sendrecv events per
-// wall second.
+// ascending np order keeps each row meaningful), the ring's sendrecv events
+// per wall second, and (informational) every p2p event per wall second:
+// the ring's 2*np*iters plus the recursive-doubling allreduce's
+// 2*np*log2(np). That count is checked once, at np=64, against the
+// engine's mpim_engine_messages_total in an untimed telemetry-on run; a
+// mismatch fails the bench.
+//
+// Table (scale_setup, informational): per fiber-lane np, on a fresh OS
+// thread, the wall time of two consecutive empty-body fiber worlds (fresh
+// Engine each, contention off) from construction to destruction. The
+// first maps the thread's fiber stack slab; the second runs on the slab
+// the first left behind.
 //
 // "Practical" has two parts, both measured, per backend lane:
 //   1. the run completes within the wall budget, and
@@ -35,9 +45,12 @@
 // hot-path gates live in bench_record/bench_micro).
 #include <sys/resource.h>
 
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -77,8 +90,16 @@ struct RunCost {
   bool completed = false;
 };
 
-RunCost measure(mpi::SchedMode mode, bool contended, int nranks, int iters,
-                std::size_t bytes) {
+/// Point-to-point events of ring_workload, a send and its receive each:
+/// the ring's `iters` sendrecvs plus the recursive-doubling allreduce's
+/// log2(np) sendrecv rounds. Every lane size is a power of two.
+double workload_events(int np, int iters) {
+  const int log2_np = std::bit_width(static_cast<unsigned>(np)) - 1;
+  return 2.0 * np * (iters + log2_np);
+}
+
+mpi::EngineConfig lane_config(mpi::SchedMode mode, bool contended,
+                              int nranks) {
   auto cost = net::CostModel::plafrim_like(bench::nodes_for_ranks(nranks));
   auto placement = topo::round_robin_placement(nranks, cost.topology());
   mpi::EngineConfig cfg{.cost_model = std::move(cost),
@@ -89,6 +110,12 @@ RunCost measure(mpi::SchedMode mode, bool contended, int nranks, int iters,
   // NIC model, whose min-clock gate serializes sends in both modes.
   cfg.nic_contention = contended;
   cfg.nic_port_beta_scale = 2.0;  // read only with contention on
+  return cfg;
+}
+
+RunCost measure(mpi::SchedMode mode, bool contended, int nranks, int iters,
+                std::size_t bytes) {
+  const mpi::EngineConfig cfg = lane_config(mode, contended, nranks);
   RunCost out;
   const long rss0 = peak_rss_kib();
   const auto t0 = std::chrono::steady_clock::now();
@@ -123,7 +150,8 @@ int run_lane(Table& t, mpi::SchedMode mode, bool contended,
     t.add(name + "_np" + std::to_string(np),
           format_sig(c.wall_s * 1e3, 4),
           format_sig(static_cast<double>(c.rss_delta_kib) / np, 4),
-          format_sig(events_per_s, 4));
+          format_sig(events_per_s, 4),
+          format_sig(workload_events(np, iters) / c.wall_s, 4));
     if (c.wall_s > budget_s) {
       std::cout << name << ": np=" << np << " blew the budget (" << c.wall_s
                 << " s), stopping the lane\n";
@@ -138,6 +166,54 @@ int run_lane(Table& t, mpi::SchedMode mode, bool contended,
     max_np = np;
   }
   return max_np;
+}
+
+/// Runs ring_workload once at `np` with telemetry on and compares the
+/// engine's message count with workload_events; prints the outcome.
+bool event_count_matches(int np, int iters, std::size_t bytes) {
+  mpi::Engine engine(
+      lane_config(mpi::SchedMode::fibers, /*contended=*/false, np));
+  engine.telemetry().set_enabled(true);
+  engine.run([&](mpi::Ctx& ctx) { ring_workload(ctx, iters, bytes); });
+  const std::uint64_t messages = engine.telemetry().registry().counter_total(
+      telemetry::Metric::engine_messages);
+  const double counted = 2.0 * static_cast<double>(messages);
+  const bool ok = counted == workload_events(np, iters);
+  std::cout << "event count at np=" << np << ": " << messages
+            << " messages sent = " << counted << " events, expected "
+            << workload_events(np, iters) << ": " << (ok ? "ok" : "FAIL")
+            << "\n";
+  return ok;
+}
+
+/// Wall seconds of one empty-body fiber world at `np`, contention off,
+/// from engine construction to destruction.
+double empty_world_s(int np) {
+  const mpi::EngineConfig cfg =
+      lane_config(mpi::SchedMode::fibers, /*contended=*/false, np);
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    mpi::Engine engine(cfg);
+    engine.run([](mpi::Ctx&) {});
+  }
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+/// Per-run set-up, cold and warm: two empty worlds back to back on a
+/// fresh thread, whose first world maps a stack slab and whose second
+/// runs on the slab the first left to the thread.
+void setup_sweep(Table& t, const std::vector<int>& nps) {
+  for (int np : nps) {
+    double cold_s = 0.0, warm_s = 0.0;
+    std::thread([&] {
+      cold_s = empty_world_s(np);
+      warm_s = empty_world_s(np);
+    }).join();
+    t.add("fibers_np" + std::to_string(np), format_sig(cold_s * 1e3, 4),
+          format_sig(warm_s * 1e3, 4), format_sig(cold_s * 1e6 / np, 4),
+          format_sig(warm_s * 1e6 / np, 4));
+  }
 }
 
 }  // namespace
@@ -170,7 +246,7 @@ int main(int argc, char** argv) {
                 " B, budget " + std::to_string(static_cast<int>(budget_s)) +
                 " s/run, ceiling 50 us/event");
   Table t({"backend_np", "wall_ms", "peak_rss_kib_per_rank",
-           "sendrecv_events_per_s"});
+           "sendrecv_events_per_s", "all_events_per_s"});
 
   const int max_thread_np =
       run_lane(t, mpi::SchedMode::threads, /*contended=*/false, thread_nps,
@@ -186,6 +262,13 @@ int main(int argc, char** argv) {
                iters, bytes, budget_s);
   t.print(std::cout);
   bench::maybe_csv(opt, t, "scale_sweep");
+  const bool count_ok = event_count_matches(64, iters, bytes);
+
+  Table setup({"world", "cold_ms", "warm_ms", "cold_us_per_rank",
+               "warm_us_per_rank"});
+  setup_sweep(setup, fiber_nps);
+  setup.print(std::cout);
+  bench::maybe_csv(opt, setup, "scale_setup");
 
   Table m({"metric", "value"});
   m.add("max_practical_thread_np", max_thread_np);
@@ -210,5 +293,5 @@ int main(int argc, char** argv) {
   std::cout << "acceptance: contended fiber lane practical at np="
             << contended_nps.back() << ": " << (contended_ok ? "ok" : "FAIL")
             << " (largest practical " << max_contended_np << ")\n";
-  return ratio_ok && contended_ok ? 0 : 1;
+  return count_ok && ratio_ok && contended_ok ? 0 : 1;
 }

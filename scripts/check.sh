@@ -55,12 +55,17 @@
 #                    byte-identical to the run without it
 #   --scale-only     scheduler backends (thread-vs-fiber clock bit-identity,
 #                    MPIM_SCHED parsing, fiber deadlock detection, np=512-1024
-#                    fiber worlds, min-clock gate tree vs its linear oracle;
+#                    fiber worlds, the next world on a thread reusing the
+#                    last one's stack slab, min-clock gate tree vs its
+#                    linear oracle;
 #                    asan exercises the fiber stack-switch annotations, tsan
 #                    the thread-mode halves of the parity sweep);
 #                    bench_scale --quick: thread, fiber and contended fiber
 #                    lanes (the >= 8x and np=65536 acceptances gate the full
-#                    run only)
+#                    run only; the np=64 event count gates both), then the
+#                    scale_setup table: a cold and a warm empty fiber world
+#                    per fiber-lane np on a fresh thread, the warm one on
+#                    the stack slab the cold one left
 #
 # Usage: scripts/check.sh [--default-only|--asan-only|--tsan-only|<lane flag>]
 set -euo pipefail

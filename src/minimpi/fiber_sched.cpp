@@ -109,6 +109,27 @@ std::size_t page_size() {
       static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   return p;
 }
+
+/// A stack slab, guards installed: [guard|stack] pairs of `stack_bytes`
+/// stacks filling `bytes`.
+struct Slab {
+  char* base = nullptr;
+  std::size_t bytes = 0;
+  std::size_t stack_bytes = 0;
+
+  void unmap() {
+    if (base != nullptr) ::munmap(base, bytes);
+    *this = Slab{};
+  }
+};
+
+/// The slab the last FiberSched destroyed on this thread left behind, for
+/// the next one to run on; unmapped when the thread exits.
+struct SpareSlab {
+  Slab slab;
+  ~SpareSlab() { slab.unmap(); }
+};
+thread_local SpareSlab t_spare;
 }  // namespace
 
 FiberSched::FiberSched(int nranks, std::size_t stack_bytes,
@@ -128,34 +149,49 @@ FiberSched::FiberSched(int nranks, std::size_t stack_bytes,
   stack_bytes_ = ((stack_bytes + page - 1) / page) * page;
   if (stack_bytes_ < 4 * page) stack_bytes_ = 4 * page;
   const std::size_t stride = stack_bytes_ + page;
-  slab_bytes_ = stride * static_cast<std::size_t>(n_);
-  void* base =
-      ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
-             MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
-  check(base != MAP_FAILED, "fiber stack slab mmap failed");
-  slab_base_ = static_cast<char*>(base);
+  const std::size_t need = stride * static_cast<std::size_t>(n_);
+  Slab& spare = t_spare.slab;
+  if (spare.stack_bytes == stack_bytes_ && spare.bytes >= need) {
+    // The thread's spare slab has room: its guards are in place and the
+    // stack pages earlier worlds touched are still resident.
+    slab_base_ = spare.base;
+    slab_bytes_ = spare.bytes;
+    spare = Slab{};
+  } else {
+    spare.unmap();
+    slab_bytes_ = need;
+    void* base =
+        ::mmap(nullptr, slab_bytes_, PROT_READ | PROT_WRITE,
+               MAP_PRIVATE | MAP_ANONYMOUS | MAP_STACK | MAP_NORESERVE, -1, 0);
+    check(base != MAP_FAILED, "fiber stack slab mmap failed");
+    slab_base_ = static_cast<char*>(base);
 
-  // Probe MADV_GUARD_INSTALL once on the first guard page; on kernels
-  // without it (< 6.13) every guard degrades to a PROT_NONE mapping split.
-  bool madvise_guards =
-      ::madvise(slab_base_, page, MADV_GUARD_INSTALL) == 0;
+    // Probe MADV_GUARD_INSTALL once on the first guard page; on kernels
+    // without it (< 6.13) every guard degrades to a PROT_NONE mapping
+    // split.
+    const bool madvise_guards =
+        ::madvise(slab_base_, page, MADV_GUARD_INSTALL) == 0;
+    for (int r = 0; r < n_; ++r) {
+      char* guard = slab_base_ + stride * static_cast<std::size_t>(r);
+      if (madvise_guards) {
+        if (r > 0)  // page 0's guard was installed by the probe
+          check(::madvise(guard, page, MADV_GUARD_INSTALL) == 0,
+                "fiber guard madvise failed");
+      } else {
+        check(::mprotect(guard, page, PROT_NONE) == 0,
+              "fiber guard mprotect failed");
+      }
+    }
+  }
 
   fibers_.reserve(static_cast<std::size_t>(n_));
   for (int r = 0; r < n_; ++r) {
     auto f = std::make_unique<Fiber>();
-    char* guard = slab_base_ + stride * static_cast<std::size_t>(r);
-    if (madvise_guards) {
-      if (r > 0)  // page 0's guard was installed by the probe
-        check(::madvise(guard, page, MADV_GUARD_INSTALL) == 0,
-              "fiber guard madvise failed");
-    } else {
-      check(::mprotect(guard, page, PROT_NONE) == 0,
-            "fiber guard mprotect failed");
-    }
-    f->stack_lo = guard + page;
+    f->stack_lo = slab_base_ + stride * static_cast<std::size_t>(r) + page;
     f->stack_bytes = stack_bytes_;
     fibers_.push_back(std::move(f));
   }
+  done_ = n_;
 #if defined(MPIM_FIBER_TSAN)
   main_tsan_fiber_ = __tsan_get_current_fiber();
   for (auto& f : fibers_) f->tsan_fiber = __tsan_create_fiber(0);
@@ -167,7 +203,13 @@ FiberSched::~FiberSched() {
   for (auto& f : fibers_)
     if (f->tsan_fiber != nullptr) __tsan_destroy_fiber(f->tsan_fiber);
 #endif
-  if (slab_base_ != nullptr) ::munmap(slab_base_, slab_bytes_);
+  // The thread keeps one spare, the larger of the two. A run abandoned by
+  // an exception leaves frames on its stacks (under ASan, poisoned
+  // redzones too), so its slab is not handed on.
+  Slab mine{slab_base_, slab_bytes_, stack_bytes_};
+  Slab& spare = t_spare.slab;
+  if (done_ == n_ && mine.bytes > spare.bytes) std::swap(spare, mine);
+  mine.unmap();
 }
 
 #if defined(__x86_64__)

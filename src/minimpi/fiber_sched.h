@@ -60,8 +60,17 @@ class FiberSched {
   /// switch into `rank`'s fiber; the engine uses it to repoint the
   /// current-context pointer (the fiber-mode replacement for "one
   /// thread_local per rank thread").
+  ///
+  /// Takes the calling thread's spare stack slab (see the destructor) when
+  /// it holds at least `nranks` stacks of this size: no mmap, no guard
+  /// installs, and the stack pages earlier worlds touched are resident.
+  /// Otherwise it unmaps the spare and maps a fresh slab.
   FiberSched(int nranks, std::size_t stack_bytes,
              std::function<void(int)> on_resume);
+  /// Leaves the slab to the destroying thread as its spare, unless a
+  /// run was abandoned mid-way (its stacks still hold frames). A thread
+  /// keeps one spare, the larger by mapped bytes, and unmaps it when the
+  /// thread exits.
   ~FiberSched();
 
   FiberSched(const FiberSched&) = delete;
@@ -145,6 +154,9 @@ class FiberSched {
   /// vm.max_map_count (per-fiber PROT_NONE guards cost 2 VMAs each, which
   /// alone exhausts the default 65530 budget short of np=32768). Older
   /// kernels fall back to mprotect(PROT_NONE) guards transparently.
+  /// The slab outlives this scheduler as its thread's spare, so it may hold
+  /// more stacks than n_: fiber r always runs on the r-th stack, and
+  /// slab_bytes_ is the whole mapping.
   char* slab_base_ = nullptr;
   std::size_t slab_bytes_ = 0;
   std::function<void(int)> on_resume_;
@@ -156,6 +168,8 @@ class FiberSched {
   std::size_t main_stack_bytes_ = 0;
   void* main_tsan_fiber_ = nullptr;
   int running_ = -1;
+  /// Fibers of the current run that finished; n_ outside a run, so
+  /// done_ < n_ at destruction means a run was abandoned.
   int done_ = 0;
   /// Min-heap of (virtual clock at block, rank); the dispatch order.
   using ReadyEntry = std::pair<double, int>;

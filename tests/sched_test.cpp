@@ -14,9 +14,12 @@
 // structural deadlock detector, timed receives, rerun determinism, that a
 // switch keeps each fiber's FP rounding mode and stack alignment (the
 // register-only switch saves MXCSR and the x87 control word, nothing
-// else), a stack slab larger than the host's memory, and a np=512
-// recovery world no thread backend could drive on a small host.
+// else), a stack slab larger than the host's memory, the next world on a
+// thread reusing the last one's stack slab (page faults, disjoint stacks,
+// golden clocks on a reused slab), and a np=512 recovery world no thread
+// backend could drive on a small host.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -31,6 +34,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -44,6 +48,14 @@
 #include "minimpi/min_clock_tree.h"
 #include "mpimon/mpi_monitoring.h"
 #include "mpit/runtime.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define MPIM_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MPIM_TEST_TSAN 1
+#endif
+#endif
 
 namespace mpim::mpi {
 namespace {
@@ -437,24 +449,27 @@ std::uint64_t clock_bits_hash(const std::vector<double>& clocks) {
   return h;
 }
 
-TEST(SchedParity, DeepGateTreeKeepsGoldenClocks) {
-  // Golden clocks captured on the linear-scan gate: a contended world
-  // deep enough that the min-clock tree has 10 levels (np=1000), on
-  // plafrim_like with a seeded random placement. Ring sendrecv with
-  // per-rank compute skew, a gather to rank 0 and an allreduce; no
-  // MPI_ANY_SOURCE, so thread-mode matching stays deterministic. The
-  // max final clock is pinned as a hexfloat, every clock by its hash.
-  struct Golden {
-    int np;
-    SchedMode mode;
-    double max_clock;
-    std::uint64_t hash;
-  };
-  const Golden goldens[] = {
-      {1000, SchedMode::fibers, 0x1.3d4986d6ee894p-14, 0x0ea3e2436fdfd0c7ull},
-      {96, SchedMode::threads, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
-      {96, SchedMode::fibers, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
-  };
+// Golden clocks captured on the linear-scan gate: a contended world deep
+// enough that the min-clock tree has 10 levels (np=1000), on plafrim_like
+// with a seeded random placement. Ring sendrecv with per-rank compute skew,
+// a gather to rank 0 and an allreduce; no MPI_ANY_SOURCE, so thread-mode
+// matching stays deterministic. The max final clock is pinned as a
+// hexfloat, every clock by its hash.
+struct DeepGateGolden {
+  int np;
+  SchedMode mode;
+  double max_clock;
+  std::uint64_t hash;
+};
+constexpr DeepGateGolden kDeepGateGoldens[] = {
+    {1000, SchedMode::fibers, 0x1.3d4986d6ee894p-14, 0x0ea3e2436fdfd0c7ull},
+    {96, SchedMode::threads, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
+    {96, SchedMode::fibers, 0x1.86d607634cf73p-15, 0x487904626193e309ull},
+};
+
+/// Runs the deep-gate world of `g` on a fresh engine and checks its final
+/// clocks against the golden.
+void expect_deep_gate_golden(const DeepGateGolden& g) {
   const auto workload = [](Ctx& ctx) {
     const Comm world = ctx.world();
     const int n = comm_size(world);
@@ -475,26 +490,28 @@ TEST(SchedParity, DeepGateTreeKeepsGoldenClocks) {
     allreduce(&v, &sum, 1, Type::Long, Op::Sum, world);
     EXPECT_EQ(sum, static_cast<long>(n) * (n - 1) / 2);
   };
-  for (const Golden& g : goldens) {
-    // 24 ranks per node, like the figure benches.
-    auto cost = net::CostModel::plafrim_like((g.np + 23) / 24);
-    EngineConfig cfg{
-        .cost_model = cost,
-        .placement = topo::random_placement(g.np, cost.topology(), 11)};
-    cfg.nic_contention = true;
-    cfg.nic_port_beta_scale = 2.0;
-    cfg.sched = g.mode;
-    Engine eng(cfg);
-    eng.run(workload);
-    const auto& clocks = eng.final_clocks();
-    const double max_clock = *std::max_element(clocks.begin(), clocks.end());
-    const std::string where =
-        "np=" + std::to_string(g.np) + " mode=" + sched_mode_name(g.mode);
-    EXPECT_EQ(max_clock, g.max_clock)
-        << where << ": " << std::hexfloat << max_clock;
-    EXPECT_EQ(clock_bits_hash(clocks), g.hash)
-        << where << ": 0x" << std::hex << clock_bits_hash(clocks);
-  }
+  // 24 ranks per node, like the figure benches.
+  auto cost = net::CostModel::plafrim_like((g.np + 23) / 24);
+  EngineConfig cfg{
+      .cost_model = cost,
+      .placement = topo::random_placement(g.np, cost.topology(), 11)};
+  cfg.nic_contention = true;
+  cfg.nic_port_beta_scale = 2.0;
+  cfg.sched = g.mode;
+  Engine eng(cfg);
+  eng.run(workload);
+  const auto& clocks = eng.final_clocks();
+  const double max_clock = *std::max_element(clocks.begin(), clocks.end());
+  const std::string where =
+      "np=" + std::to_string(g.np) + " mode=" + sched_mode_name(g.mode);
+  EXPECT_EQ(max_clock, g.max_clock)
+      << where << ": " << std::hexfloat << max_clock;
+  EXPECT_EQ(clock_bits_hash(clocks), g.hash)
+      << where << ": 0x" << std::hex << clock_bits_hash(clocks);
+}
+
+TEST(SchedParity, DeepGateTreeKeepsGoldenClocks) {
+  for (const DeepGateGolden& g : kDeepGateGoldens) expect_deep_gate_golden(g);
 }
 
 // --- min-clock gate: tournament tree vs the linear arg-min --------------------
@@ -1014,6 +1031,101 @@ TEST(SchedFibers, StackSlabLargerThanMemoryStillMaps) {
   sched.run([&ran](int r) { ran.push_back(r); },
             [](int reporter) { ADD_FAILURE() << "stall at " << reporter; });
   EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+}
+
+/// Minor page faults the calling thread has taken so far.
+long thread_minor_faults() {
+  rusage ru{};
+  ::getrusage(RUSAGE_THREAD, &ru);
+  return ru.ru_minflt;
+}
+
+/// Runs `n` fibers of `body` on `sched`; returns the minor faults the
+/// calling thread took during the run.
+long faults_of_run(FiberSched& sched, int n,
+                   const std::function<void(int)>& body = [](int) {}) {
+  int ran = 0;
+  const long before = thread_minor_faults();
+  sched.run(
+      [&](int r) {
+        body(r);
+        ++ran;
+      },
+      [](int reporter) { ADD_FAILURE() << "stall at " << reporter; });
+  const long faults = thread_minor_faults() - before;
+  EXPECT_EQ(ran, n);
+  return faults;
+}
+
+long faults_of_world(int n, std::size_t stack_bytes) {
+  FiberSched sched(n, stack_bytes, [](int) {});
+  return faults_of_run(sched, n);
+}
+
+TEST(SchedFibers, NextWorldOnTheThreadReusesItsStackSlab) {
+  // A stack size no other case uses, so no spare slab an earlier case left
+  // on this thread fits the first world. A trivial fiber touches the top
+  // page of its stack, so a world on a fresh slab takes a fault per fiber
+  // and one on a reused slab takes almost none.
+  constexpr std::size_t kStack = 72 * 1024;
+  // Under TSan every new fiber also gets sanitizer state that faults in on
+  // first use, so a world on a reused slab still takes faults per fiber:
+  // there only the fresh mappings' lower bounds are checked.
+#if defined(MPIM_TEST_TSAN)
+  constexpr bool kReuseShowsInFaults = false;
+#else
+  constexpr bool kReuseShowsInFaults = true;
+#endif
+  const auto expect_reused = [&](long faults, long below) {
+    if (kReuseShowsInFaults) {
+      EXPECT_LT(faults, below);
+    }
+  };
+  EXPECT_GE(faults_of_world(256, kStack), 256);
+  expect_reused(faults_of_world(256, kStack), 64);
+  // A smaller world runs on the bigger slab, which stays the spare.
+  expect_reused(faults_of_world(128, kStack), 32);
+  // A bigger one needs a fresh mapping: every stack faults again.
+  EXPECT_GE(faults_of_world(512, kStack), 512);
+
+  {
+    // Two schedulers alive at once: `big` takes the spare, `small` maps
+    // its own, and their stacks must not overlap.
+    FiberSched big(512, kStack, [](int) {});
+    FiberSched small(64, kStack, [](int) {});
+    std::vector<std::uintptr_t> big_sp(512), small_sp(64);
+    const auto record = [](std::vector<std::uintptr_t>& sp) {
+      return [&sp](int r) {
+        sp[static_cast<std::size_t>(r)] =
+            reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+      };
+    };
+    expect_reused(faults_of_run(big, 512, record(big_sp)), 128);
+    EXPECT_GE(faults_of_run(small, 64, record(small_sp)), 64);
+    const auto [big_lo, big_hi] =
+        std::minmax_element(big_sp.begin(), big_sp.end());
+    const auto [small_lo, small_hi] =
+        std::minmax_element(small_sp.begin(), small_sp.end());
+    EXPECT_TRUE(*small_hi < *big_lo || *small_lo > *big_hi);
+  }
+  // Both gave their slabs back; the thread kept the larger.
+  expect_reused(faults_of_world(512, kStack), 128);
+
+  // Another thread has its own spare: its first world maps afresh.
+  long other_thread_faults = 0;
+  std::thread([&] {
+    other_thread_faults = faults_of_world(256, kStack);
+  }).join();
+  EXPECT_GE(other_thread_faults, 256);
+}
+
+TEST(SchedFibers, GoldenWorldKeepsItsClocksOnAReusedStackSlab) {
+  // Two fresh engines on one thread: the second world runs on the stack
+  // slab the first left behind, whose stacks still hold the first's data.
+  const DeepGateGolden& g = kDeepGateGoldens[0];
+  ASSERT_EQ(g.mode, SchedMode::fibers);
+  expect_deep_gate_golden(g);
+  expect_deep_gate_golden(g);
 }
 
 TEST(SchedFibers, TimedReceiveTimesOutAndDeliversLate) {
